@@ -9,7 +9,7 @@ bivector-valued rigid-body dynamics integrator.
 
 from .algebra import (ABS_TOL, REL_TOL, Algebra, Multivector, Signature,
                       SignatureMismatchError, algebra, pga2d, pga3d)
-from .duality import dual_j, join, metric_polarity
+from .duality import dual_j, join
 from .dualnum import DualNumber
 from .metric import (Bivector3, DegenerateElementError, Pitch, angle,
                      bivector_axis, bivector_pitch, bivector_split,

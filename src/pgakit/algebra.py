@@ -416,6 +416,8 @@ class Multivector:
 
     def isclose(self, other, rel: float = REL_TOL, floor: float = ABS_TOL) -> bool:
         other = self._coerce(other)
+        if other is None:
+            raise TypeError("isclose compares with a multivector or a number")
         scale = max(np.abs(self.coeffs).max(initial=0.0),
                     np.abs(other.coeffs).max(initial=0.0))
         tol = max(floor, rel * scale)
@@ -435,7 +437,8 @@ class Multivector:
 
 def _format_coeff(c: float) -> str:
     c = float(c)
-    if c == int(c) and abs(c) < 1e16:
+    # the magnitude test comes first: int() raises on nan and inf
+    if abs(c) < 1e16 and c == int(c):
         return str(int(c))
     return repr(c)
 
@@ -450,7 +453,7 @@ def format_multivector(x: Multivector) -> str:
         if name != "1":
             mag = name if mag == "1" else f"{mag}{name}"
         if not terms:
-            terms.append(mag if c > 0 else f"-{mag}")
+            terms.append(f"-{mag}" if c < 0 else mag)
         else:
-            terms.append(f"+ {mag}" if c > 0 else f"- {mag}")
+            terms.append(f"- {mag}" if c < 0 else f"+ {mag}")
     return " ".join(terms) if terms else "0"

@@ -8,13 +8,15 @@ Exit codes: 0 success, 2 usage or parse problems, 3 numeric failures
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, Signature, format_multivector
+from .algebra import Algebra, Signature, format_multivector
 from .dynamics import SingularInertiaError
 from .expr import ExprError, evaluate
+from .metric import biv_mv, even_mv
 from .scene import SceneError, load_scene, run_simulation, write_csv
 from .versors import exp_bivector, rotor_log
 
@@ -40,9 +42,12 @@ def _usage_error(message: str) -> int:
 
 def _parse_coeffs(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",")]
+        coeffs = [float(p) for p in text.split(",")]
     except ValueError:
         raise SystemExit(_usage_error(f"invalid coefficient list {text!r}"))
+    if not all(math.isfinite(c) for c in coeffs):
+        raise SystemExit(_usage_error(f"non-finite coefficient in {text!r}"))
+    return coeffs
 
 
 def cmd_table(args) -> int:
@@ -83,25 +88,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _even_multivector(alg: Algebra, coeffs: list[float]) -> Multivector:
-    arr = np.zeros(alg.n_blades)
-    arr[alg.even_indices] = coeffs
-    return Multivector(alg, arr)
-
-
-def _bivector_multivector(alg: Algebra, coeffs: list[float]) -> Multivector:
-    arr = np.zeros(alg.n_blades)
-    arr[alg.grade_indices[2]] = coeffs
-    return Multivector(alg, arr)
-
-
 def cmd_exp(args) -> int:
     alg = _parse_signature(args.signature)
     coeffs = _parse_coeffs(args.coeffs)
     want = len(alg.grade_indices[2])
     if len(coeffs) != want:
         return _usage_error(f"exp needs {want} bivector coefficients for Cl{alg.signature}")
-    print(exp_bivector(_bivector_multivector(alg, coeffs)))
+    print(exp_bivector(biv_mv(alg, coeffs)))
     return EXIT_OK
 
 
@@ -111,7 +104,7 @@ def cmd_log(args) -> int:
     want = len(alg.even_indices)
     if len(coeffs) != want:
         return _usage_error(f"log needs {want} even coefficients for Cl{alg.signature}")
-    g = _even_multivector(alg, coeffs)
+    g = even_mv(alg, coeffs)
     try:
         from .versors import normalize_rotor
         g = normalize_rotor(g)

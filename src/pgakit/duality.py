@@ -32,16 +32,6 @@ def dual_j(x: Multivector) -> Multivector:
     return Multivector(x.algebra, out)
 
 
-def metric_polarity(x: Multivector) -> Multivector:
-    """Polarity on the non-degenerate quadric of the same algebra.
-
-    Identical coordinate action to :func:`dual_j`, but the result is
-    read in the same algebra, swapping e.g. a point for a plane.  Useful
-    only squared away inside incidence formulas; prefer :func:`dual_j`.
-    """
-    return dual_j(x)
-
-
 def join(a: Multivector, b: Multivector) -> Multivector:
     """Regressive product: the join of plane-based elements.
 
@@ -50,8 +40,3 @@ def join(a: Multivector, b: Multivector) -> Multivector:
     the native outer product ``a ^ b``.
     """
     return dual_j(dual_j(a) ^ dual_j(b))
-
-
-def regressive_via_polarity(a: Multivector, b: Multivector) -> Multivector:
-    """Same product built from the metric polarity, for cross-checking."""
-    return metric_polarity(metric_polarity(a) ^ metric_polarity(b))

@@ -26,8 +26,8 @@ import numpy as np
 
 from .algebra import Algebra, Multivector
 from .duality import join
-from .metric import (biv_coeffs, biv_mv, ideal_point, pluecker, point,
-                     pseudo_part, ideal_norm)
+from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
+                     point, pseudo_part, ideal_norm)
 from .versors import normalize_rotor, sandwich
 
 BODY = "body"
@@ -385,7 +385,7 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
         if const_force is not None:
             pidot = pidot + const_force
         elif force is not None:
-            g_mv = _even_mv(alg, g8)
+            g_mv = even_mv(alg, g8)
             f = force(t, g_mv, MomentumState(pi6, BODY))
             if f.frame != BODY:
                 raise FrameError("force callable must return a body-frame state")
@@ -402,14 +402,8 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
     g8 = g8 + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
     pi6 = pi6 + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
 
-    g_new = normalize_rotor(_even_mv(alg, g8))
+    g_new = normalize_rotor(even_mv(alg, g8))
     return MotionState(g_new, MomentumState(pi6, BODY), t + h)
-
-
-def _even_mv(alg: Algebra, g8: np.ndarray) -> Multivector:
-    arr = np.zeros(alg.n_blades)
-    arr[alg.even_indices] = g8
-    return Multivector(alg, arr)
 
 
 def body_energy(inertia: InertiaTensor, state: MotionState) -> float:

@@ -94,12 +94,6 @@ def point_coords(x: Multivector) -> tuple[float, ...]:
     return tuple(float(c) / w for c in x.coeffs[idx])
 
 
-def trivector_tuple(x: Multivector) -> tuple[float, ...]:
-    """Raw (weight, coords...) of a point, no dehomogenization."""
-    idx = x.algebra.grade_indices[x.algebra.dim - 1]
-    return tuple(float(c) for c in x.coeffs[idx])
-
-
 def pseudo_part(x: Multivector) -> float:
     """Scalar magnitude of the pseudoscalar part (the grade-top slot)."""
     return x.pseudo_part
@@ -112,11 +106,6 @@ def pseudo_part(x: Multivector) -> float:
 def vector_norm(a: Multivector) -> float:
     """Euclidean norm sqrt(a . a) of a grade-1 element (line or plane)."""
     return math.sqrt(max((a | a).scalar_part, 0.0))
-
-
-def point_norm(p: Multivector) -> float:
-    """Weight of a point; signed, unlike a metric norm."""
-    return point_weight(p)
 
 
 def killing_norm(xi: Multivector) -> float:
@@ -244,8 +233,19 @@ def biv_coeffs(x: Multivector) -> np.ndarray:
 
 
 def biv_mv(alg: Algebra, coeffs) -> Multivector:
+    """The grade-2 element with the given coefficients, in basis order."""
     arr = np.zeros(alg.n_blades)
     arr[alg.grade_indices[2]] = coeffs
+    return Multivector(alg, arr)
+
+
+def even_mv(alg: Algebra, coeffs) -> Multivector:
+    """The even element with the given coefficients, in basis order.
+
+    In Cl(3,0,1) that is ``(1, e01, e02, e03, e12, e31, e23, I)``.
+    """
+    arr = np.zeros(alg.n_blades)
+    arr[alg.even_indices] = coeffs
     return Multivector(alg, arr)
 
 
@@ -305,11 +305,6 @@ def bivector_split(xi: Multivector) -> tuple[Multivector, Multivector]:
             biv_mv(alg, [0, 0, 0, c[3], c[4], c[5]]))
 
 
-def is_ideal_bivector(xi: Multivector, rel: float = SIMPLE_REL_TOL) -> bool:
-    c = biv_coeffs(xi)
-    return float(c[3:] @ c[3:]) <= rel ** 2 * max(float(c @ c), _EPS)
-
-
 def direction(xi: Multivector) -> Multivector:
     """Direction of a euclidean bivector as an ideal point.
 
@@ -333,18 +328,25 @@ def polar_line(xi: Multivector) -> Multivector:
 def bivector_axis(xi: Multivector) -> Multivector:
     """The unique euclidean line in the span of ``xi`` and ``xi I``.
 
-    Normalized so the result squares to -1.  A translator's bivector is
-    ideal and has no axis.
+    Every euclidean bivector factors as ``(t + u I) A`` with ``A`` a unit
+    line.  Write the Pluecker coordinates as ``(i, e)``, with
+    ``rev(e) = (p23, p31, p12)``, ``l = e . e`` and ``m = i . rev(e)``,
+    so that ``xi xi = -l + 2 m I``; then
+
+        A = (i - (m / l) rev(e), e) / sqrt(l)
+
+    squares to -1 and keeps the orientation of the euclidean part.  A
+    translator's bivector is ideal and has no axis.
     """
     c = biv_coeffs(xi)
-    scale = float(c @ c)
-    if float(c[3:] @ c[3:]) <= (_EPS * math.sqrt(max(scale, _EPS))) ** 2:
+    i, e = c[:3], c[3:]
+    l = float(e @ e)
+    if l <= _EPS ** 2 * max(float(c @ c), _EPS):
         raise DegenerateElementError("ideal bivector has no axis")
-    xi_i = xi * xi.algebra.blade("I")
-    a = -2.0 * pluecker(xi, xi_i)
-    b = pluecker(xi, xi)
-    axis = a * xi + b * xi_i
-    return normalize(axis)
+    rev_e = e[::-1]
+    m = float(i @ rev_e)
+    return biv_mv(xi.algebra,
+                  np.concatenate([i - (m / l) * rev_e, e]) / math.sqrt(l))
 
 
 @dataclass(frozen=True)
@@ -425,13 +427,6 @@ def vector_inverse(a: Multivector) -> Multivector:
     return a / aa
 
 
-def point_inverse(p: Multivector) -> Multivector:
-    pp = (p | p).scalar_part
-    if abs(pp) <= _EPS * p.norm2():
-        raise DegenerateElementError("ideal point has no inverse")
-    return p / pp
-
-
 def bivector_inverse(xi: Multivector) -> Multivector:
     xx = (xi | xi).scalar_part
     if abs(xx) <= _EPS * xi.norm2():
@@ -444,11 +439,6 @@ def project_point_to_line(p: Multivector, xi: Multivector) -> Multivector:
     return (p | xi) * bivector_inverse(xi)
 
 
-def project_point_to_hyperplane(p: Multivector, a: Multivector) -> Multivector:
-    """Orthogonal projection of a point onto a line (2D) or plane (3D)."""
-    return (p | a) * vector_inverse(a)
-
-
 def project_line_to_plane(xi: Multivector, a: Multivector) -> Multivector:
     """Orthogonal projection of a 3D line into a euclidean plane."""
     return (xi | a) * vector_inverse(a)
@@ -457,10 +447,6 @@ def project_line_to_plane(xi: Multivector, a: Multivector) -> Multivector:
 def perp_through_point(p: Multivector, a: Multivector) -> Multivector:
     """The perpendicular to a line (2D) or plane (3D) through a point: p . a."""
     return p | a
-
-
-def plane_through_point_perp_line(p: Multivector, xi: Multivector) -> Multivector:
-    return p | xi
 
 
 def common_normal(xi: Multivector, phi: Multivector) -> Multivector:
@@ -480,10 +466,6 @@ def common_normal(xi: Multivector, phi: Multivector) -> Multivector:
 
 # ---------------------------------------------------------------------------
 # joins of positions (conveniences used all over the tests and demos)
-
-
-def line_through_points(p: Multivector, q: Multivector) -> Multivector:
-    return join(p, q)
 
 
 def line2d_through(alg: Algebra, a: tuple, b: tuple) -> Multivector:

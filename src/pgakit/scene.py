@@ -25,11 +25,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .algebra import pga3d, Multivector
+from .algebra import pga3d
 from .dynamics import (BODY, SPACE, ForceState, MomentumState, MotionState,
                        Particle, VelocityState, body_energy, euler_step,
                        force_line, frame_convert, inertia_assemble)
-from .metric import biv_coeffs, point, point_coords
+from .metric import biv_coeffs, even_mv, point, point_coords
 from .versors import normalize_rotor, sandwich
 
 
@@ -171,9 +171,7 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
     particles = [Particle.at(alg, b["mass"], b["position"]) for b in cfg.bodies]
     inertia = inertia_assemble(particles)
 
-    g0 = np.zeros(alg.n_blades)
-    g0[alg.even_indices] = cfg.rotor0
-    g = normalize_rotor(Multivector(alg, g0))
+    g = normalize_rotor(even_mv(alg, cfg.rotor0))
 
     if cfg.omega_body is not None:
         pi = inertia.apply(VelocityState(np.array(cfg.omega_body), BODY))

@@ -21,9 +21,9 @@ from .algebra import Algebra, Multivector
 from .dualnum import DualNumber
 from . import dualnum
 from .metric import (DegenerateElementError, biv_coeffs, biv_mv,
-                     bivector_axis, is_simple, killing_norm, normalize)
+                     bivector_axis, even_mv, is_simple, killing_norm,
+                     normalize, point_weight)
 
-_NEAR_IDENTITY = 1e-7
 _EPS = 1e-12
 
 
@@ -50,16 +50,15 @@ def rotator(center: Multivector, theta: float) -> Multivector:
     half-angle convention ``cos(theta/2) + sin(theta/2) N``.
     """
     alg = center.algebra
-    (k,) = center.grades(rel_tol=1e-9)
-    if k == 2 and alg.dim == 4:
+    ks = center.grades(rel_tol=1e-9)
+    if ks == [2] and alg.dim == 4:
         if not is_simple(center):
             raise ValueError("a rotation axis must be a simple bivector")
         n = normalize(center)
         if killing_norm(n) < 0.5:
             raise DegenerateElementError("ideal axis: use translator()")
-    elif k == alg.dim - 1:
+    elif ks == [alg.dim - 1]:
         n = normalize(center)
-        from .metric import point_weight
         if abs(point_weight(n)) < 0.5:
             raise DegenerateElementError("ideal center: use translator()")
     else:
@@ -86,9 +85,10 @@ def exp_screw(axis: Multivector, t: float, u: float = 0.0) -> Multivector:
 def exp_bivector(b: Multivector) -> Multivector:
     """Exponential of a grade-2 element; always lands in the rotor group.
 
-    Three cases: ideal bivectors give translators ``1 + b``, simple
-    euclidean ones rotators ``cos|b| + sin|b| b/|b|``, and non-simple
-    ones screws via the dual-angle closed form.
+    Ideal bivectors give translators ``1 + b``.  Otherwise, in 3D and in
+    the notation of :func:`~pgakit.metric.bivector_axis`, ``t = sqrt(l)``,
+    ``s = sin(t) / t`` and ``k = m (cos t - s) / l`` give the screw
+    ``cos t + (s i + k rev(e), s e) + m s I``.
     """
     alg = b.algebra
     if alg.dim == 3:
@@ -97,26 +97,16 @@ def exp_bivector(b: Multivector) -> Multivector:
             return alg.scalar(1.0) + b
         return math.cos(m0) + math.sin(m0) / m0 * b
     c = biv_coeffs(b)
-    scale = math.sqrt(float(c @ c))
-    if scale == 0.0:
-        return alg.scalar(1.0)
-    if math.sqrt(float(c[3:] @ c[3:])) <= _EPS * scale:
+    i, e = c[:3], c[3:]
+    l = float(e @ e)
+    t = math.sqrt(l)
+    if t <= _EPS * math.sqrt(float(c @ c)):
         return alg.scalar(1.0) + b
-    axis, t, u = _screw_components(b)
-    return exp_screw(axis, t, u)
-
-
-def _screw_components(b: Multivector) -> tuple[Multivector, float, float]:
-    """Write a euclidean bivector as ``(t + u I) axis``."""
-    axis = bivector_axis(b)
-    t = -(b | axis).scalar_part
-    if t < 0.0:
-        axis = -axis
-        t = -t
-    i_axis = biv_coeffs(axis * b.algebra.blade("I"))
-    resid = biv_coeffs(b) - t * biv_coeffs(axis)
-    u = float(resid @ i_axis) / float(i_axis @ i_axis)
-    return axis, t, u
+    rev_e = e[::-1]
+    m = float(i @ rev_e)
+    cos_t, s = math.cos(t), math.sin(t) / t
+    k = m * (cos_t - s) / l
+    return even_mv(alg, [cos_t, *(s * i + k * rev_e), *(s * e), m * s])
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +118,9 @@ class ScrewLog:
     """Invariant data of a rotor: axis plus dual half-angle ``t + u I``.
 
     ``t`` is half the rotation angle, ``u`` half the translation
-    distance.  ``exp_screw(axis, t, u)`` reproduces the rotor (up to
-    the double-cover sign).
+    distance.  ``exp_screw(axis, t, u)`` reproduces the rotor; only for
+    a negated translator or -1 does it give ``-g`` (see
+    :func:`screw_log`).
     """
 
     axis: Multivector
@@ -156,47 +147,38 @@ def _origin_axis(alg: Algebra, direction) -> Multivector:
 
 
 def screw_log(g: Multivector) -> ScrewLog:
-    """Logarithm of a 3D rotor, choosing the canonical representative.
+    """Logarithm of a unit 3D rotor: ``exp(log g) = g``.
 
-    ``-g`` is mapped to ``g`` first, so ``t`` lands in [0, pi).  For a
-    pure translator the axis is not unique; the representative through
-    the origin is returned.  The identity gets a zero log on an
+    The axis ``A`` is :func:`~pgakit.metric.bivector_axis` of the
+    grade-2 part ``(i, e)``.  With ``s`` and ``q`` the scalar and
+    pseudoscalar parts, ``t = atan2(|e|, s)`` lies in [0, pi] and
+    ``u = -(s i . rev(A_e) + |e| q)``.
+
+    For a pure translator the axis is not unique; the representative
+    through the origin is returned, and a negated translator is mapped
+    to the translator first.  The identity and -1 get a zero log on an
     arbitrary axis.
     """
     alg = g.algebra
     if alg.dim != 4:
         raise ValueError("screw_log needs the spatial algebra")
     s_r = g.scalar_part
-    s_d = g.pseudo_part
-    xi = g.grade(2)
-    c6 = biv_coeffs(xi)
+    c6 = biv_coeffs(g)
     xi_scale = math.sqrt(float(c6 @ c6))
     g_scale = max(1.0, float(np.abs(g.coeffs).max()))
     if xi_scale <= _EPS * g_scale:
         return ScrewLog(_origin_axis(alg, (0.0, 0.0, 1.0)), 0.0, 0.0)
-    if math.sqrt(float(c6[3:] @ c6[3:])) <= _EPS * xi_scale:
+    e_norm = math.sqrt(float(c6[3:] @ c6[3:]))
+    if e_norm <= _EPS * xi_scale:
         # translator: map -g to g (the scalar part must be +1), then pick
         # the origin-passing axis; the log of a translator is not unique
         m = c6[:3] if s_r >= 0.0 else -c6[:3]
         length = math.sqrt(float(m @ m))
         return ScrewLog(_origin_axis(alg, -m / length), 0.0, length)
-    if xi_scale < _NEAR_IDENTITY * g_scale:
-        # first-order series; avoids 0/0 in the u branch.  Near -1 flip
-        # to the positive-scalar sheet first.
-        if s_r < 0.0:
-            xi = -xi
-        axis, c, d = _screw_components(xi)
-        return ScrewLog(axis, c, d)
-    # orient the axis so its angle component is non-negative; with the
-    # scalar part untouched this puts t in [0, pi), and exp reproduces
-    # g itself rather than -g
-    axis, c, d = _screw_components(xi)
-    t = math.atan2(c, s_r)
-    if abs(math.cos(t)) > abs(math.sin(t)):
-        u = d / math.cos(t)
-    else:
-        u = -s_d / math.sin(t)
-    return ScrewLog(axis, t, u)
+    axis = bivector_axis(g.grade(2))
+    axis_e = biv_coeffs(axis)[3:]
+    u = -(s_r * float(c6[:3] @ axis_e[::-1]) + e_norm * g.pseudo_part)
+    return ScrewLog(axis, math.atan2(e_norm, s_r), u)
 
 
 def rotor_log(g: Multivector) -> Multivector:

@@ -154,6 +154,8 @@ def test_scalar_interop(space_alg):
     assert (2 * x - x) == x
     assert (x + 1)["1"] == 1.0
     assert (x / 2)["e1"] == 0.5
+    with pytest.raises(TypeError):
+        x.isclose("x")
 
 
 def test_immutability(space_alg):
@@ -168,6 +170,9 @@ def test_formatting(space_alg):
     x = space_alg.multivector({"1": 1.0, "e01": 2.0, "e23": -1.0})
     assert repr(x) == "1 + 2e01 - e23"
     assert repr(space_alg.zero()) == "0"
+    y = space_alg.multivector({"1": float("nan"), "e01": -float("inf"),
+                               "I": float("inf")})
+    assert repr(y) == "nan - infe01 + infI"
 
 
 def test_generic_dimensions_product_engine(rng):

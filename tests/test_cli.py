@@ -147,6 +147,18 @@ def test_log_cli_rejects_zero(capsys):
     assert rc == 3 and "normalize" in err
 
 
+@pytest.mark.parametrize("command, coeffs", [
+    ("exp", "nan,0,0,0.1,0,0.7"),
+    ("exp", "0,0,0,0.1,-inf,0.7"),
+    ("log", "1,0,0,0,nan,0,0,0"),
+    ("log", "inf,0,0,0,0,0,0,0"),
+])
+def test_exp_log_cli_reject_non_finite(capsys, command, coeffs):
+    rc, out, err = run_cli(capsys, command, "--coeffs", coeffs)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # scenes
 

@@ -1,10 +1,9 @@
-"""Duality map, join/meet, metric polarity."""
+"""Duality map, join/meet."""
 
 import numpy as np
 import pytest
 
-from pgakit import dual_j, join, metric_polarity, point
-from pgakit.duality import regressive_via_polarity
+from pgakit import dual_j, join, point
 
 from conftest import random_mv
 
@@ -92,14 +91,3 @@ def test_meet_of_planar_lines_is_intersection(plane_alg):
     assert meet["E1"] / w == pytest.approx(1.0)
     assert meet["E2"] / w == pytest.approx(2.0)
 
-
-def test_metric_polarity(space_alg, rng):
-    x = random_mv(space_alg, rng)
-    assert metric_polarity(metric_polarity(x)) == x
-    np.testing.assert_array_equal(metric_polarity(x).coeffs, dual_j(x).coeffs)
-
-
-def test_regressive_product_via_polarity_agrees(space_alg, rng):
-    for _ in range(10):
-        a, b = random_mv(space_alg, rng), random_mv(space_alg, rng)
-        assert join(a, b).isclose(regressive_via_polarity(a, b), rel=1e-12)

@@ -9,7 +9,7 @@ from pgakit import (DegenerateElementError, distance, exp_bivector, exp_screw,
                     is_rotor, line3d_point_dir, normalize, normalize_rotor,
                     point, point_coords, rotator, rotor_log, sandwich,
                     screw_decompose, screw_log, translator)
-from pgakit.metric import line2d_through
+from pgakit.metric import biv_mv, line2d_through
 from pgakit.versors import rotor_constraint
 
 from conftest import random_mv
@@ -154,6 +154,9 @@ def test_rotator_rejects_bad_axes(space_alg):
         rotator(screw, 0.5)
     with pytest.raises(DegenerateElementError):
         rotator(space_alg.blades["e01"], 0.5)
+    mixed = space_alg.blades["e12"] + space_alg.blades["E0"]
+    with pytest.raises(ValueError, match="point or a 3D line"):
+        rotator(mixed, 0.5)
 
 
 def test_rotator_fixes_axis_and_rotates(space_alg, rng):
@@ -187,6 +190,29 @@ def test_exp_zero_and_planar_cases(plane_alg, space_alg):
 def test_exp_of_ideal_is_translator(space_alg):
     m = space_alg.multivector({"e01": 0.4, "e02": -0.2, "e03": 1.0})
     assert exp_bivector(m) == space_alg.scalar(1.0) + m
+
+
+def test_exp_matches_power_series(space_alg, rng):
+    def series(b, terms=60):
+        total, term = space_alg.scalar(1.0), space_alg.scalar(1.0)
+        for k in range(1, terms):
+            term = term * b / k
+            total = total + term
+        return total
+
+    cases = [random_mv(space_alg, rng, grade=2) for _ in range(20)]
+    for _ in range(10):
+        # nearly ideal: the euclidean part is 1e-6 of the whole
+        c = rng.normal(size=6)
+        c[3:] *= 1e-6 * np.linalg.norm(c[:3]) / np.linalg.norm(c[3:])
+        cases.append(biv_mv(space_alg, c))
+    for _ in range(10):
+        # rotation half-angle t = |e| past pi/2
+        c = rng.normal(size=6)
+        c[3:] *= rng.uniform(1.6, 3.1) / np.linalg.norm(c[3:])
+        cases.append(biv_mv(space_alg, c))
+    for b in cases:
+        assert exp_bivector(b).isclose(series(b), rel=1e-12)
 
 
 def test_exp_lands_on_rotor_manifold(space_alg, rng):
@@ -238,6 +264,18 @@ def test_log_near_identity(space_alg):
         lg = screw_log(g)
         assert lg.t == pytest.approx(eps, rel=1e-6)
         assert lg.u == pytest.approx(0.5 * eps, rel=1e-5)
+
+
+def test_log_near_minus_one_keeps_sign(space_alg, rng):
+    # exp(log g) is g itself, not -g, down to the last euclidean digits
+    for e_norm in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        for u in (0.0, 0.3 * e_norm, 0.4):
+            axis = normalize(line3d_point_dir(
+                space_alg, rng.normal(size=3), rng.normal(size=3)))
+            g = exp_screw(axis, math.pi - math.asin(e_norm), u)
+            lg = screw_log(g)
+            assert 0.0 <= lg.t <= math.pi
+            assert lg.exp().isclose(g, rel=1e-12)
 
 
 def test_exp_log_roundtrip_three_classes(space_alg, rng):
