@@ -19,9 +19,9 @@ from .metric import (Bivector3, DegenerateElementError, Pitch, angle,
                      noneuclidean_distance, normalize, null_plane,
                      null_point, plane, pluecker, point, point_coords,
                      point_weight, pseudo_part, vector_norm)
-from .versors import (ScrewLog, exp_bivector, exp_screw, is_rotor,
-                      normalize_rotor, rotator, rotor_log, sandwich,
-                      screw_decompose, screw_log, translator)
+from .versors import (NumericError, ScrewLog, exp_bivector, exp_screw,
+                      is_rotor, normalize_rotor, rotator, rotor_log, sandwich,
+                      sandwich_matrix, screw_decompose, screw_log, translator)
 from .dynamics import (BODY, SPACE, ForceState, FrameError, InertiaTensor,
                        MomentumState, MotionState, Particle,
                        SingularInertiaError, VelocityState, body_energy,

@@ -25,6 +25,7 @@ so they are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -191,6 +192,11 @@ class Algebra:
         self.complement_index = np.array(
             [self._index_of_mask[full ^ m] for m in self.masks], dtype=int)
 
+    @cached_property
+    def even_tables(self) -> "EvenTables":
+        """Flat product tables of the even subalgebra, built on first use."""
+        return EvenTables(self)
+
     # -- basic constructors -------------------------------------------
 
     def multivector(self, coeffs) -> "Multivector":
@@ -232,6 +238,59 @@ class Algebra:
 
     def __hash__(self):
         return hash(self.signature)
+
+
+class EvenTables:
+    """Products of even elements on flat coefficient arrays.
+
+    The rigid-body integrator, rotor renormalization and sandwich
+    matrices run on these instead of on :class:`Multivector` products.
+    Every table is a slice or contraction of the algebra's geometric
+    product table, so there is one source of product signs.  A table
+    ``T`` of a bilinear product is applied as
+    ``(a[:, None] * b).ravel() @ T``: the flattened outer product of the
+    two coefficient arrays (each in basis order) times ``T``, one mat-vec.
+    """
+
+    def __init__(self, alg: Algebra):
+        gp = alg._gp
+        even, biv = alg.even_indices, alg.grade_indices[2]
+        pseudo = alg.pseudoscalar_index
+        ne, nb = len(even), len(biv)
+        self._alg = alg
+        self.even = even
+        self.odd = np.flatnonzero(alg.grades % 2 == 1)
+        # the motion equations on the stacked state y = (g, Pi) with a
+        # bivector Omega: (y, Omega) -> (g Omega, 2 Pi x Omega)
+        motion = np.zeros((ne + nb, nb, ne + nb))
+        motion[:ne, :, :ne] = gp[np.ix_(even, biv, even)]
+        motion[ne:, :, ne:] = 2.0 * alg._comm[np.ix_(biv, biv, biv)]
+        self.motion = motion.reshape((ne + nb) * nb, ne + nb)
+        # scalar and pseudoscalar parts of g ~g, and the matrix of g -> g I
+        # (zero when the pseudoscalar is odd)
+        rev = alg._rev_signs[even]
+        self.rotor_norm = (gp[np.ix_(even, even, [0, pseudo])]
+                           * rev[None, :, None]).reshape(ne * ne, 2)
+        self.times_i = gp[even, pseudo][:, even].T
+        self._sandwich: dict[int, np.ndarray] = {}
+
+    def sandwich(self, k: int) -> np.ndarray:
+        """Table of ``g X ~g`` on grade ``k``, quadratic in the even ``g``.
+
+        ``((g[:, None] * g).ravel() @ T).reshape(n, n)`` is the matrix that
+        maps the grade-``k`` coefficients of ``X`` to those of the result.
+        """
+        if k not in self._sandwich:
+            alg = self._alg
+            gp, even, blades = alg._gp, self.even, alg.grade_indices[k]
+            # (g X)_m = g_a X_j gp[a, j, m];  (g X ~g)_i = (g X)_m ~g_b gp[m, b, i]
+            left = gp[np.ix_(even, blades)]
+            right = gp[:, even][:, :, blades]
+            t = np.einsum("ajm,mbi->abij", left, right)
+            t *= alg._rev_signs[even][None, :, None, None]
+            n = len(blades)
+            self._sandwich[k] = t.reshape(len(even) ** 2, n * n)
+        return self._sandwich[k]
 
 
 _CACHE: dict[tuple[int, int, int], Algebra] = {}

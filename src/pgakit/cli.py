@@ -1,8 +1,10 @@
 """Command-line surface: Cayley tables, a blade calculator, exp/log,
 and the batch rigid-body simulator.
 
-Exit codes: 0 success, 2 usage or parse problems, 3 numeric failures
-(singular inertia, non-normalizable rotors).
+Exit codes: 0 success, 2 usage or parse problems (including a malformed
+scene and an output path that cannot be opened), 3 numeric failures
+(singular inertia, non-normalizable rotors, a state that stops being
+finite).  Each failure prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .dynamics import SingularInertiaError
 from .expr import ExprError, evaluate
 from .metric import biv_mv, even_mv
 from .scene import SceneError, load_scene, run_simulation, write_csv
-from .versors import exp_bivector, rotor_log
+from .versors import NumericError, exp_bivector, rotor_log
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,10 +79,19 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         cfg = load_scene(args.scene)
+    except SceneError as exc:
+        return _usage_error(str(exc))
+    # fail on an unwritable output before integrating, not after
+    try:
+        with open(args.out, "a"):
+            pass
+    except OSError as exc:
+        return _usage_error(f"cannot write {args.out}: {exc.strerror}")
+    try:
         header, rows = run_simulation(cfg, stride=args.stride)
     except SceneError as exc:
         return _usage_error(str(exc))
-    except SingularInertiaError as exc:
+    except (SingularInertiaError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     write_csv(args.out, header, rows)

@@ -15,12 +15,22 @@ Conventions kept throughout (factor 2 included):
   ``Omega_c = A^-1(Pi_c)``, integrated by fixed-step RK4 on the flat
   14-coefficient state with rotor renormalization after each step.
 
+The step runs on flat coefficient arrays only: the inertia operator is
+inverted and condition-checked once per tensor, the products are the
+even-subalgebra tables of :attr:`Algebra.even_tables`, and the rotor
+is renormalized in closed form (:func:`~pgakit.versors.normalize_even`).
+A step whose rotor or momentum stops being finite raises
+:class:`~pgakit.versors.NumericError` instead of carrying NaN on.
+Moving a bivector state between frames is one 6x6 matrix,
+:func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``.
+
 Body-frame and space-frame quantities are tagged and may not be mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from .algebra import Algebra, Multivector
 from .duality import join
 from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
                      point, pseudo_part, ideal_norm)
-from .versors import normalize_rotor, sandwich
+from .versors import NumericError, normalize_even, sandwich, sandwich_matrix
 
 BODY = "body"
 SPACE = "space"
@@ -102,8 +112,8 @@ def frame_convert(x, g: Multivector, to: str):
     if isinstance(x, _BivectorState):
         if x.frame == to:
             return x
-        mv = frame_convert(x.as_multivector(g.algebra), g, to)
-        return type(x)(biv_coeffs(mv), to)
+        m = sandwich_matrix(g if to == SPACE else ~g, 2)
+        return type(x)(m @ x.coeffs, to)
     if to == SPACE:
         return sandwich(g, x)
     if to == BODY:
@@ -207,9 +217,12 @@ class InertiaTensor:
     def inverse_apply(self, pi: MomentumState) -> VelocityState:
         if pi.frame != BODY:
             raise FrameError("the inertia tensor lives in the body frame")
-        return VelocityState(self._inverse_operator() @ pi.coeffs, BODY)
+        return VelocityState(self._inverse_operator @ pi.coeffs, BODY)
 
+    @cached_property
     def _inverse_operator(self) -> np.ndarray:
+        # the form is frozen, so one condition check and one inverse serve
+        # every later call; a singular tensor raises on every call
         op = self.operator
         if np.linalg.cond(op) > _COND_LIMIT:
             raise SingularInertiaError(
@@ -339,34 +352,22 @@ class MotionState:
             raise FrameError("MotionState stores the body-frame momentum")
 
 
-_DYN_TABLES: dict = {}
-
-
-def _dyn_tables(alg: Algebra):
-    if alg not in _DYN_TABLES:
-        even = alg.even_indices
-        biv = alg.grade_indices[2]
-        t_even = alg._gp[np.ix_(even, even, even)]
-        t_gp_biv = alg._gp[np.ix_(biv, biv, biv)]
-        t_comm = 0.5 * (t_gp_biv - t_gp_biv.transpose(1, 0, 2))
-        biv_in_even = np.searchsorted(even, biv)
-        _DYN_TABLES[alg] = (even, t_even, t_comm, biv_in_even)
-    return _DYN_TABLES[alg]
-
-
 def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
                force=None) -> MotionState:
     """One RK4 step of the motion equations, rotor renormalized at the end.
 
     ``force`` may be None, a body-frame :class:`ForceState`, or a
     callable ``(t, g, pi_body) -> ForceState`` evaluated at every
-    stage (the rotor argument is stage-extrapolated).
+    stage (the rotor argument is stage-extrapolated).  Raises
+    :class:`~pgakit.versors.NumericError` when the new rotor cannot be
+    normalized or the new momentum is not finite.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     alg = state.g.algebra
-    even, t_even, t_comm, biv_in_even = _dyn_tables(alg)
-    inv_op = inertia._inverse_operator()
+    tables = alg.even_tables
+    motion, ne = tables.motion, len(tables.even)
+    inv_op = inertia._inverse_operator
 
     if isinstance(force, ForceState):
         if force.frame != BODY:
@@ -376,39 +377,42 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
     else:
         const_force = None
 
-    def rhs(t, g8, pi6):
-        om6 = inv_op @ pi6
-        om8 = np.zeros(8)
-        om8[biv_in_even] = om6
-        gdot = np.einsum("i,j,ijk->k", g8, om8, t_even)
-        pidot = 2.0 * np.einsum("i,j,ijk->k", pi6, om6, t_comm)
+    # y = (g, Pi): the even rotor coefficients, then the body momentum
+    def rhs(t, y):
+        omega = inv_op @ y[ne:]
+        dy = (y[:, None] * omega).ravel() @ motion
         if const_force is not None:
-            pidot = pidot + const_force
+            dy[ne:] += const_force
         elif force is not None:
-            g_mv = even_mv(alg, g8)
-            f = force(t, g_mv, MomentumState(pi6, BODY))
+            f = force(t, even_mv(alg, y[:ne]), MomentumState(y[ne:], BODY))
             if f.frame != BODY:
                 raise FrameError("force callable must return a body-frame state")
-            pidot = pidot + f.coeffs
-        return gdot, pidot
+            dy[ne:] += f.coeffs
+        return dy
 
-    g8 = np.array(state.g.coeffs[even])
-    pi6 = np.array(state.pi_body.coeffs)
+    y = np.concatenate((state.g.coeffs[tables.even], state.pi_body.coeffs))
     t, h = state.t, dt
-    k1g, k1p = rhs(t, g8, pi6)
-    k2g, k2p = rhs(t + h / 2, g8 + h / 2 * k1g, pi6 + h / 2 * k1p)
-    k3g, k3p = rhs(t + h / 2, g8 + h / 2 * k2g, pi6 + h / 2 * k2p)
-    k4g, k4p = rhs(t + h, g8 + h * k3g, pi6 + h * k3p)
-    g8 = g8 + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    pi6 = pi6 + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + h / 2 * k1)
+    k3 = rhs(t + h / 2, y + h / 2 * k2)
+    k4 = rhs(t + h, y + h * k3)
+    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    g_new = normalize_rotor(even_mv(alg, g8))
-    return MotionState(g_new, MomentumState(pi6, BODY), t + h)
+    pi = y[ne:]
+    if not np.isfinite(pi).all():
+        raise NumericError(f"momentum is not finite at t = {t + h!r}")
+    g = even_mv(alg, normalize_even(alg, y[:ne]))
+    return MotionState(g, MomentumState(pi, BODY), t + h)
 
 
 def body_energy(inertia: InertiaTensor, state: MotionState) -> float:
-    omega = inertia.inverse_apply(state.pi_body)
-    return inertia.energy(omega)
+    """``energy(Omega)`` with ``Omega = A^-1(Pi)``.
+
+    ``form Omega = -K Pi``, so the energy is ``-Omega . K Pi``: one
+    mat-vec with the cached inverse and one dot.
+    """
+    pi = state.pi_body.coeffs
+    return -float((inertia._inverse_operator @ pi) @ pi[::-1])
 
 
 def space_momentum(state: MotionState) -> MomentumState:

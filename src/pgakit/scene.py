@@ -21,6 +21,7 @@ position of every tracked point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -29,8 +30,10 @@ from .algebra import pga3d
 from .dynamics import (BODY, SPACE, ForceState, MomentumState, MotionState,
                        Particle, VelocityState, body_energy, euler_step,
                        force_line, frame_convert, inertia_assemble)
-from .metric import biv_coeffs, even_mv, point, point_coords
-from .versors import normalize_rotor, sandwich
+from .metric import biv_coeffs, even_mv, point
+# sandwich is not called here; the benchmark's tracing tests use scene.sandwich
+# as their example of an alias made by ``from .versors import``
+from .versors import normalize_rotor, sandwich, sandwich_matrix  # noqa: F401
 
 
 class SceneError(ValueError):
@@ -70,66 +73,93 @@ def _require(cond, message):
         raise SceneError(message)
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number (not a boolean) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SceneError(f"{what} must be a finite number, not {value!r:.40}")
+
+
+def _vector(value, n: int, what: str) -> list[float]:
+    _require(isinstance(value, (list, tuple)) and len(value) == n,
+             f"{what} must be a list of {n} numbers")
+    return [_number(c, what) for c in value]
+
+
 def parse_scene(data: dict) -> SceneConfig:
+    """Validate a scene document; every defect raises :class:`SceneError`."""
     _require(isinstance(data, dict), "scene must be a JSON object")
-    sig = tuple(data.get("signature", (3, 0, 1)))
-    _require(sig == (3, 0, 1), f"simulation supports signature 3,0,1, not {sig}")
+    sig = data.get("signature", [3, 0, 1])
+    _require(isinstance(sig, (list, tuple)) and tuple(sig) == (3, 0, 1),
+             f"simulation supports signature 3,0,1, not {sig!r:.40}")
 
     bodies = data.get("bodies")
     _require(isinstance(bodies, list) and bodies, "scene needs a non-empty 'bodies' list")
+    parsed_bodies = []
     for b in bodies:
         _require(isinstance(b, dict) and set(b) == {"mass", "position"},
                  "each body entry is {mass, position}")
-        _require(float(b["mass"]) > 0.0, "masses must be positive")
-        _require(len(b["position"]) == 3, "positions are [x, y, z]")
+        mass = _number(b["mass"], "a mass")
+        _require(mass > 0.0, "masses must be positive")
+        parsed_bodies.append({"mass": mass,
+                              "position": _vector(b["position"], 3, "a position")})
 
     initial = data.get("initial")
     _require(isinstance(initial, dict), "scene needs an 'initial' object")
     keys = set(initial)
     _require(keys in ({"omega_body"}, {"pi_body"}),
              "initial must hold exactly one of omega_body, pi_body")
-    state6 = list(initial.get("omega_body", initial.get("pi_body")))
-    _require(len(state6) == 6, "the initial state has 6 bivector coordinates")
+    (key,) = keys
+    state6 = _vector(initial[key], 6, f"initial.{key}")
 
-    rotor0 = list(data.get("rotor0", [1.0] + [0.0] * 7))
-    _require(len(rotor0) == 8, "rotor0 has 8 even coefficients")
+    rotor0 = _vector(data.get("rotor0", [1.0] + [0.0] * 7), 8, "rotor0")
 
     integrator = data.get("integrator")
     _require(isinstance(integrator, dict) and {"dt", "steps"} <= set(integrator),
              "scene needs integrator.dt and integrator.steps")
-    _require(float(integrator["dt"]) > 0.0, "dt must be positive")
-    _require(int(integrator["steps"]) >= 1, "steps must be at least 1")
+    dt = _number(integrator["dt"], "dt")
+    _require(dt > 0.0, "dt must be positive")
+    steps = _number(integrator["steps"], "steps")
+    _require(steps.is_integer(), f"steps must be a whole number, not {steps!r}")
+    _require(steps >= 1, "steps must be at least 1")
 
-    forces = []
-    for f in data.get("forces", []):
+    forces = data.get("forces", [])
+    _require(isinstance(forces, list), "forces must be a list")
+    parsed_forces = []
+    for f in forces:
         _require(isinstance(f, dict) and {"point", "vector"} <= set(f),
                  "each force entry needs point and vector")
-        forces.append(SceneForce(
-            point=list(f["point"]), vector=list(f["vector"]),
-            t_start=float(f.get("t_start", 0.0)),
-            t_end=float(f.get("t_end", float("inf")))))
+        t_end = f.get("t_end", math.inf)
+        parsed_forces.append(SceneForce(
+            point=_vector(f["point"], 3, "a force point"),
+            vector=_vector(f["vector"], 3, "a force vector"),
+            t_start=_number(f.get("t_start", 0.0), "t_start"),
+            t_end=t_end if t_end == math.inf else _number(t_end, "t_end")))
 
-    outputs = [list(p) for p in data.get("outputs", [])]
-    for p in outputs:
-        _require(len(p) == 3, "tracked outputs are [x, y, z] points")
+    outputs = data.get("outputs", [])
+    _require(isinstance(outputs, list), "outputs must be a list")
 
     return SceneConfig(
-        bodies=[{"mass": float(b["mass"]), "position": [float(c) for c in b["position"]]}
-                for b in bodies],
-        integrator={"dt": float(integrator["dt"]), "steps": int(integrator["steps"])},
-        signature=sig,
-        omega_body=state6 if "omega_body" in keys else None,
-        pi_body=state6 if "pi_body" in keys else None,
-        rotor0=[float(c) for c in rotor0],
-        forces=forces,
-        outputs=outputs)
+        bodies=parsed_bodies,
+        integrator={"dt": dt, "steps": int(steps)},
+        signature=(3, 0, 1),
+        omega_body=state6 if key == "omega_body" else None,
+        pi_body=state6 if key == "pi_body" else None,
+        rotor0=rotor0,
+        forces=parsed_forces,
+        outputs=[_vector(p, 3, "a tracked output") for p in outputs])
 
 
 def load_scene(path: str) -> SceneConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
     return parse_scene(data)
 
@@ -179,7 +209,9 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         pi = MomentumState(np.array(cfg.pi_body), BODY)
     state = MotionState(g, pi, 0.0)
 
-    tracked = [point(alg, *p) for p in cfg.outputs]
+    # trivector coefficients (weight E0, then E1 E2 E3) of the tracked points
+    tri = alg.grade_indices[3]
+    tracked = np.array([point(alg, *p).coeffs[tri] for p in cfg.outputs]).reshape(-1, 4)
     force_cb = _scene_force(alg, cfg.forces) if cfg.forces else None
 
     header = (["t"] + [f"g{i}" for i in range(8)] + [f"pi{i}" for i in range(6)]
@@ -188,31 +220,30 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         header += [f"x{i}", f"y{i}", f"z{i}"]
 
     def row(st: MotionState):
-        vals = [st.t]
-        vals += list(st.g.coeffs[alg.even_indices])
-        vals += list(st.pi_body.coeffs)
-        vals.append(body_energy(inertia, st))
-        for pt in tracked:
-            vals += list(point_coords(sandwich(st.g, pt)))
-        return vals
+        # one sandwich matrix moves every tracked point; dehomogenize as
+        # point_coords does
+        moved = tracked @ sandwich_matrix(st.g, 3).T
+        return [st.t, *st.g.coeffs[alg.even_indices].tolist(),
+                *st.pi_body.coeffs.tolist(), body_energy(inertia, st),
+                *(moved[:, 1:] / moved[:, :1]).ravel().tolist()]
 
-    rows = [row(state)]
-    for k in range(1, cfg.steps + 1):
-        state = euler_step(state, inertia, cfg.dt, force=force_cb)
-        if k % stride == 0:
-            rows.append(row(state))
+    # an overflow surfaces as NumericError from euler_step, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [row(state)]
+        for k in range(1, cfg.steps + 1):
+            state = euler_step(state, inertia, cfg.dt, force=force_cb)
+            if k % stride == 0:
+                rows.append(row(state))
     return header, rows
 
 
 def _scene_force(alg, forces):
-    lines = [(force_line(alg, f.point, f.vector), f.t_start, f.t_end)
-             for f in forces]
+    lines = np.array([biv_coeffs(force_line(alg, f.point, f.vector)) for f in forces])
+    t_start = np.array([f.t_start for f in forces])
+    t_end = np.array([f.t_end for f in forces])
 
     def callback(t, g, pi_body):
-        total = np.zeros(6)
-        for mv, t0, t1 in lines:
-            if t0 <= t < t1:
-                total += biv_coeffs(mv)
+        total = ((t_start <= t) & (t < t_end)) @ lines
         if not total.any():
             return ForceState(total, BODY)
         return frame_convert(ForceState(total, SPACE), g, BODY)

@@ -27,9 +27,27 @@ from .metric import (DegenerateElementError, biv_coeffs, biv_mv,
 _EPS = 1e-12
 
 
+class NumericError(ValueError):
+    """A non-finite or non-normalizable value where a rotor or state is needed."""
+
+
 def sandwich(g: Multivector, x: Multivector) -> Multivector:
     """Apply the isometry of a (normalized) versor: ``g x ~g``."""
     return g * x * ~g
+
+
+def sandwich_matrix(g: Multivector, k: int) -> np.ndarray:
+    """Matrix of ``X -> g X ~g`` on the grade-``k`` coefficients.
+
+    ``g`` must be even (a rotor or a multiple of one).  One matrix moves
+    any number of grade-``k`` elements: ``coeffs @ sandwich_matrix(g, k).T``.
+    """
+    tables = g.algebra.even_tables
+    if np.count_nonzero(g.coeffs[tables.odd]):
+        raise ValueError("sandwich_matrix takes an even element")
+    ge = g.coeffs[tables.even]
+    n = len(g.algebra.grade_indices[k])
+    return ((ge[:, None] * ge).ravel() @ tables.sandwich(k)).reshape(n, n)
 
 
 def translator(alg: Algebra, v) -> Multivector:
@@ -227,12 +245,23 @@ def is_rotor(g: Multivector, tol: float = 1e-9) -> bool:
 def normalize_rotor(g: Multivector) -> Multivector:
     """Rescale an even element onto the rotor manifold.
 
-    Divides by the dual-number square root of ``g ~g``; direction is
-    preserved and an exact rotor comes back unchanged.  Used after each
-    integrator step to kill drift.
+    Divides by the dual-number square root of ``g ~g = a + bI`` in closed
+    form, ``g -> a^(-1/2) (g - (b / 2a) g I)`` (De Keninck & Roelfs,
+    arXiv:2206.07496); direction is preserved and an exact rotor comes
+    back unchanged.  Raises :class:`NumericError` unless ``a`` is finite
+    and positive and ``b`` finite.
     """
-    z = rotor_constraint(g)
-    if z.re <= 0.0:
-        raise ValueError("cannot normalize: g ~g has a non-positive real part")
-    w = z.sqrt().inverse()
-    return g * w.to_multivector(g.algebra)
+    alg = g.algebra
+    if np.count_nonzero(g.coeffs[alg.even_tables.odd]):
+        raise ValueError("a rotor is an even element")
+    return even_mv(alg, normalize_even(alg, g.coeffs[alg.even_indices]))
+
+
+def normalize_even(alg: Algebra, ge: np.ndarray) -> np.ndarray:
+    """:func:`normalize_rotor` on the even coefficients ``ge`` (basis order)."""
+    tables = alg.even_tables
+    a, b = (ge[:, None] * ge).ravel() @ tables.rotor_norm
+    if not (0.0 < a < math.inf and math.isfinite(b)):
+        raise NumericError(f"cannot normalize: g ~g = {a:g} + {b:g}I is not "
+                           "finite with a positive real part")
+    return (ge - b / (2.0 * a) * (tables.times_i @ ge)) / math.sqrt(a)

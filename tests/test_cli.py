@@ -6,11 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from pgakit import pga2d, pga3d
+from pgakit import (BODY, MomentumState, Particle, VelocityState, force_line,
+                    inertia_assemble, pga2d, pga3d, point, point_coords,
+                    sandwich)
 from pgakit.cli import main
 from pgakit.expr import ExprError, evaluate
+from pgakit.metric import biv_coeffs, biv_mv, even_mv
 from pgakit.scene import (SceneError, dump_scene, load_scene, parse_scene,
-                          scene_to_dict)
+                          run_simulation, scene_to_dict)
+from pgakit.versors import rotor_constraint
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +276,132 @@ def test_simulate_tracked_point_follows_motion(tmp_path, capsys):
     np.testing.assert_allclose(xyz[:, 2], 0.0, atol=1e-8)
     # energy column constant for the force-free spin
     np.testing.assert_allclose(values[:, 15], values[0, 15], rtol=1e-9)
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("over, what", [
+    ({"bodies": [{"mass": 1.0, "position": "abc"}]}, "position"),
+    ({"integrator": {"dt": 1e-3, "steps": 2.7}}, "steps"),
+    ({"integrator": {"dt": float("inf"), "steps": 5}}, "dt"),
+    ({"bodies": [{"mass": float("nan"), "position": [0, 0, 0]}]}, "mass"),
+    ({"bodies": [{"mass": 1.0, "position": [0, float("inf"), 0]}]}, "position"),
+    ({"forces": [{"point": [0, 0], "vector": [0, 0, 1]}]}, "force point"),
+], ids=["position-abc", "steps-2.7", "dt-inf", "mass-nan", "position-inf",
+        "force-point-2d"])
+def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(scene_dict(**over)))
+    with pytest.raises(SceneError, match=what):
+        load_scene(str(scene))
+    rc, _, err = run_cli(capsys, "simulate", str(scene), "--out",
+                         str(tmp_path / "t.csv"))
+    assert rc == 2 and _one_error_line(err) and what in err
+
+
+@pytest.mark.parametrize("over", [
+    {"rotor0": [0.0] * 8},
+    {"initial": {"omega_body": [1e200, 0, 0, 1e200, 0, 0]}},
+    {"integrator": {"dt": 1e300, "steps": 5}},
+], ids=["zero-rotor0", "omega-1e200", "dt-1e300"])
+def test_simulate_numeric_failure_exit3(tmp_path, capsys, over):
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(scene_dict(**over)))
+    out = tmp_path / "t.csv"
+    rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
+    assert rc == 3 and _one_error_line(err)
+    assert out.read_text() == ""                 # no rows, in particular no NaN rows
+
+
+def test_simulate_unwritable_out_fails_before_integrating(tmp_path, capsys,
+                                                          monkeypatch):
+    import pgakit.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --out")
+
+    monkeypatch.setattr(cli, "run_simulation", never)
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(scene_dict()))
+    rc, _, err = run_cli(capsys, "simulate", str(scene), "--out",
+                         str(tmp_path / "missing" / "t.csv"))
+    assert rc == 2 and _one_error_line(err) and "cannot write" in err
+
+
+def _reference_rows(cfg):
+    """run_simulation at stride 1 rebuilt from the public Multivector API:
+    RK4 on multivectors, the dual-number renormalization, one sandwich per
+    tracked point and per force evaluation."""
+    alg = pga3d()
+    inertia = inertia_assemble([Particle.at(alg, b["mass"], b["position"])
+                                for b in cfg.bodies])
+
+    def renormalize(g):
+        return g * rotor_constraint(g).sqrt().inverse().to_multivector(alg)
+
+    def omega(pi):
+        return inertia.inverse_apply(MomentumState(biv_coeffs(pi), BODY))
+
+    def rhs(t, g, pi):
+        om = omega(pi).as_multivector(alg)
+        total = alg.zero()
+        for f in cfg.forces:
+            if f.t_start <= t < f.t_end:
+                total = total + force_line(alg, f.point, f.vector)
+        return g * om, 2.0 * pi.commutator(om) + sandwich(~g, total)
+
+    def row(t, g, pi):
+        vals = [t, *g.coeffs[alg.even_indices], *biv_coeffs(pi),
+                inertia.energy(omega(pi))]
+        for p in cfg.outputs:
+            vals += point_coords(sandwich(g, point(alg, *p)))
+        return vals
+
+    g = renormalize(even_mv(alg, cfg.rotor0))
+    pi = biv_mv(alg, inertia.apply(VelocityState(np.array(cfg.omega_body),
+                                                 BODY)).coeffs)
+    t, h = 0.0, cfg.dt
+    rows = [row(t, g, pi)]
+    for _ in range(cfg.steps):
+        k1g, k1p = rhs(t, g, pi)
+        k2g, k2p = rhs(t + h / 2, g + h / 2 * k1g, pi + h / 2 * k1p)
+        k3g, k3p = rhs(t + h / 2, g + h / 2 * k2g, pi + h / 2 * k2p)
+        k4g, k4p = rhs(t + h, g + h * k3g, pi + h * k3p)
+        g = renormalize(g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
+        pi = pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        t += h
+        rows.append(row(t, g, pi))
+    return np.array(rows)
+
+
+def test_run_simulation_matches_reference_loop():
+    cfg = parse_scene(scene_dict(
+        rotor0=[0.9, 0.1, -0.2, 0.3, 0.2, -0.1, 0.25, 0.05],
+        forces=[{"point": [0.2, 0.0, -0.1], "vector": [0.0, 3.0, -1.0],
+                 "t_start": 0.01, "t_end": 0.03},
+                {"point": [-0.3, 0.4, 0.1], "vector": [2.0, 0.0, 1.0],
+                 "t_start": 0.02}],
+        outputs=[[0.1, 0.2, 0.3], [1.0, -0.5, 0.2], [-2.0, 0.0, 1.0]]))
+    _, rows = run_simulation(cfg)
+    want = _reference_rows(cfg)
+    got = np.array(rows)
+    assert got.shape == want.shape == (51, 25)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_run_simulation_factors_inertia_once(monkeypatch):
+    calls = {"cond": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": 100}))
+    _, rows = run_simulation(cfg)
+    assert len(rows) == 101
+    assert calls == {"cond": 1, "inv": 1}
 
 
 def test_scene_dump_and_load(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pgakit import (BODY, SPACE, ForceState, FrameError, MomentumState,
-                    MotionState, Particle, SingularInertiaError,
+                    MotionState, NumericError, Particle, SingularInertiaError,
                     VelocityState, body_energy, distance, euler_step,
                     exp_bivector, force_line, frame_convert,
                     inertia_assemble, inertia_clifford_apply, kinetic_energy,
@@ -141,6 +141,12 @@ def test_collinear_body_is_singular(space_alg):
     a = inertia_assemble(body)
     with pytest.raises(SingularInertiaError):
         a.inverse_apply(MomentumState(np.ones(6), BODY))
+    # the failed factorization is not cached: every later use raises too
+    st = MotionState(space_alg.scalar(1.0), MomentumState(np.ones(6), BODY))
+    with pytest.raises(SingularInertiaError):
+        body_energy(a, st)
+    with pytest.raises(SingularInertiaError):
+        euler_step(st, a, 1e-3)
 
 
 def test_clifford_route_matches_matrix(space_alg, rng):
@@ -207,6 +213,17 @@ def test_zero_momentum_is_stationary(space_alg):
     assert nxt.g == st.g
     assert not nxt.pi_body.coeffs.any()
     assert nxt.t == pytest.approx(1e-2)
+
+
+def test_non_finite_step_raises(space_alg):
+    a = inertia_assemble(four_point_body(space_alg))
+    spin = VelocityState(np.array([0.2, -0.4, 0.3, 0.8, -0.5, 0.6]), BODY)
+    st = MotionState(space_alg.scalar(1.0), a.apply(spin))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            euler_step(st, a, math.inf)
+        with pytest.raises(NumericError):
+            euler_step(MotionState(st.g, a.apply(1e200 * spin)), a, 1e-3)
 
 
 def test_spherical_body_spins_uniformly(space_alg):
@@ -285,6 +302,13 @@ def test_frame_convert_roundtrip(space_alg, rng):
     x = random_mv(space_alg, rng)
     assert frame_convert(frame_convert(x, g, SPACE), g, BODY).isclose(x, rel=1e-11)
     assert frame_convert(x, space_alg.scalar(1.0), SPACE) == x
+    # a tagged state moves by the 6x6 sandwich matrix, as its multivector does
+    for to, frame in ((SPACE, BODY), (BODY, SPACE)):
+        f = ForceState(rng.normal(size=6), frame)
+        want = biv_coeffs(frame_convert(f.as_multivector(space_alg), g, to))
+        got = frame_convert(f, g, to)
+        assert got.frame == to
+        np.testing.assert_allclose(got.coeffs, want, rtol=0, atol=1e-13)
 
 
 def test_body_to_space_derivative_formula(space_alg):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from pgakit import (DegenerateElementError, distance, exp_bivector, exp_screw,
-                    is_rotor, line3d_point_dir, normalize, normalize_rotor,
-                    point, point_coords, rotator, rotor_log, sandwich,
-                    screw_decompose, screw_log, translator)
-from pgakit.metric import biv_mv, line2d_through
+from pgakit import (DegenerateElementError, NumericError, distance,
+                    exp_bivector, exp_screw, is_rotor, line3d_point_dir,
+                    normalize, normalize_rotor, point, point_coords, rotator,
+                    rotor_log, sandwich, sandwich_matrix, screw_decompose,
+                    screw_log, translator)
+from pgakit.metric import biv_mv, even_mv, line2d_through
 from pgakit.versors import rotor_constraint
 
 from conftest import random_mv
@@ -330,6 +331,52 @@ def test_normalize_rotor(space_alg, rng):
     z = rotor_constraint(fixed)
     assert abs(z.re - 1.0) < 1e-14 and abs(z.du) < 1e-14
     assert np.abs((fixed - g).coeffs).max() < 2e-3
+
+
+def test_normalize_rotor_closed_form_matches_dual_route(space_alg, rng):
+    # reference: divide by the dual-number square root of g ~g
+    for kind in ("rotator", "translator", "screw"):
+        for _ in range(10):
+            g = rand_rotor(space_alg, rng, kind)
+            g = rng.uniform(0.3, 3.0) * g + rng.normal() * 1e-2 * space_alg.blade("I")
+            w = rotor_constraint(g).sqrt().inverse()
+            want = g * w.to_multivector(space_alg)
+            assert normalize_rotor(g).isclose(want, rel=1e-14, floor=1e-15)
+    # exact rotors come back bit for bit
+    for g in (space_alg.scalar(1.0), translator(space_alg, (0.3, -2.0, 1.5)),
+              space_alg.blade("e12"), -space_alg.blade("e23")):
+        assert normalize_rotor(g) == g
+
+
+def test_normalize_rotor_rejects_non_rotors(space_alg):
+    for g in (space_alg.zero(), space_alg.blade("I"), space_alg.blade("e01"),
+              space_alg.scalar(math.nan), space_alg.scalar(math.inf),
+              even_mv(space_alg, [1.0, 0, 0, 0, 0, 0, 0, math.inf])):
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+            normalize_rotor(g)
+    with pytest.raises(ValueError, match="even"):
+        normalize_rotor(space_alg.blade("e1"))
+
+
+@pytest.mark.parametrize("sig", [(3, 0, 1), (2, 0, 1)])
+def test_sandwich_matrix_matches_sandwich(sig, rng):
+    from pgakit import algebra
+    alg = algebra(*sig)
+    for _ in range(5):
+        # scaled rotors too: the matrix is quadratic in g
+        g = rng.uniform(0.5, 2.0) * exp_bivector(random_mv(alg, rng, grade=2))
+        for k in (1, 2, 3):
+            blades = alg.grade_indices[k]
+            m = sandwich_matrix(g, k)
+            assert m.shape == (len(blades), len(blades))
+            for _ in range(3):
+                x = random_mv(alg, rng, grade=k)
+                want = sandwich(g, x)
+                scale = float(np.abs(want.coeffs).max())
+                assert np.abs(m @ x.coeffs[blades]
+                              - want.coeffs[blades]).max() <= 1e-13 * scale
+    with pytest.raises(ValueError, match="even"):
+        sandwich_matrix(alg.blade("e1"), 1)
 
 
 def test_sandwich_homomorphism(space_alg, rng):
