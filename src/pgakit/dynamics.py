@@ -22,7 +22,9 @@ is renormalized in closed form (:func:`~pgakit.versors.normalize_even`).
 A step whose rotor or momentum stops being finite raises
 :class:`~pgakit.versors.NumericError` instead of carrying NaN on.
 Moving a bivector state between frames is one 6x6 matrix,
-:func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``.
+:func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``.  The
+inertia form of a body is two array contractions over all its points,
+so set-up does not grow by products per particle.
 
 Body-frame and space-frame quantities are tagged and may not be mixed.
 """
@@ -241,22 +243,15 @@ def _unit_velocity_spear(r: Multivector, b: Multivector) -> Multivector:
     return join(r, 2.0 * b.commutator(r))
 
 
-def inertia_of_particle(p: Particle) -> np.ndarray:
-    """6x6 energy form of one mass point (body frame of its position)."""
-    alg = p.r.algebra
-    basis = [biv_mv(alg, row) for row in np.eye(6)]
-    spears = [_unit_velocity_spear(p.r, b) for b in basis]
-    i_mv = alg.blade("I")
-    form = np.empty((6, 6))
-    for i, si in enumerate(spears):
-        si_i = si * i_mv
-        for j, sj in enumerate(spears):
-            form[i, j] = -0.5 * p.mass * pseudo_part(si_i ^ sj)
-    return form
-
-
 def inertia_assemble(particles, alg: Algebra | None = None) -> InertiaTensor:
     """Sum of the particle forms; encodes the body's shape once and for all.
+
+    The spear of a point ``r`` driven by the unit velocity bivector
+    ``E_i`` is quadratic in ``r``: its coefficients are
+    ``S[:, i] = r_a r_c T[a, c, i]``, with ``T`` built from the basis
+    points.  A particle's energy form pairs its spears,
+    ``-m/2 S^T P S`` with ``P[k, l] = <(E_k I) ^ E_l>``, so the whole
+    body is two contractions, not products per particle.
 
     An empty body gives the zero tensor (applying it is fine, inverting
     it reports the singularity).
@@ -266,9 +261,19 @@ def inertia_assemble(particles, alg: Algebra | None = None) -> InertiaTensor:
         from .algebra import pga3d
         return InertiaTensor(np.zeros((6, 6)), alg or pga3d())
     alg = particles[0].r.algebra
-    form = np.zeros((6, 6))
-    for p in particles:
-        form += inertia_of_particle(p)
+    idx = alg.grade_indices[alg.dim - 1]
+    basis = [biv_mv(alg, row) for row in np.eye(6)]
+    corners = [Multivector(alg, row) for row in np.eye(alg.n_blades)[idx]]
+    # T[a, c, i] = join(R_a, 2 E_i x R_c) over the basis points R_a, R_c
+    t = 2.0 * np.array([[[biv_coeffs(join(ra, b.commutator(rc))) for b in basis]
+                         for rc in corners] for ra in corners])
+    i_mv = alg.blade("I")
+    pair = np.array([[pseudo_part((bk * i_mv) ^ bl) for bl in basis]
+                     for bk in basis])
+    r = np.array([p.r.coeffs[idx] for p in particles])
+    masses = np.array([p.mass for p in particles])
+    spears = np.einsum("pa,pc,acik->pki", r, r, t)
+    form = -0.5 * np.einsum("p,pki,kl,plj->ij", masses, spears, pair, spears)
     return InertiaTensor(form, alg)
 
 

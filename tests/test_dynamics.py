@@ -118,6 +118,32 @@ def test_apply_matches_particle_sum(space_alg, rng):
                                    rtol=1e-10, atol=1e-12)
 
 
+def test_assembled_form_matches_particle_sum_on_large_body(space_alg, rng,
+                                                           monkeypatch):
+    import pgakit.dynamics as dyn
+    from pgakit import join
+    body = [Particle.at(space_alg, m, x)
+            for m, x in zip(rng.uniform(0.5, 2.0, 40), rng.normal(0, 0.7, (40, 3)))]
+
+    def joins_for(n):
+        calls = []
+        monkeypatch.setattr(dyn, "join",
+                            lambda a, b: calls.append(1) or join(a, b))
+        inertia_assemble(body[:n])
+        monkeypatch.undo()
+        return len(calls)
+
+    # the form is contracted from fixed tables: its products do not grow
+    # with the body
+    assert joins_for(2) == joins_for(40)
+    a = inertia_assemble(body)
+    for om in np.eye(6):
+        om = VelocityState(om, BODY)
+        np.testing.assert_allclose(a.apply(om).coeffs,
+                                   momentum_of_body(body, om).coeffs,
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_energy_is_pairing_of_velocity_and_momentum(space_alg, rng):
     a = inertia_assemble(four_point_body(space_alg))
     om = VelocityState(rng.normal(size=6), BODY)
