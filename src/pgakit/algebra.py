@@ -125,6 +125,16 @@ def _mask_product(a: int, b: int, squares) -> tuple[int, float]:
     return a ^ b, coeff
 
 
+def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Apply a bilinear product to coefficient arrays: two mat-vecs.
+
+    ``table`` is ``T[i, j, k]`` reshaped to ``(len(a), len(b) * m)``; the
+    result ``sum_ij a_i b_j T[i, j, k]`` has ``m`` entries.  Every product
+    table in the package is applied through here.
+    """
+    return b @ (a @ table).reshape(len(b), -1)
+
+
 class Algebra:
     """A Clifford algebra with precomputed product tables.
 
@@ -189,8 +199,15 @@ class Algebra:
         self._rev_signs = rev
         # complementary-blade permutation used by the duality module
         full = self.n_blades - 1
-        self.complement_index = np.array(
+        c = self.complement_index = np.array(
             [self._index_of_mask[full ^ m] for m in self.masks], dtype=int)
+        # the join J(J(a) ^ J(b)) has a table of its own: J is a sign-free
+        # involution, so it is the outer product's permuted on every axis
+        self._vee = self._op[np.ix_(c, c, c)]
+        n = self.n_blades
+        (self._gp_flat, self._op_flat, self._ip_flat, self._comm_flat,
+         self._vee_flat) = (t.reshape(n, n * n) for t in (
+             self._gp, self._op, self._ip, self._comm, self._vee))
 
     @cached_property
     def even_tables(self) -> "EvenTables":
@@ -204,19 +221,19 @@ class Algebra:
             arr = np.zeros(self.n_blades)
             for name, value in coeffs.items():
                 arr[self.name_to_index[name]] = value
-            return Multivector(self, arr)
+            return _wrap(self, arr)
         arr = np.asarray(coeffs, dtype=float)
         if arr.shape != (self.n_blades,):
             raise ValueError(f"expected {self.n_blades} coefficients")
-        return Multivector(self, arr.copy())
+        return Multivector(self, arr)
 
     def zero(self) -> "Multivector":
-        return Multivector(self, np.zeros(self.n_blades))
+        return _wrap(self, np.zeros(self.n_blades))
 
     def scalar(self, value: float) -> "Multivector":
         arr = np.zeros(self.n_blades)
         arr[0] = value
-        return Multivector(self, arr)
+        return _wrap(self, arr)
 
     def blade(self, name: str) -> "Multivector":
         arr = np.zeros(self.n_blades)
@@ -224,7 +241,7 @@ class Algebra:
             arr[self.name_to_index[name]] = 1.0
         except KeyError:
             raise KeyError(f"unknown blade {name!r} in Cl{self.signature}") from None
-        return Multivector(self, arr)
+        return _wrap(self, arr)
 
     @property
     def blades(self) -> dict[str, "Multivector"]:
@@ -246,10 +263,8 @@ class EvenTables:
     The rigid-body integrator, rotor renormalization and sandwich
     matrices run on these instead of on :class:`Multivector` products.
     Every table is a slice or contraction of the algebra's geometric
-    product table, so there is one source of product signs.  A table
-    ``T`` of a bilinear product is applied as
-    ``(a[:, None] * b).ravel() @ T``: the flattened outer product of the
-    two coefficient arrays (each in basis order) times ``T``, one mat-vec.
+    product table, so there is one source of product signs.  Each is
+    stored flat for :func:`_bilinear`, its operands in basis order.
     """
 
     def __init__(self, alg: Algebra):
@@ -265,20 +280,20 @@ class EvenTables:
         motion = np.zeros((ne + nb, nb, ne + nb))
         motion[:ne, :, :ne] = gp[np.ix_(even, biv, even)]
         motion[ne:, :, ne:] = 2.0 * alg._comm[np.ix_(biv, biv, biv)]
-        self.motion = motion.reshape((ne + nb) * nb, ne + nb)
+        self.motion = motion.reshape(ne + nb, nb * (ne + nb))
         # scalar and pseudoscalar parts of g ~g, and the matrix of g -> g I
         # (zero when the pseudoscalar is odd)
         rev = alg._rev_signs[even]
         self.rotor_norm = (gp[np.ix_(even, even, [0, pseudo])]
-                           * rev[None, :, None]).reshape(ne * ne, 2)
+                           * rev[None, :, None]).reshape(ne, ne * 2)
         self.times_i = gp[even, pseudo][:, even].T
         self._sandwich: dict[int, np.ndarray] = {}
 
     def sandwich(self, k: int) -> np.ndarray:
         """Table of ``g X ~g`` on grade ``k``, quadratic in the even ``g``.
 
-        ``((g[:, None] * g).ravel() @ T).reshape(n, n)`` is the matrix that
-        maps the grade-``k`` coefficients of ``X`` to those of the result.
+        ``_bilinear(g, g, T).reshape(n, n)`` is the matrix that maps the
+        grade-``k`` coefficients of ``X`` to those of the result.
         """
         if k not in self._sandwich:
             alg = self._alg
@@ -289,7 +304,7 @@ class EvenTables:
             t = np.einsum("ajm,mbi->abij", left, right)
             t *= alg._rev_signs[even][None, :, None, None]
             n = len(blades)
-            self._sandwich[k] = t.reshape(len(even) ** 2, n * n)
+            self._sandwich[k] = t.reshape(len(even), len(even) * n * n)
         return self._sandwich[k]
 
 
@@ -333,6 +348,9 @@ class Multivector:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
+    def _product(self, other: "Multivector", table: np.ndarray) -> "Multivector":
+        return _wrap(self.algebra, _bilinear(self.coeffs, other.coeffs, table))
+
     def __setattr__(self, *_):
         raise AttributeError("Multivector is immutable")
 
@@ -355,7 +373,7 @@ class Multivector:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Multivector(self.algebra, self.coeffs + other.coeffs)
+        return _wrap(self.algebra, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
@@ -363,52 +381,46 @@ class Multivector:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Multivector(self.algebra, self.coeffs - other.coeffs)
+        return _wrap(self.algebra, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Multivector(self.algebra, other.coeffs - self.coeffs)
+        return _wrap(self.algebra, other.coeffs - self.coeffs)
 
     def __neg__(self):
-        return Multivector(self.algebra, -self.coeffs)
+        return _wrap(self.algebra, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector(self.algebra, self.coeffs * float(other))
         if isinstance(other, Multivector):
             self._check(other)
-            out = np.einsum("i,j,ijk->k", self.coeffs, other.coeffs,
-                            self.algebra._gp)
-            return Multivector(self.algebra, out)
+            return self._product(other, self.algebra._gp_flat)
+        if isinstance(other, (int, float, np.floating, np.integer)):
+            return _wrap(self.algebra, self.coeffs * float(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector(self.algebra, self.coeffs * float(other))
+            return _wrap(self.algebra, self.coeffs * float(other))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector(self.algebra, self.coeffs / float(other))
+            return _wrap(self.algebra, self.coeffs / float(other))
         return NotImplemented
 
     def __xor__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = np.einsum("i,j,ijk->k", self.coeffs, other.coeffs,
-                        self.algebra._op)
-        return Multivector(self.algebra, out)
+        return self._product(other, self.algebra._op_flat)
 
     def __or__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = np.einsum("i,j,ijk->k", self.coeffs, other.coeffs,
-                        self.algebra._ip)
-        return Multivector(self.algebra, out)
+        return self._product(other, self.algebra._ip_flat)
 
     def __and__(self, other):
         from . import duality
@@ -416,13 +428,10 @@ class Multivector:
 
     def commutator(self, other: "Multivector") -> "Multivector":
         """Antisymmetric half-difference ``(a b - b a) / 2``."""
-        other = self._coerce(other)
-        out = np.einsum("i,j,ijk->k", self.coeffs, other.coeffs,
-                        self.algebra._comm)
-        return Multivector(self.algebra, out)
+        return self._product(self._coerce(other), self.algebra._comm_flat)
 
     def __invert__(self):
-        return Multivector(self.algebra, self.coeffs * self.algebra._rev_signs)
+        return _wrap(self.algebra, self.coeffs * self.algebra._rev_signs)
 
     reverse = __invert__
 
@@ -430,7 +439,7 @@ class Multivector:
 
     def grade(self, k: int) -> "Multivector":
         out = np.where(self.algebra.grades == k, self.coeffs, 0.0)
-        return Multivector(self.algebra, out)
+        return _wrap(self.algebra, out)
 
     def grades(self, rel_tol: float = 0.0) -> list[int]:
         """Grades with a nonzero coefficient.
@@ -438,10 +447,11 @@ class Multivector:
         With a ``rel_tol``, grades whose largest coefficient falls below
         ``rel_tol * max|coeffs|`` are treated as numerical dust.
         """
-        cutoff = rel_tol * float(np.abs(self.coeffs).max(initial=0.0))
-        live = np.abs(self.coeffs) > cutoff if cutoff > 0.0 else self.coeffs != 0.0
-        present = np.unique(self.algebra.grades[live])
-        return [int(k) for k in present]
+        mag = np.abs(self.coeffs)
+        cutoff = rel_tol * float(mag.max(initial=0.0))
+        live = mag > cutoff if cutoff > 0.0 else self.coeffs != 0.0
+        alg = self.algebra
+        return np.bincount(alg.grades[live], minlength=alg.dim + 1).nonzero()[0].tolist()
 
     @property
     def scalar_part(self) -> float:
@@ -492,6 +502,19 @@ class Multivector:
         return format_multivector(self)
 
     __str__ = __repr__
+
+
+_set_algebra, _set_coeffs = Multivector.algebra.__set__, Multivector.coeffs.__set__
+
+
+def _wrap(alg: Algebra, coeffs: np.ndarray) -> Multivector:
+    """The private constructor: freeze a fresh float array that nothing else
+    references and wrap it, without the copy ``Multivector()`` makes."""
+    coeffs.setflags(write=False)
+    x = object.__new__(Multivector)
+    _set_algebra(x, alg)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 def _format_coeff(c: float) -> str:

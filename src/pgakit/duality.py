@@ -17,9 +17,7 @@ coefficients; on the middle grade of the 4D algebra the Pluecker
 
 from __future__ import annotations
 
-import numpy as np
-
-from .algebra import Multivector
+from .algebra import Multivector, _bilinear, _wrap
 
 
 def dual_j(x: Multivector) -> Multivector:
@@ -27,16 +25,17 @@ def dual_j(x: Multivector) -> Multivector:
 
     Involution: ``dual_j(dual_j(x)) == x`` exactly.
     """
-    out = np.zeros_like(x.coeffs)
-    out[x.algebra.complement_index] = x.coeffs
-    return Multivector(x.algebra, out)
+    return _wrap(x.algebra, x.coeffs[x.algebra.complement_index])
 
 
 def join(a: Multivector, b: Multivector) -> Multivector:
     """Regressive product: the join of plane-based elements.
 
-    Computed by mapping both operands to the point-based algebra,
-    wedging there, and mapping back.  Associative; the meet is simply
-    the native outer product ``a ^ b``.
+    Mathematically ``dual_j(dual_j(a) ^ dual_j(b))``: both operands mapped
+    to the point-based algebra, wedged there, and mapped back.  As the map
+    is a fixed permutation, that is one precomputed table, applied in one
+    kernel call.  Associative; the meet is simply the native outer
+    product ``a ^ b``.
     """
-    return dual_j(dual_j(a) ^ dual_j(b))
+    a._check(b)
+    return _wrap(a.algebra, _bilinear(a.coeffs, b.coeffs, a.algebra._vee_flat))

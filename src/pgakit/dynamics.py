@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, Multivector
+from .algebra import Algebra, Multivector, _bilinear
 from .duality import join
 from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
                      point, pseudo_part, ideal_norm)
@@ -226,6 +226,9 @@ class InertiaTensor:
         # the form is frozen, so one condition check and one inverse serve
         # every later call; a singular tensor raises on every call
         op = self.operator
+        if not np.isfinite(op).all():
+            raise SingularInertiaError(
+                "inertia overflows: masses or positions too large")
         if np.linalg.cond(op) > _COND_LIMIT:
             raise SingularInertiaError(
                 "degenerate mass distribution (collinear points?); "
@@ -385,7 +388,7 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     def rhs(t, y):
         omega = inv_op @ y[ne:]
-        dy = (y[:, None] * omega).ravel() @ motion
+        dy = _bilinear(y, omega, motion)
         if const_force is not None:
             dy[ne:] += const_force
         elif force is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Multivector
+from .algebra import Algebra, Multivector, _wrap
 from .duality import join
 
 SIMPLE_REL_TOL = 1e-9
@@ -43,7 +43,7 @@ def point(alg: Algebra, *coords: float) -> Multivector:
     idx = alg.grade_indices[alg.dim - 1]
     arr[idx[0]] = 1.0
     arr[idx[1:]] = coords
-    return Multivector(alg, arr)
+    return _wrap(alg, arr)
 
 
 def ideal_point(alg: Algebra, *coords: float) -> Multivector:
@@ -51,7 +51,7 @@ def ideal_point(alg: Algebra, *coords: float) -> Multivector:
     _expect_coords(alg, coords)
     arr = np.zeros(alg.n_blades)
     arr[alg.grade_indices[alg.dim - 1][1:]] = coords
-    return Multivector(alg, arr)
+    return _wrap(alg, arr)
 
 
 def line2d(alg: Algebra, a: float, b: float, c: float) -> Multivector:
@@ -194,7 +194,7 @@ def point_nd(alg: Algebra, *coords: float) -> Multivector:
         raise ValueError(f"expected {alg.dim} homogeneous coordinates")
     arr = np.zeros(alg.n_blades)
     arr[alg.grade_indices[1]] = coords
-    return Multivector(alg, arr)
+    return _wrap(alg, arr)
 
 
 def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
@@ -236,7 +236,7 @@ def biv_mv(alg: Algebra, coeffs) -> Multivector:
     """The grade-2 element with the given coefficients, in basis order."""
     arr = np.zeros(alg.n_blades)
     arr[alg.grade_indices[2]] = coeffs
-    return Multivector(alg, arr)
+    return _wrap(alg, arr)
 
 
 def even_mv(alg: Algebra, coeffs) -> Multivector:
@@ -246,7 +246,7 @@ def even_mv(alg: Algebra, coeffs) -> Multivector:
     """
     arr = np.zeros(alg.n_blades)
     arr[alg.even_indices] = coeffs
-    return Multivector(alg, arr)
+    return _wrap(alg, arr)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ from .metric import biv_coeffs, even_mv, point
 from .versors import normalize_rotor, sandwich, sandwich_matrix  # noqa: F401
 
 
+# run_simulation keeps every row in memory until the CSV is written
+MAX_ROWS = 10**6
+
+
 class SceneError(ValueError):
     """Malformed scene description."""
 
@@ -189,14 +193,19 @@ def dump_scene(cfg: SceneConfig, path: str):
 # runner
 
 
+# an overflow surfaces as NumericError or SingularInertiaError, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def run_simulation(cfg: SceneConfig, stride: int = 1):
     """Integrate the scene; returns (header, rows).
 
     Rows are recorded at steps 0, stride, 2*stride, ... so there are
-    ``steps // stride + 1`` of them.
+    ``steps // stride + 1`` of them, at most :data:`MAX_ROWS`.
     """
     if stride < 1:
         raise SceneError("stride must be at least 1")
+    if cfg.steps // stride + 1 > MAX_ROWS:
+        raise SceneError(f"the run would record more than {MAX_ROWS} rows; "
+                         "use a larger stride")
     alg = pga3d()
     particles = [Particle.at(alg, b["mass"], b["position"]) for b in cfg.bodies]
     inertia = inertia_assemble(particles)
@@ -227,13 +236,11 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
                 *st.pi_body.coeffs.tolist(), body_energy(inertia, st),
                 *(moved[:, 1:] / moved[:, :1]).ravel().tolist()]
 
-    # an overflow surfaces as NumericError from euler_step, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = [row(state)]
-        for k in range(1, cfg.steps + 1):
-            state = euler_step(state, inertia, cfg.dt, force=force_cb)
-            if k % stride == 0:
-                rows.append(row(state))
+    rows = [row(state)]
+    for k in range(1, cfg.steps + 1):
+        state = euler_step(state, inertia, cfg.dt, force=force_cb)
+        if k % stride == 0:
+            rows.append(row(state))
     return header, rows
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Multivector
+from .algebra import Algebra, Multivector, _bilinear
 from .dualnum import DualNumber
 from . import dualnum
 from .metric import (DegenerateElementError, biv_coeffs, biv_mv,
@@ -47,7 +47,7 @@ def sandwich_matrix(g: Multivector, k: int) -> np.ndarray:
         raise ValueError("sandwich_matrix takes an even element")
     ge = g.coeffs[tables.even]
     n = len(g.algebra.grade_indices[k])
-    return ((ge[:, None] * ge).ravel() @ tables.sandwich(k)).reshape(n, n)
+    return _bilinear(ge, ge, tables.sandwich(k)).reshape(n, n)
 
 
 def translator(alg: Algebra, v) -> Multivector:
@@ -260,7 +260,7 @@ def normalize_rotor(g: Multivector) -> Multivector:
 def normalize_even(alg: Algebra, ge: np.ndarray) -> np.ndarray:
     """:func:`normalize_rotor` on the even coefficients ``ge`` (basis order)."""
     tables = alg.even_tables
-    a, b = (ge[:, None] * ge).ravel() @ tables.rotor_norm
+    a, b = _bilinear(ge, ge, tables.rotor_norm)
     if not (0.0 < a < math.inf and math.isfinite(b)):
         raise NumericError(f"cannot normalize: g ~g = {a:g} + {b:g}I is not "
                            "finite with a positive real part")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pgakit import pga2d, pga3d
+from pgakit import algebra, pga2d, pga3d
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +40,27 @@ PLANAR_TABLE = {
     "E2": ["E2", "0", "e0", "I", "-E1", "0", "0", "0"],
     "I":  ["I", "0", "E1", "E2", "-e0", "0", "0", "0"],
 }
+
+
+@pytest.fixture(params=[(2, 0, 1), (3, 0, 1), (4, 0, 0), (3, 1, 0), (2, 0, 0), (5, 0, 1)],
+                ids=lambda sig: "%d,%d,%d" % sig)
+def oracle_alg(request):
+    """The algebras the product kernel is checked on against dense einsum."""
+    return algebra(*request.param)
+
+
+def count_einsum(monkeypatch):
+    """Count the calls to ``np.einsum`` from here on."""
+    calls = []
+    real = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "einsum", counted)
+    return calls
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    scale = max(np.abs(got).max(), np.abs(want).max())
+    assert np.abs(got - want).max() <= rel * scale

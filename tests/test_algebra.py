@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgakit import Multivector, Signature, SignatureMismatchError, algebra
+from pgakit import (Multivector, Signature, SignatureMismatchError, algebra,
+                    ideal_point, point)
+from pgakit.metric import biv_coeffs, biv_mv, even_mv
 
-from conftest import PLANAR_TABLE, random_mv
+from conftest import PLANAR_TABLE, assert_rel_close, count_einsum, random_mv
 
 
 def test_planar_cayley_table(plane_alg):
@@ -158,12 +160,41 @@ def test_scalar_interop(space_alg):
         x.isclose("x")
 
 
-def test_immutability(space_alg):
+def test_immutability(space_alg, rng):
     x = space_alg.blade("e1")
     with pytest.raises(ValueError):
         x.coeffs[0] = 5.0
     with pytest.raises(AttributeError):
         x.coeffs = np.zeros(16)
+    a, b = random_mv(space_alg, rng), random_mv(space_alg, rng)
+    a0, b0 = a.coeffs.copy(), b.coeffs.copy()
+    results = [a * b, a ^ b, a | b, a & b, a.commutator(b), ~a, a.dual(),
+               a.grade(2), a + b, a - b, 1.0 - a, -a, 2.0 * a, a * 2.0, a / 2.0,
+               point(space_alg, 1.0, 2.0, 3.0), ideal_point(space_alg, 1.0, 2.0, 3.0),
+               biv_mv(space_alg, np.arange(6.0)), even_mv(space_alg, np.arange(8.0))]
+    for r in results:
+        assert not r.coeffs.flags.writeable
+        assert not np.shares_memory(r.coeffs, a.coeffs)
+        assert not np.shares_memory(r.coeffs, b.coeffs)
+        with pytest.raises(ValueError):
+            r.coeffs[0] = 5.0
+        with pytest.raises(AttributeError):
+            r.coeffs = np.zeros(16)
+        with pytest.raises(AttributeError):
+            r.algebra = space_alg
+    np.testing.assert_array_equal(a.coeffs, a0)
+    np.testing.assert_array_equal(b.coeffs, b0)
+    # the public constructors and the embeddings copy the caller's array
+    arr = rng.normal(size=16)
+    want = arr.copy()
+    made = [Multivector(space_alg, arr), space_alg.multivector(arr)]
+    biv, even = arr[:6].copy(), arr[:8].copy()
+    made += [biv_mv(space_alg, biv), even_mv(space_alg, even)]
+    arr[:] = biv[:] = even[:] = 0.0
+    np.testing.assert_array_equal(made[0].coeffs, want)
+    np.testing.assert_array_equal(made[1].coeffs, want)
+    np.testing.assert_array_equal(biv_coeffs(made[2]), want[:6])
+    np.testing.assert_array_equal(made[3].coeffs[space_alg.even_indices], want[:8])
 
 
 def test_formatting(space_alg):
@@ -184,3 +215,16 @@ def test_generic_dimensions_product_engine(rng):
         assert ((a * b) * c).isclose(a * (b * c), rel=1e-11)
         perm = alg.complement_index
         assert np.array_equal(perm[perm], np.arange(alg.n_blades))
+
+
+def test_products_match_dense_tables(oracle_alg, rng, monkeypatch):
+    alg = oracle_alg
+    pairs = [(random_mv(alg, rng), random_mv(alg, rng)) for _ in range(5)]
+    calls = count_einsum(monkeypatch)
+    got = [(a * b, a ^ b, a | b, a.commutator(b)) for a, b in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    for (a, b), products in zip(pairs, got):
+        for table, prod in zip((alg._gp, alg._op, alg._ip, alg._comm), products):
+            assert_rel_close(prod.coeffs, np.einsum("i,j,ijk->k", a.coeffs,
+                                                    b.coeffs, table))

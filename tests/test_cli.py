@@ -1,10 +1,15 @@
 """Command-line surface: table, eval, exp/log, simulate, scene files."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from pgakit import (BODY, MomentumState, Particle, VelocityState, force_line,
                     inertia_assemble, pga2d, pga3d, point, point_coords,
@@ -12,6 +17,7 @@ from pgakit import (BODY, MomentumState, Particle, VelocityState, force_line,
 from pgakit.cli import main
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
+import pgakit.scene as scene_mod
 from pgakit.scene import (SceneError, dump_scene, load_scene, parse_scene,
                           run_simulation, scene_to_dict)
 from pgakit.versors import rotor_constraint
@@ -305,7 +311,9 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
     {"rotor0": [0.0] * 8},
     {"initial": {"omega_body": [1e200, 0, 0, 1e200, 0, 0]}},
     {"integrator": {"dt": 1e300, "steps": 5}},
-], ids=["zero-rotor0", "omega-1e200", "dt-1e300"])
+    {"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
+     + [{"mass": 1.0, "position": [0.0, 0.0, 6.703903964971299e153]}]},
+], ids=["zero-rotor0", "omega-1e200", "dt-1e300", "inertia-overflow"])
 def test_simulate_numeric_failure_exit3(tmp_path, capsys, over):
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(scene_dict(**over)))
@@ -328,6 +336,93 @@ def test_simulate_unwritable_out_fails_before_integrating(tmp_path, capsys,
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out",
                          str(tmp_path / "missing" / "t.csv"))
     assert rc == 2 and _one_error_line(err) and "cannot write" in err
+
+
+def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):
+    # rows stay in memory until the CSV is written, so the run is refused
+    # before integrating, not killed when memory runs out
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(scene_dict(integrator={"dt": 1e-3, "steps": 10**300})))
+    out = tmp_path / "t.csv"
+    rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
+    assert rc == 2 and _one_error_line(err) and "rows" in err
+    assert out.read_text() == ""
+    # the cap counts recorded rows, steps // stride + 1
+    monkeypatch.setattr(scene_mod, "MAX_ROWS", 11)
+
+    def rows(steps, stride=1):
+        cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": steps}))
+        return len(run_simulation(cfg, stride=stride)[1])
+    assert rows(10) == 11 and rows(21, stride=2) == 11
+    with pytest.raises(SceneError, match="rows"):
+        rows(11)
+
+
+# The scene fuzz: well-formed documents, their numbers either tame or
+# any finite float (the runner then sees 1e308 masses and a dt of
+# 1e-300), 0-2 fields damaged by junk or removed, and now and then no
+# object at all.  "steps" is small, fractional, or so huge that it
+# exceeds MAX_ROWS at every stride drawn, so no example runs long.
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+                  st.just(10**300), st.sampled_from([math.nan, math.inf, -math.inf]),
+                  st.lists(st.one_of(st.floats(), st.integers(), st.none()), max_size=9))
+_bad_steps = st.one_of(st.integers(-2, 0), st.integers(10**7, 10**400),
+                       st.floats(0, 30).filter(lambda x: not x.is_integer()))
+
+
+@st.composite
+def _scene_docs(draw):
+    if draw(st.booleans()):
+        real = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    else:
+        real, positive = st.floats(-2, 2), st.floats(1e-3, 3)
+
+    def vec(n):
+        return st.lists(real, min_size=n, max_size=n)
+    doc = {
+        "bodies": draw(st.lists(st.fixed_dictionaries(
+            {"mass": positive, "position": vec(3)}), min_size=4, max_size=6)),
+        "initial": {draw(st.sampled_from(["omega_body", "pi_body"])): draw(vec(6))},
+        "rotor0": draw(st.one_of(st.just([1.0] + [0.0] * 7), vec(8))),
+        "integrator": {"dt": draw(positive), "steps": draw(
+            _bad_steps if draw(st.booleans()) else st.integers(1, 12))},
+        "forces": draw(st.lists(st.fixed_dictionaries(
+            {"point": vec(3), "vector": vec(3)},
+            optional={"t_start": real, "t_end": st.one_of(real, st.just(math.inf))}),
+            max_size=2)),
+        "outputs": draw(st.lists(vec(3), max_size=2)),
+    }
+    for key in draw(st.sets(st.sampled_from([*doc, "signature"]), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_junk)
+    return draw(_junk) if draw(st.integers(0, 19)) == 19 else doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scene_docs())
+def test_parse_scene_fuzz_raises_only_scene_error(doc):
+    try:
+        parse_scene(doc)
+    except SceneError:
+        pass
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_scene_docs(), stride=st.integers(1, 3))
+def test_simulate_fuzz_exits_0_2_or_3(tmp_path, doc, stride):
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["simulate", str(scene), "--out", str(out), "--stride", str(stride)])
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3)
+    assert rc == 0 or _one_error_line(err.getvalue())
 
 
 def _reference_rows(cfg):

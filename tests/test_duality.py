@@ -5,7 +5,7 @@ import pytest
 
 from pgakit import dual_j, join, point
 
-from conftest import random_mv
+from conftest import assert_rel_close, count_einsum, random_mv
 
 
 def test_dual_blade_examples(space_alg):
@@ -91,3 +91,14 @@ def test_meet_of_planar_lines_is_intersection(plane_alg):
     assert meet["E1"] / w == pytest.approx(1.0)
     assert meet["E2"] / w == pytest.approx(2.0)
 
+
+def test_join_matches_dual_route(oracle_alg, rng, monkeypatch):
+    alg = oracle_alg
+    pairs = [(random_mv(alg, rng), random_mv(alg, rng)) for _ in range(5)]
+    calls = count_einsum(monkeypatch)
+    got = [(a & b, join(a, b)) for a, b in pairs]
+    assert calls == []
+    for (a, b), joins in zip(pairs, got):
+        want = dual_j(dual_j(a) ^ dual_j(b))
+        for j in joins:
+            assert_rel_close(j.coeffs, want.coeffs)
