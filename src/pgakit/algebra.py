@@ -131,8 +131,17 @@ def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     ``table`` is ``T[i, j, k]`` reshaped to ``(len(a), len(b) * m)``; the
     result ``sum_ij a_i b_j T[i, j, k]`` has ``m`` entries.  Every product
     table in the package is applied through here.
+
+    Two-dimensional operands are stacks, ``(rows, len)`` each, and give
+    ``(rows, m)``: row ``r`` equals the product of row ``r`` of each, bit
+    for bit.  (A column-major stack would take another BLAS kernel, whose
+    sums round differently, so the stacks are made row-major first.)
     """
-    return b @ (a @ table).reshape(len(b), -1)
+    if a.ndim == 1:
+        return b @ (a @ table).reshape(len(b), -1)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    ab = (a @ table).reshape(len(a), b.shape[1], -1)
+    return np.matmul(b[:, None, :], ab)[:, 0]
 
 
 class Algebra:

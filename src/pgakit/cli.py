@@ -88,14 +88,14 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         return _usage_error(f"cannot write {args.out}: {exc.strerror}")
     try:
-        header, rows = run_simulation(cfg, stride=args.stride)
+        header, table = run_simulation(cfg, stride=args.stride)
     except SceneError as exc:
         return _usage_error(str(exc))
     except (SingularInertiaError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    write_csv(args.out, header, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    write_csv(args.out, header, table)
+    print(f"wrote {len(table)} rows to {args.out}")
     return EXIT_OK
 
 

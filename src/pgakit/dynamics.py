@@ -15,12 +15,17 @@ Conventions kept throughout (factor 2 included):
   ``Omega_c = A^-1(Pi_c)``, integrated by fixed-step RK4 on the flat
   14-coefficient state with rotor renormalization after each step.
 
-The step runs on flat coefficient arrays only: the inertia operator is
-inverted and condition-checked once per tensor, the products are the
-even-subalgebra tables of :attr:`Algebra.even_tables`, and the rotor
-is renormalized in closed form (:func:`~pgakit.versors.normalize_even`).
-A step whose rotor or momentum stops being finite raises
+:func:`integrate` is the one RK4 loop: it runs any number of steps on
+flat coefficient arrays and returns the recorded states as one
+``(rows, 14)`` array, making no :class:`Multivector` or state object
+per step; :func:`euler_step` is that loop over one step.  The inertia
+operator is inverted and condition-checked once per tensor, the
+products are the even-subalgebra tables of
+:attr:`Algebra.even_tables`, and the rotor is renormalized in closed
+form (:func:`~pgakit.versors.normalize_even`).  A step whose rotor or
+momentum stops being finite raises
 :class:`~pgakit.versors.NumericError` instead of carrying NaN on.
+:func:`body_energy`'s formula also runs row-wise on a stack of momenta.
 Moving a bivector state between frames is one 6x6 matrix,
 :func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``.  The
 inertia form of a body is two array contractions over all its points,
@@ -360,18 +365,25 @@ class MotionState:
             raise FrameError("MotionState stores the body-frame momentum")
 
 
-def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
-               force=None) -> MotionState:
-    """One RK4 step of the motion equations, rotor renormalized at the end.
+def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
+              steps: int, stride: int = 1,
+              force=None) -> tuple[np.ndarray, np.ndarray]:
+    """``steps`` RK4 steps of the motion equations on the flat state.
 
-    ``force`` may be None, a body-frame :class:`ForceState`, or a
-    callable ``(t, g, pi_body) -> ForceState`` evaluated at every
-    stage (the rotor argument is stage-extrapolated).  Raises
-    :class:`~pgakit.versors.NumericError` when the new rotor cannot be
-    normalized or the new momentum is not finite.
+    Returns the recorded times and a ``(rows, 14)`` array of states, each
+    row the even rotor coefficients (basis order) then the body momentum.
+    Rows are taken at steps 0, stride, 2*stride, ..., so there are
+    ``steps // stride + 1`` of them and row 0 is ``state`` itself.
+    ``force`` is as for :func:`euler_step`.  The rotor is renormalized
+    after every step; no :class:`Multivector` or state object is made
+    per step unless a force callable needs its arguments.  Raises
+    :class:`~pgakit.versors.NumericError` when a rotor cannot be
+    normalized or a momentum is not finite.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     alg = state.g.algebra
     tables = alg.even_tables
     motion, ne = tables.motion, len(tables.even)
@@ -379,7 +391,7 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
 
     if isinstance(force, ForceState):
         if force.frame != BODY:
-            raise FrameError("euler_step takes the force in the body frame")
+            raise FrameError("a constant force must be given in the body frame")
         const_force = force.coeffs
         force = None
     else:
@@ -400,27 +412,55 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
 
     y = np.concatenate((state.g.coeffs[tables.even], state.pi_body.coeffs))
     t, h = state.t, dt
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + h / 2 * k1)
-    k3 = rhs(t + h / 2, y + h / 2 * k2)
-    k4 = rhs(t + h, y + h * k3)
-    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    times = np.empty(steps // stride + 1)
+    states = np.empty((len(times), len(y)))
+    times[0], states[0] = t, y
+    for k in range(1, steps + 1):
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + h
+        if not np.isfinite(y[ne:]).all():
+            raise NumericError(f"momentum is not finite at t = {t!r}")
+        y[:ne] = normalize_even(alg, y[:ne])
+        if k % stride == 0:
+            times[k // stride], states[k // stride] = t, y
+    return times, states
 
-    pi = y[ne:]
-    if not np.isfinite(pi).all():
-        raise NumericError(f"momentum is not finite at t = {t + h!r}")
-    g = even_mv(alg, normalize_even(alg, y[:ne]))
-    return MotionState(g, MomentumState(pi, BODY), t + h)
+
+def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
+               force=None) -> MotionState:
+    """One RK4 step of the motion equations, rotor renormalized at the end.
+
+    ``force`` may be None, a body-frame :class:`ForceState`, or a
+    callable ``(t, g, pi_body) -> ForceState`` evaluated at every
+    stage (the rotor argument is stage-extrapolated).  Raises
+    :class:`~pgakit.versors.NumericError` when the new rotor cannot be
+    normalized or the new momentum is not finite.  This is
+    :func:`integrate` over one step.
+    """
+    times, states = integrate(state, inertia, dt, 1, force=force)
+    alg = state.g.algebra
+    ne = len(alg.even_indices)
+    return MotionState(even_mv(alg, states[1, :ne]),
+                       MomentumState(states[1, ne:], BODY), float(times[1]))
 
 
 def body_energy(inertia: InertiaTensor, state: MotionState) -> float:
-    """``energy(Omega)`` with ``Omega = A^-1(Pi)``.
+    """``energy(Omega)`` with ``Omega = A^-1(Pi)``; see :func:`_momentum_energy`."""
+    return float(_momentum_energy(inertia, state.pi_body.coeffs))
+
+
+def _momentum_energy(inertia: InertiaTensor, pi: np.ndarray) -> np.ndarray:
+    """Energy of a body momentum, or of each row of a ``(rows, 6)`` stack.
 
     ``form Omega = -K Pi``, so the energy is ``-Omega . K Pi``: one
-    mat-vec with the cached inverse and one dot.
+    mat-vec with the cached inverse and one dot per momentum.
     """
-    pi = state.pi_body.coeffs
-    return -float((inertia._inverse_operator @ pi) @ pi[::-1])
+    omega = pi @ inertia._inverse_operator.T
+    return -(omega * pi[..., ::-1]).sum(axis=-1)
 
 
 def space_momentum(state: MotionState) -> MomentumState:

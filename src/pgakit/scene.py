@@ -15,7 +15,12 @@ A scene is a JSON document:
 
 The trajectory is CSV: one row per recorded step with the rotor, the
 body momentum, the kinetic energy and the dehomogenized space-frame
-position of every tracked point.
+position of every tracked point.  :func:`run_simulation` integrates
+once with :func:`~pgakit.dynamics.integrate`, then computes the energy
+and tracked-point columns as array operations over blocks of rows and
+returns one float table, refused with
+:class:`~pgakit.versors.NumericError` if any value in it is not finite.
+:func:`write_csv` formats the table a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -28,16 +33,19 @@ import numpy as np
 
 from .algebra import pga3d
 from .dynamics import (BODY, SPACE, ForceState, MomentumState, MotionState,
-                       Particle, VelocityState, body_energy, euler_step,
-                       force_line, frame_convert, inertia_assemble)
+                       Particle, VelocityState, _momentum_energy, force_line,
+                       frame_convert, inertia_assemble, integrate)
 from .metric import biv_coeffs, even_mv, point
 # sandwich is not called here; the benchmark's tracing tests use scene.sandwich
 # as their example of an alias made by ``from .versors import``
-from .versors import normalize_rotor, sandwich, sandwich_matrix  # noqa: F401
+from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
+                      sandwich_matrix_even)
 
 
 # run_simulation keeps every row in memory until the CSV is written
 MAX_ROWS = 10**6
+# rows recorded, and formatted by write_csv, in one array operation
+_BLOCK_ROWS = 1024
 
 
 class SceneError(ValueError):
@@ -196,10 +204,14 @@ def dump_scene(cfg: SceneConfig, path: str):
 # an overflow surfaces as NumericError or SingularInertiaError, not as warnings
 @np.errstate(over="ignore", invalid="ignore")
 def run_simulation(cfg: SceneConfig, stride: int = 1):
-    """Integrate the scene; returns (header, rows).
+    """Integrate the scene; returns (header, table).
 
-    Rows are recorded at steps 0, stride, 2*stride, ... so there are
-    ``steps // stride + 1`` of them, at most :data:`MAX_ROWS`.
+    The table is one float array with a row per recorded step, at steps
+    0, stride, 2*stride, ... so there are ``steps // stride + 1`` rows,
+    at most :data:`MAX_ROWS`.  The integrator runs once; energies and
+    tracked points are then computed in bulk, not row by row.  Raises
+    :class:`~pgakit.versors.NumericError` naming the first column and
+    time at which a value is not finite.
     """
     if stride < 1:
         raise SceneError("stride must be at least 1")
@@ -216,7 +228,6 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         pi = inertia.apply(VelocityState(np.array(cfg.omega_body), BODY))
     else:
         pi = MomentumState(np.array(cfg.pi_body), BODY)
-    state = MotionState(g, pi, 0.0)
 
     # trivector coefficients (weight E0, then E1 E2 E3) of the tracked points
     tri = alg.grade_indices[3]
@@ -228,20 +239,28 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
     for i in range(len(tracked)):
         header += [f"x{i}", f"y{i}", f"z{i}"]
 
-    def row(st: MotionState):
-        # one sandwich matrix moves every tracked point; dehomogenize as
-        # point_coords does
-        moved = tracked @ sandwich_matrix(st.g, 3).T
-        return [st.t, *st.g.coeffs[alg.even_indices].tolist(),
-                *st.pi_body.coeffs.tolist(), body_energy(inertia, st),
-                *(moved[:, 1:] / moved[:, :1]).ravel().tolist()]
-
-    rows = [row(state)]
-    for k in range(1, cfg.steps + 1):
-        state = euler_step(state, inertia, cfg.dt, force=force_cb)
-        if k % stride == 0:
-            rows.append(row(state))
-    return header, rows
+    times, states = integrate(MotionState(g, pi, 0.0), inertia, cfg.dt,
+                              cfg.steps, stride, force=force_cb)
+    ne, width = len(alg.even_indices), states.shape[1]
+    table = np.empty((len(times), len(header)))
+    table[:, 0] = times
+    table[:, 1:width + 1] = states
+    table[:, width + 1] = _momentum_energy(inertia, states[:, ne:])
+    if len(tracked):
+        # one sandwich matrix per row moves every tracked point;
+        # dehomogenize as point_coords does.  Blocks of rows bound the
+        # temporaries, (rows, 128) floats inside sandwich_matrix_even.
+        for start in range(0, len(times), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            mats = sandwich_matrix_even(alg, states[rows, :ne], 3)
+            moved = tracked @ mats.transpose(0, 2, 1)
+            table[rows, width + 2:] = (moved[:, :, 1:] / moved[:, :, :1]).reshape(
+                len(mats), -1)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, col = bad[0]
+        raise NumericError(f"{header[col]} is not finite at t = {float(table[row, 0])!r}")
+    return header, table
 
 
 def _scene_force(alg, forces):
@@ -258,8 +277,12 @@ def _scene_force(alg, forces):
     return callback
 
 
-def write_csv(path: str, header, rows):
+def write_csv(path: str, header, table):
+    """Write the header and the rows of a float table, each value as
+    ``f"{v:.17g}"``: 17 significant digits read back exactly."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            chunk = table[start:start + _BLOCK_ROWS]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -42,12 +42,21 @@ def sandwich_matrix(g: Multivector, k: int) -> np.ndarray:
     ``g`` must be even (a rotor or a multiple of one).  One matrix moves
     any number of grade-``k`` elements: ``coeffs @ sandwich_matrix(g, k).T``.
     """
-    tables = g.algebra.even_tables
-    if np.count_nonzero(g.coeffs[tables.odd]):
+    alg = g.algebra
+    if np.count_nonzero(g.coeffs[alg.even_tables.odd]):
         raise ValueError("sandwich_matrix takes an even element")
-    ge = g.coeffs[tables.even]
-    n = len(g.algebra.grade_indices[k])
-    return _bilinear(ge, ge, tables.sandwich(k)).reshape(n, n)
+    return sandwich_matrix_even(alg, g.coeffs[alg.even_indices], k)
+
+
+def sandwich_matrix_even(alg: Algebra, ge: np.ndarray, k: int) -> np.ndarray:
+    """:func:`sandwich_matrix` on the even coefficients ``ge`` (basis order).
+
+    A stack of rotors, ``ge`` of shape ``(rows, n_even)``, gives the stack
+    of matrices, ``(rows, n, n)``, each equal to its single-rotor result.
+    """
+    n = len(alg.grade_indices[k])
+    m = _bilinear(ge, ge, alg.even_tables.sandwich(k))
+    return m.reshape(*ge.shape[:-1], n, n)
 
 
 def translator(alg: Algebra, v) -> Multivector:

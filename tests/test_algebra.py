@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from pgakit import (Multivector, Signature, SignatureMismatchError, algebra,
                     ideal_point, point)
+from pgakit.algebra import _bilinear
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
+from pgakit.versors import sandwich_matrix, sandwich_matrix_even
 
 from conftest import PLANAR_TABLE, assert_rel_close, count_einsum, random_mv
 
@@ -228,3 +230,16 @@ def test_products_match_dense_tables(oracle_alg, rng, monkeypatch):
         for table, prod in zip((alg._gp, alg._op, alg._ip, alg._comm), products):
             assert_rel_close(prod.coeffs, np.einsum("i,j,ijk->k", a.coeffs,
                                                     b.coeffs, table))
+    # stacked operands: every row equals its single product bit for bit
+    rows_a = np.array([a.coeffs for a, _ in pairs])
+    rows_b = np.array([b.coeffs for _, b in pairs])
+    for flat in (alg._gp_flat, alg._op_flat, alg._ip_flat, alg._comm_flat,
+                 alg._vee_flat):
+        assert np.array_equal(_bilinear(rows_a, rows_b, flat),
+                              [_bilinear(a, b, flat) for a, b in zip(rows_a, rows_b)])
+    even = rows_a[:, alg.even_indices]          # column-major, as it happens
+    for k in range(alg.dim + 1):
+        stack = sandwich_matrix_even(alg, even, k)
+        assert stack.shape == (len(pairs), *2 * [len(alg.grade_indices[k])])
+        assert np.array_equal(stack, [sandwich_matrix(even_mv(alg, ge), k)
+                                      for ge in even])

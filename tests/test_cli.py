@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -313,7 +314,9 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
     {"integrator": {"dt": 1e300, "steps": 5}},
     {"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
      + [{"mass": 1.0, "position": [0.0, 0.0, 6.703903964971299e153]}]},
-], ids=["zero-rotor0", "omega-1e200", "dt-1e300", "inertia-overflow"])
+    {"outputs": [[1.79e308, -1.79e308, 1.79e308]]},
+], ids=["zero-rotor0", "omega-1e200", "dt-1e300", "inertia-overflow",
+        "tracked-point-overflow"])
 def test_simulate_numeric_failure_exit3(tmp_path, capsys, over):
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(scene_dict(**over)))
@@ -497,6 +500,48 @@ def test_run_simulation_factors_inertia_once(monkeypatch):
     _, rows = run_simulation(cfg)
     assert len(rows) == 101
     assert calls == {"cond": 1, "inv": 1}
+
+
+def test_run_simulation_allocates_nothing_per_step(monkeypatch):
+    # the package's ``algebra`` attribute is the lookup function
+    algebra_mod = importlib.import_module("pgakit.algebra")
+    made = []
+    real_set, real_init = algebra_mod._set_algebra, algebra_mod.Multivector.__init__
+
+    def counted_set(*args):
+        made.append(1)
+        real_set(*args)
+
+    def counted_init(self, *args):
+        made.append(1)
+        real_init(self, *args)
+    monkeypatch.setattr(algebra_mod, "_set_algebra", counted_set)
+    monkeypatch.setattr(algebra_mod.Multivector, "__init__", counted_init)
+
+    def multivectors(steps):
+        made.clear()
+        cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": steps}))
+        assert len(run_simulation(cfg)[1]) == steps + 1
+        return len(made)
+    assert multivectors(10) == multivectors(1000) > 0
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    table = np.array([[-0.0, 5e-324, 1e16, 0.1, -1 / 3],
+                      [1.7976931348623157e308, 2.2250738585072014e-308, 123456789.0,
+                       -2.5, 1e-300]])
+    path = tmp_path / "t.csv"
+    scene_mod.write_csv(str(path), ["a", "b", "c", "d", "e"], table)
+    want = "a,b,c,d,e\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                   for row in table.tolist())
+    assert path.read_text() == want
+    # more rows than one formatting block, and an empty table
+    big = np.random.default_rng(5).normal(size=(2 * scene_mod._BLOCK_ROWS + 3, 2))
+    scene_mod.write_csv(str(path), ["x", "y"], big)
+    assert path.read_text() == "x,y\n" + "".join(
+        f"{x:.17g},{y:.17g}\n" for x, y in big.tolist())
+    scene_mod.write_csv(str(path), ["x"], np.empty((0, 1)))
+    assert path.read_text() == "x\n"
 
 
 def test_scene_dump_and_load(tmp_path):

@@ -14,8 +14,10 @@ from pgakit import (BODY, SPACE, ForceState, FrameError, MomentumState,
                     point, point_coords, power, principal_decomposition,
                     resultant, sandwich, space_momentum, work)
 from pgakit.dynamics import (force_moment_2d, force_state, force_vector_2d,
-                             kinetic_energy_pairing, kinetic_energy_speed)
-from pgakit.metric import biv_coeffs, line3d_point_dir
+                             integrate, kinetic_energy_pairing,
+                             kinetic_energy_speed)
+from pgakit.metric import biv_coeffs, biv_mv, even_mv, line3d_point_dir
+from pgakit.versors import rotor_constraint
 
 
 def four_point_body(alg):
@@ -250,6 +252,27 @@ def test_non_finite_step_raises(space_alg):
             euler_step(st, a, math.inf)
         with pytest.raises(NumericError):
             euler_step(MotionState(st.g, a.apply(1e200 * spin)), a, 1e-3)
+
+
+def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
+    # coarse steps of a brisk tumble: without renormalization RK4 leaves
+    # the rotor manifold by ~1e-6 per step
+    a = inertia_assemble(four_point_body(space_alg))
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
+                     a.apply(VelocityState(5.0 * rng.normal(size=6), BODY)), 0.25)
+    times, states = integrate(st, a, 0.05, 41, stride=4)
+    assert times.shape == (11,) and states.shape == (11, 14)
+    for row in range(11):
+        g = even_mv(space_alg, states[row, :8])
+        z = rotor_constraint(g)
+        assert abs(z.re - 1.0) <= 1e-12 and abs(z.du) <= 1e-12
+        assert times[row] == st.t
+        assert np.array_equal(states[row], np.concatenate(
+            (st.g.coeffs[space_alg.even_indices], st.pi_body.coeffs)))
+        for _ in range(4):
+            st = euler_step(st, a, 0.05)
+    with pytest.raises(ValueError, match="stride"):
+        integrate(st, a, 0.05, 4, stride=0)
 
 
 def test_spherical_body_spins_uniformly(space_alg):
