@@ -22,8 +22,8 @@ from .metric import (Bivector3, DegenerateElementError, Pitch, angle,
 from .versors import (NumericError, ScrewLog, exp_bivector, exp_screw,
                       is_rotor, normalize_rotor, rotator, rotor_log, sandwich,
                       sandwich_matrix, screw_decompose, screw_log, translator)
-from .dynamics import (BODY, SPACE, ForceState, FrameError, InertiaTensor,
-                       MomentumState, MotionState, Particle,
+from .dynamics import (BODY, SPACE, ForceSchedule, ForceState, FrameError,
+                       InertiaTensor, MomentumState, MotionState, Particle,
                        SingularInertiaError, VelocityState, body_energy,
                        euler_step, force_homogeneous, force_line,
                        force_state, frame_convert, inertia_assemble,

@@ -18,7 +18,12 @@ Conventions kept throughout (factor 2 included):
 :func:`integrate` is the one RK4 loop: it runs any number of steps on
 flat coefficient arrays and returns the recorded states as one
 ``(rows, 14)`` array, making no :class:`Multivector` or state object
-per step; :func:`euler_step` is that loop over one step.  The inertia
+per step; :func:`euler_step` is that loop over one step.  Forces that
+switch on and off are a :class:`ForceSchedule`, data the loop reads at
+every stage: the sum of the open lines is looked up, and a space-frame
+sum is moved to the body frame by one grade-2 sandwich matrix of
+``~g``.  A callable force is the general route, for forces that depend
+on the state.  The inertia
 operator is inverted and condition-checked once per tensor, the
 products are the even-subalgebra tables of
 :attr:`Algebra.even_tables`, and the rotor is renormalized in closed
@@ -36,6 +41,7 @@ Body-frame and space-frame quantities are tagged and may not be mixed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -45,7 +51,8 @@ from .algebra import Algebra, Multivector, _bilinear
 from .duality import join
 from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
                      point, pseudo_part, ideal_norm)
-from .versors import NumericError, normalize_even, sandwich, sandwich_matrix
+from .versors import (NumericError, normalize_even, sandwich, sandwich_matrix,
+                      sandwich_matrix_even)
 
 BODY = "body"
 SPACE = "space"
@@ -126,6 +133,42 @@ def frame_convert(x, g: Multivector, to: str):
     if to == BODY:
         return sandwich(~g, x)
     raise ValueError(f"unknown frame {to!r}")
+
+
+@dataclass(frozen=True)
+class ForceSchedule:
+    """Force lines over time windows, as data for :func:`integrate`.
+
+    Row ``i`` of ``lines`` holds the six bivector coordinates of a force
+    line in ``frame``; it acts while ``t_start[i] <= t < t_end[i]``, and
+    lines whose windows overlap add up.  A line that is not finite raises
+    :class:`~pgakit.versors.NumericError` naming its index, so it cannot
+    turn the sum of the lines that are off into NaN.
+    """
+
+    lines: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    frame: str
+
+    def __post_init__(self):
+        # copies, so freezing them leaves the caller's arrays writeable
+        lines = np.array(self.lines, dtype=float)
+        if lines.ndim != 2 or lines.shape[1] != 6:
+            raise ValueError("a schedule has six bivector coordinates per line")
+        for name in ("t_start", "t_end"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != lines.shape[:1] or np.isnan(arr).any():
+                raise ValueError(f"{name} needs one time per line, not NaN")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.frame not in (BODY, SPACE):
+            raise ValueError(f"unknown frame {self.frame!r}")
+        bad = np.flatnonzero(~np.isfinite(lines).all(axis=1))
+        if len(bad):
+            raise NumericError(f"force {bad[0]} is not finite")
+        lines.flags.writeable = False
+        object.__setattr__(self, "lines", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +417,14 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     row the even rotor coefficients (basis order) then the body momentum.
     Rows are taken at steps 0, stride, 2*stride, ..., so there are
     ``steps // stride + 1`` of them and row 0 is ``state`` itself.
-    ``force`` is as for :func:`euler_step`.  The rotor is renormalized
-    after every step; no :class:`Multivector` or state object is made
-    per step unless a force callable needs its arguments.  Raises
+    ``force`` is as for :func:`euler_step`.  A :class:`ForceSchedule` is
+    evaluated at every stage on flat arrays: the open windows select the
+    sum of their lines, and a space-frame sum reaches the body frame as
+    ``~g F g``, one grade-2 sandwich matrix of the reversed stage rotor.
+    A constant :class:`ForceState` is a one-line body-frame schedule
+    whose window is always open.  The rotor is renormalized after every
+    step; no :class:`Multivector` or state object is made per step
+    unless a force callable needs its arguments.  Raises
     :class:`~pgakit.versors.NumericError` when a rotor cannot be
     normalized or a momentum is not finite.
     """
@@ -392,17 +440,33 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     if isinstance(force, ForceState):
         if force.frame != BODY:
             raise FrameError("a constant force must be given in the body frame")
-        const_force = force.coeffs
+        force = ForceSchedule(force.coeffs[None], [-np.inf], [np.inf], BODY)
+    if isinstance(force, ForceSchedule):
+        # the set of open windows changes only at an edge, so the sum of
+        # the open lines is tabulated once per interval between edges;
+        # row i is ``open @ lines`` at the interval's first time, bit for
+        # bit the sum at any stage time t with bisect_right(edges, t) == i
+        edges = sorted({*force.t_start.tolist(), *force.t_end.tolist()})
+        totals = [((force.t_start <= at) & (at < force.t_end)) @ force.lines
+                  for at in [-np.inf, *edges]]
+        active = [bool(total.any()) for total in totals]
+        to_body = force.frame == SPACE
+        rev = alg._rev_signs[tables.even]
         force = None
     else:
-        const_force = None
+        totals = None
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     def rhs(t, y):
         omega = inv_op @ y[ne:]
         dy = _bilinear(y, omega, motion)
-        if const_force is not None:
-            dy[ne:] += const_force
+        if totals is not None:
+            i = bisect_right(edges, t)
+            total = totals[i]
+            if to_body and active[i]:
+                # ~g F g: one grade-2 sandwich matrix of the reversed rotor
+                total = sandwich_matrix_even(alg, rev * y[:ne], 2) @ total
+            dy[ne:] += total
         elif force is not None:
             f = force(t, even_mv(alg, y[:ne]), MomentumState(y[ne:], BODY))
             if f.frame != BODY:
@@ -434,7 +498,8 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
                force=None) -> MotionState:
     """One RK4 step of the motion equations, rotor renormalized at the end.
 
-    ``force`` may be None, a body-frame :class:`ForceState`, or a
+    ``force`` may be None, a body-frame :class:`ForceState`, a
+    :class:`ForceSchedule` of windowed lines in either frame, or a
     callable ``(t, g, pi_body) -> ForceState`` evaluated at every
     stage (the rotor argument is stage-extrapolated).  Raises
     :class:`~pgakit.versors.NumericError` when the new rotor cannot be

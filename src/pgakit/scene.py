@@ -13,12 +13,17 @@ A scene is a JSON document:
       "outputs":   [[x, y, z], ...]                // tracked body points
     }
 
+A force line acts while ``t_start <= t < t_end``, so a window needs
+``t_end > t_start``; a key not shown above, at the top level, in a
+force entry or in ``integrator``, is refused rather than ignored.
+
 The trajectory is CSV: one row per recorded step with the rotor, the
 body momentum, the kinetic energy and the dehomogenized space-frame
-position of every tracked point.  :func:`run_simulation` integrates
-once with :func:`~pgakit.dynamics.integrate`, then computes the energy
-and tracked-point columns as array operations over blocks of rows and
-returns one float table, refused with
+position of every tracked point.  :func:`run_simulation` hands the
+forces to :func:`~pgakit.dynamics.integrate` as one space-frame
+:class:`~pgakit.dynamics.ForceSchedule`, integrates once, then computes
+the energy and tracked-point columns as array operations over blocks of
+rows and returns one float table, refused with
 :class:`~pgakit.versors.NumericError` if any value in it is not finite.
 :func:`write_csv` formats the table a block of rows at a time.
 """
@@ -32,9 +37,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .algebra import pga3d
-from .dynamics import (BODY, SPACE, ForceState, MomentumState, MotionState,
+from .dynamics import (BODY, SPACE, ForceSchedule, MomentumState, MotionState,
                        Particle, VelocityState, _momentum_energy, force_line,
-                       frame_convert, inertia_assemble, integrate)
+                       inertia_assemble, integrate)
 from .metric import biv_coeffs, even_mv, point
 # sandwich is not called here; the benchmark's tracing tests use scene.sandwich
 # as their example of an alias made by ``from .versors import``
@@ -50,6 +55,12 @@ _BLOCK_ROWS = 1024
 
 class SceneError(ValueError):
     """Malformed scene description."""
+
+
+_SCENE_KEYS = ("signature", "bodies", "initial", "rotor0", "forces",
+               "integrator", "outputs")
+_FORCE_KEYS = ("point", "vector", "t_start", "t_end")
+_INTEGRATOR_KEYS = ("dt", "steps")
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,18 @@ def _vector(value, n: int, what: str) -> list[float]:
     return [_number(c, what) for c in value]
 
 
+def _known_keys(entry: dict, allowed: tuple, what: str):
+    """Refuse a misspelt key, which would otherwise be ignored silently."""
+    for key in entry:
+        if key not in allowed:
+            raise SceneError(f"unknown {what} key {key!r:.40}; "
+                             f"expected one of {', '.join(allowed)}")
+
+
 def parse_scene(data: dict) -> SceneConfig:
     """Validate a scene document; every defect raises :class:`SceneError`."""
     _require(isinstance(data, dict), "scene must be a JSON object")
+    _known_keys(data, _SCENE_KEYS, "scene")
     sig = data.get("signature", [3, 0, 1])
     _require(isinstance(sig, (list, tuple)) and tuple(sig) == (3, 0, 1),
              f"simulation supports signature 3,0,1, not {sig!r:.40}")
@@ -134,6 +154,7 @@ def parse_scene(data: dict) -> SceneConfig:
     integrator = data.get("integrator")
     _require(isinstance(integrator, dict) and {"dt", "steps"} <= set(integrator),
              "scene needs integrator.dt and integrator.steps")
+    _known_keys(integrator, _INTEGRATOR_KEYS, "integrator")
     dt = _number(integrator["dt"], "dt")
     _require(dt > 0.0, "dt must be positive")
     steps = _number(integrator["steps"], "steps")
@@ -146,12 +167,16 @@ def parse_scene(data: dict) -> SceneConfig:
     for f in forces:
         _require(isinstance(f, dict) and {"point", "vector"} <= set(f),
                  "each force entry needs point and vector")
+        _known_keys(f, _FORCE_KEYS, "force")
+        t_start = _number(f.get("t_start", 0.0), "t_start")
         t_end = f.get("t_end", math.inf)
+        t_end = t_end if t_end == math.inf else _number(t_end, "t_end")
+        _require(t_end > t_start, f"a force window needs t_end > t_start, "
+                 f"not [{t_start!r}, {t_end!r})")
         parsed_forces.append(SceneForce(
             point=_vector(f["point"], 3, "a force point"),
             vector=_vector(f["vector"], 3, "a force vector"),
-            t_start=_number(f.get("t_start", 0.0), "t_start"),
-            t_end=t_end if t_end == math.inf else _number(t_end, "t_end")))
+            t_start=t_start, t_end=t_end))
 
     outputs = data.get("outputs", [])
     _require(isinstance(outputs, list), "outputs must be a list")
@@ -232,7 +257,11 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
     # trivector coefficients (weight E0, then E1 E2 E3) of the tracked points
     tri = alg.grade_indices[3]
     tracked = np.array([point(alg, *p).coeffs[tri] for p in cfg.outputs]).reshape(-1, 4)
-    force_cb = _scene_force(alg, cfg.forces) if cfg.forces else None
+    schedule = None
+    if cfg.forces:
+        schedule = ForceSchedule(
+            [biv_coeffs(force_line(alg, f.point, f.vector)) for f in cfg.forces],
+            [f.t_start for f in cfg.forces], [f.t_end for f in cfg.forces], SPACE)
 
     header = (["t"] + [f"g{i}" for i in range(8)] + [f"pi{i}" for i in range(6)]
               + ["energy"])
@@ -240,7 +269,7 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         header += [f"x{i}", f"y{i}", f"z{i}"]
 
     times, states = integrate(MotionState(g, pi, 0.0), inertia, cfg.dt,
-                              cfg.steps, stride, force=force_cb)
+                              cfg.steps, stride, force=schedule)
     ne, width = len(alg.even_indices), states.shape[1]
     table = np.empty((len(times), len(header)))
     table[:, 0] = times
@@ -261,20 +290,6 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         row, col = bad[0]
         raise NumericError(f"{header[col]} is not finite at t = {float(table[row, 0])!r}")
     return header, table
-
-
-def _scene_force(alg, forces):
-    lines = np.array([biv_coeffs(force_line(alg, f.point, f.vector)) for f in forces])
-    t_start = np.array([f.t_start for f in forces])
-    t_end = np.array([f.t_end for f in forces])
-
-    def callback(t, g, pi_body):
-        total = ((t_start <= t) & (t < t_end)) @ lines
-        if not total.any():
-            return ForceState(total, BODY)
-        return frame_convert(ForceState(total, SPACE), g, BODY)
-
-    return callback
 
 
 def write_csv(path: str, header, table):

@@ -296,8 +296,17 @@ def _one_error_line(err):
     ({"bodies": [{"mass": float("nan"), "position": [0, 0, 0]}]}, "mass"),
     ({"bodies": [{"mass": 1.0, "position": [0, float("inf"), 0]}]}, "position"),
     ({"forces": [{"point": [0, 0], "vector": [0, 0, 1]}]}, "force point"),
+    ({"forces": [{"point": [0, 0, 0], "vector": [0, 0, 1],
+                  "t_start": 0.04, "t_end": 0.01}]}, "t_end > t_start"),
+    ({"forces": [{"point": [0, 0, 0], "vector": [0, 0, 1],
+                  "t_start": 0.02, "t_end": 0.02}]}, "t_end > t_start"),
+    ({"force": [{"point": [0, 0, 0], "vector": [0, 0, 1]}]}, "'force'"),
+    ({"forces": [{"point": [0, 0, 0], "vector": [0, 0, 1], "tstart": 0.01}]},
+     "'tstart'"),
+    ({"integrator": {"dt": 1e-3, "steps": 5, "method": "rk4"}}, "'method'"),
 ], ids=["position-abc", "steps-2.7", "dt-inf", "mass-nan", "position-inf",
-        "force-point-2d"])
+        "force-point-2d", "force-window-inverted", "force-window-empty",
+        "unknown-scene-key", "unknown-force-key", "unknown-integrator-key"])
 def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(scene_dict(**over)))
@@ -308,21 +317,26 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
     assert rc == 2 and _one_error_line(err) and what in err
 
 
-@pytest.mark.parametrize("over", [
-    {"rotor0": [0.0] * 8},
-    {"initial": {"omega_body": [1e200, 0, 0, 1e200, 0, 0]}},
-    {"integrator": {"dt": 1e300, "steps": 5}},
-    {"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
-     + [{"mass": 1.0, "position": [0.0, 0.0, 6.703903964971299e153]}]},
-    {"outputs": [[1.79e308, -1.79e308, 1.79e308]]},
+@pytest.mark.parametrize("over, what", [
+    ({"rotor0": [0.0] * 8}, "cannot normalize"),
+    ({"initial": {"omega_body": [1e200, 0, 0, 1e200, 0, 0]}},
+     "momentum is not finite at t = 0.001"),
+    ({"integrator": {"dt": 1e300, "steps": 5}}, "momentum is not finite"),
+    ({"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
+      + [{"mass": 1.0, "position": [0.0, 0.0, 6.703903964971299e153]}]},
+     "inertia overflows"),
+    ({"outputs": [[1.79e308, -1.79e308, 1.79e308]]}, "x0 is not finite"),
+    # 0 * inf in the sum of the closed lines must not poison earlier steps
+    ({"forces": [{"point": [1e200, 0, 0], "vector": [0, 1e200, 0],
+                  "t_start": 0.05, "t_end": 0.06}]}, "force 0 is not finite"),
 ], ids=["zero-rotor0", "omega-1e200", "dt-1e300", "inertia-overflow",
-        "tracked-point-overflow"])
-def test_simulate_numeric_failure_exit3(tmp_path, capsys, over):
+        "tracked-point-overflow", "force-line-overflow"])
+def test_simulate_numeric_failure_exit3(tmp_path, capsys, over, what):
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(scene_dict(**over)))
     out = tmp_path / "t.csv"
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
-    assert rc == 3 and _one_error_line(err)
+    assert rc == 3 and _one_error_line(err) and what in err
     assert out.read_text() == ""                 # no rows, in particular no NaN rows
 
 
@@ -505,8 +519,10 @@ def test_run_simulation_factors_inertia_once(monkeypatch):
 def test_run_simulation_allocates_nothing_per_step(monkeypatch):
     # the package's ``algebra`` attribute is the lookup function
     algebra_mod = importlib.import_module("pgakit.algebra")
+    dynamics_mod = importlib.import_module("pgakit.dynamics")
     made = []
     real_set, real_init = algebra_mod._set_algebra, algebra_mod.Multivector.__init__
+    real_state = dynamics_mod._BivectorState.__post_init__
 
     def counted_set(*args):
         made.append(1)
@@ -515,15 +531,26 @@ def test_run_simulation_allocates_nothing_per_step(monkeypatch):
     def counted_init(self, *args):
         made.append(1)
         real_init(self, *args)
+
+    def counted_state(self):
+        made.append(1)
+        real_state(self)
     monkeypatch.setattr(algebra_mod, "_set_algebra", counted_set)
     monkeypatch.setattr(algebra_mod.Multivector, "__init__", counted_init)
+    monkeypatch.setattr(dynamics_mod._BivectorState, "__post_init__", counted_state)
 
-    def multivectors(steps):
+    def objects(steps, forces):
         made.clear()
-        cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": steps}))
+        cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": steps},
+                                     forces=forces))
         assert len(run_simulation(cfg)[1]) == steps + 1
         return len(made)
-    assert multivectors(10) == multivectors(1000) > 0
+    forced = [{"point": [0.2, 0.0, -0.1], "vector": [0.0, 3.0, -1.0],
+               "t_start": 0.005},
+              {"point": [-0.3, 0.4, 0.1], "vector": [2.0, 0.0, 1.0],
+               "t_start": 0.002, "t_end": 0.5}]
+    for forces in ([], forced):
+        assert objects(10, forces) == objects(1000, forces) > 0
 
 
 def test_write_csv_matches_per_value_format(tmp_path):

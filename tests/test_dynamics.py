@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pgakit import (BODY, SPACE, ForceState, FrameError, MomentumState,
+from pgakit import (BODY, SPACE, ForceSchedule, ForceState, FrameError,
+                    MomentumState,
                     MotionState, NumericError, Particle, SingularInertiaError,
                     VelocityState, body_energy, distance, euler_step,
                     exp_bivector, force_line, frame_convert,
@@ -273,6 +274,71 @@ def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
             st = euler_step(st, a, 0.05)
     with pytest.raises(ValueError, match="stride"):
         integrate(st, a, 0.05, 4, stride=0)
+
+
+def test_integrate_space_schedule_matches_the_force_callable(space_alg, rng):
+    # the callable moves the open lines to the body frame per stage with
+    # frame_convert; the schedule must give the same states bit for bit
+    a = inertia_assemble(four_point_body(space_alg))
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
+                     a.apply(VelocityState(rng.normal(size=6), BODY)))
+    h, t = 0.01, 0.0
+    for _ in range(7):
+        t = t + h
+    half = t + h / 2                      # the k2 and k3 stage time of step 8
+    lines = np.array([biv_coeffs(force_line(space_alg, rng.normal(size=3),
+                                            rng.normal(size=3)))
+                      for _ in range(3)])
+    # line 0 closes and line 2 opens exactly at that stage; lines 1 and 2
+    # overlap, and line 1 never closes
+    t_start = np.array([0.0, 0.033, half])
+    t_end = np.array([half, math.inf, 0.2])
+
+    def callback(t, g, pi):
+        total = ((t_start <= t) & (t < t_end)) @ lines
+        return frame_convert(ForceState(total, SPACE), g, BODY)
+
+    times, got = integrate(st, a, h, 30,
+                           force=ForceSchedule(lines, t_start, t_end, SPACE))
+    want_times, want = integrate(st, a, h, 30, force=callback)
+    assert np.array_equal(times, want_times) and np.array_equal(got, want)
+    # the edge is live: one ulp later, line 0 is still open at that stage
+    late = t_end.copy()
+    late[0] = np.nextafter(half, 1.0)
+    _, moved = integrate(st, a, h, 30,
+                         force=ForceSchedule(lines, t_start, late, SPACE))
+    assert np.array_equal(moved[:8], got[:8]) and not np.array_equal(moved, got)
+
+
+def test_integrate_constant_body_force_is_an_always_open_window(space_alg, rng):
+    a = inertia_assemble(four_point_body(space_alg))
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
+                     a.apply(VelocityState(rng.normal(size=6), BODY)))
+    f = ForceState(rng.normal(size=6), BODY)
+    _, got = integrate(st, a, 0.01, 20, force=f)
+    _, want = integrate(st, a, 0.01, 20, force=lambda t, g, pi: f)
+    assert np.array_equal(got, want)
+    always = ForceSchedule([f.coeffs], [-math.inf], [math.inf], BODY)
+    assert np.array_equal(integrate(st, a, 0.01, 20, force=always)[1], got)
+    with pytest.raises(FrameError):
+        integrate(st, a, 0.01, 2, force=ForceState(f.coeffs, SPACE))
+
+
+def test_force_schedule_validates_its_input():
+    lines = np.ones((2, 6))
+    schedule = ForceSchedule(lines, [0.0, 0.5], [1.0, math.inf], SPACE)
+    assert lines.flags.writeable and not schedule.lines.flags.writeable
+    with pytest.raises(NumericError, match="force 1 is not finite"):
+        ForceSchedule([np.ones(6), [0, math.inf, 0, 0, 0, 0]], [0, 0], [1, 1],
+                      SPACE)
+    with pytest.raises(ValueError, match="six"):
+        ForceSchedule(np.ones((2, 5)), [0, 0], [1, 1], SPACE)
+    with pytest.raises(ValueError, match="t_end"):
+        ForceSchedule(lines, [0, 0], [1], SPACE)
+    with pytest.raises(ValueError, match="t_start"):
+        ForceSchedule(lines, [0, math.nan], [1, 1], SPACE)
+    with pytest.raises(ValueError, match="frame"):
+        ForceSchedule(lines, [0, 0], [1, 1], "lab")
 
 
 def test_spherical_body_spins_uniformly(space_alg):
