@@ -33,9 +33,10 @@ ln1 = normalize(line3d_point_dir(alg, (0, 0, 0), (1, 0, 0)))
 ln2 = normalize(line3d_point_dir(alg, (0, 0, 2), (0, 1, 0)))
 print("pairing <l1, l2> =", pluecker(ln1, ln2),
       "(zero would mean they meet)")
-z = dual_angle(ln1, ln2)
-print("dual angle:", z, " -> angle", math.degrees(math.acos(z.re)),
-      "deg, offset", -z.du, "along the common normal")
+# the scalar and pseudoscalar parts of l1 l2, as DualParts(re, du)
+re, du = dual_angle(ln1, ln2)
+print(f"dual angle: {re!r} + {du!r}I  -> angle", math.degrees(math.acos(re)),
+      "deg, offset", -du, "along the common normal")
 print("common normal:", common_normal(ln1, ln2))
 print()
 

@@ -2,9 +2,9 @@
 and the batch rigid-body simulator.
 
 Exit codes: 0 success, 2 usage or parse problems (including a malformed
-scene and an output path that cannot be opened), 3 numeric failures
-(singular inertia, non-normalizable rotors, a state that stops being
-finite).  Each failure prints one ``error:`` line to stderr.
+scene, an output path that cannot be opened and exp/log outside PGA), 3
+numeric failures (singular inertia, non-normalizable rotors, a value
+that stops being finite).  Each failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .dynamics import SingularInertiaError
 from .expr import ExprError, evaluate
 from .metric import biv_mv, even_mv
 from .scene import SceneError, load_scene, run_simulation, write_csv
-from .versors import NumericError, exp_bivector, rotor_log
+from .versors import (NumericError, exp_bivector, normalize_rotor,
+                      require_pga, rotor_log)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,9 +38,21 @@ def _parse_signature(text: str) -> Algebra:
         raise SystemExit(_usage_error(f"invalid signature {text!r}; expected P,N,Z"))
 
 
+def _parse_pga_signature(text: str) -> Algebra:
+    try:
+        return require_pga(_parse_signature(text))
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc)))
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _numeric_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def _parse_coeffs(text: str) -> list[float]:
@@ -67,12 +80,17 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+# an overflow surfaces as a numeric error, not as warnings
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_eval(args) -> int:
     alg = _parse_signature(args.signature)
     try:
-        print(evaluate(args.expression, alg))
+        value = evaluate(args.expression, alg)
     except ExprError as exc:
         return _usage_error(str(exc))
+    if not np.isfinite(value.coeffs).all():
+        return _numeric_error(f"the value is not finite: {value}")
+    print(value)
     return EXIT_OK
 
 
@@ -92,40 +110,43 @@ def cmd_simulate(args) -> int:
     except SceneError as exc:
         return _usage_error(str(exc))
     except (SingularInertiaError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numeric_error(exc)
     write_csv(args.out, header, table)
     print(f"wrote {len(table)} rows to {args.out}")
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_exp(args) -> int:
-    alg = _parse_signature(args.signature)
+    alg = _parse_pga_signature(args.signature)
     coeffs = _parse_coeffs(args.coeffs)
     want = len(alg.grade_indices[2])
     if len(coeffs) != want:
         return _usage_error(f"exp needs {want} bivector coefficients for Cl{alg.signature}")
-    print(exp_bivector(biv_mv(alg, coeffs)))
+    try:
+        print(exp_bivector(biv_mv(alg, coeffs)))
+    except NumericError as exc:
+        return _numeric_error(exc)
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_log(args) -> int:
-    alg = _parse_signature(args.signature)
+    alg = _parse_pga_signature(args.signature)
     coeffs = _parse_coeffs(args.coeffs)
     want = len(alg.even_indices)
     if len(coeffs) != want:
         return _usage_error(f"log needs {want} even coefficients for Cl{alg.signature}")
-    g = even_mv(alg, coeffs)
     try:
-        from .versors import normalize_rotor
-        g = normalize_rotor(g)
+        g = normalize_rotor(even_mv(alg, coeffs))
         b = rotor_log(g)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        if not np.isfinite(b.coeffs).all():
+            raise NumericError(f"the logarithm is not finite: {b}")
+        e = exp_bivector(b) if args.roundtrip else None
+    except ValueError as exc:
+        return _numeric_error(exc)
     print(b)
-    if args.roundtrip:
-        e = exp_bivector(b)
+    if e is not None:
         residual = min(float(np.abs((e - g).coeffs).max()),
                        float(np.abs((e + g).coeffs).max()))
         print(f"roundtrip residual: {residual:.3e}")

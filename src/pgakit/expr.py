@@ -128,4 +128,8 @@ class _Parser:
 
 
 def evaluate(text: str, alg: Algebra) -> Multivector:
-    return _Parser(text, alg).parse()
+    parser = _Parser(text, alg)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprError("expression nests too deeply", parser.peek()[2]) from None

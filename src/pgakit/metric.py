@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -381,18 +382,26 @@ def bivector_pitch(xi: Multivector) -> Pitch:
     return Pitch.of(-pluecker(xi, xi) / den)
 
 
-def dual_angle(xi: Multivector, phi: Multivector):
-    """Dual number cos(a) - d sin(a) I for normalized simple lines.
+class DualParts(NamedTuple):
+    """Scalar and pseudoscalar parts ``re + du I``, read as two floats
+    (tuple ``+`` and ``*`` concatenate and repeat: no dual arithmetic)."""
+
+    re: float
+    du: float
+
+
+def dual_angle(xi: Multivector, phi: Multivector) -> DualParts:
+    """Dual angle cos(a) - d sin(a) I for normalized simple lines.
 
     Measures the angle between the directions and the distance along
     the common normal at once.  The overall sign is fixed by making the
     real part non-negative.
     """
-    from .dualnum import DualNumber
-    z = DualNumber.from_multivector(xi * phi)
-    if z.re < 0 or (z.re == 0 and z.du < 0):
-        z = -z
-    return z
+    x = xi * phi
+    re, du = x.scalar_part, x.pseudo_part
+    if re < 0 or (re == 0 and du < 0):
+        re, du = -re, -du
+    return DualParts(re, du)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
 
 # run_simulation keeps every row in memory until the CSV is written
 MAX_ROWS = 10**6
+# and integrates every step whatever the stride: about 12 h at ~45 us a step
+MAX_STEPS = 10**9
 # rows recorded, and formatted by write_csv, in one array operation
 _BLOCK_ROWS = 1024
 
@@ -233,16 +235,18 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
 
     The table is one float array with a row per recorded step, at steps
     0, stride, 2*stride, ... so there are ``steps // stride + 1`` rows,
-    at most :data:`MAX_ROWS`.  The integrator runs once; energies and
-    tracked points are then computed in bulk, not row by row.  Raises
-    :class:`~pgakit.versors.NumericError` naming the first column and
-    time at which a value is not finite.
+    at most :data:`MAX_ROWS`, of at most :data:`MAX_STEPS` steps.  The
+    integrator runs once; energies and tracked points are then computed
+    in bulk, not row by row.  Raises :class:`~pgakit.versors.NumericError`
+    naming the first column and time at which a value is not finite.
     """
     if stride < 1:
         raise SceneError("stride must be at least 1")
     if cfg.steps // stride + 1 > MAX_ROWS:
         raise SceneError(f"the run would record more than {MAX_ROWS} rows; "
                          "use a larger stride")
+    if cfg.steps > MAX_STEPS:
+        raise SceneError(f"the run has more than {MAX_STEPS} steps")
     alg = pga3d()
     particles = [Particle.at(alg, b["mass"], b["position"]) for b in cfg.bodies]
     inertia = inertia_assemble(particles)

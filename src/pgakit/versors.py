@@ -5,9 +5,10 @@ even versor (a *rotor*, ``g ~g == 1``) gives every direct isometry.
 Rotors fall into three classes by their grade-2 part: rotators (simple
 euclidean bivector), translators (ideal bivector) and general screws
 (non-simple bivector).  The exponential and logarithm below move
-between rotors and their bivector generators; in 3D the dual-number
-valued angle ``t + u I`` carries half the rotation angle and half the
-translation distance of the screw.
+between rotors and their bivector generators in Cl(2,0,1) and
+Cl(3,0,1); in 3D the dual angle ``t + u I`` carries half the rotation
+angle and half the translation distance of the screw.  The rotor
+constraint ``g ~g = a + bI`` comes back as ``DualParts(re=a, du=b)``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, _bilinear
-from .dualnum import DualNumber
-from . import dualnum
-from .metric import (DegenerateElementError, biv_coeffs, biv_mv,
+from .algebra import Algebra, Multivector, Signature, _bilinear
+from .metric import (DegenerateElementError, DualParts, biv_coeffs, biv_mv,
                      bivector_axis, even_mv, is_simple, killing_norm,
                      normalize, point_weight)
 
 _EPS = 1e-12
+_PGA = (Signature(2, 0, 1), Signature(3, 0, 1))
 
 
 class NumericError(ValueError):
     """A non-finite or non-normalizable value where a rotor or state is needed."""
+
+
+def require_pga(alg: Algebra) -> Algebra:
+    """``alg`` itself; raises ``ValueError`` unless it is Cl(2,0,1) or Cl(3,0,1)."""
+    if alg.signature not in _PGA:
+        raise ValueError(f"exp and log take Cl(2,0,1) or Cl(3,0,1), not Cl{alg.signature}")
+    return alg
 
 
 def sandwich(g: Multivector, x: Multivector) -> Multivector:
@@ -103,10 +110,9 @@ def exp_screw(axis: Multivector, t: float, u: float = 0.0) -> Multivector:
     Closed form: cos(t) - u sin(t) I + (sin(t) + u cos(t) I) axis.
     """
     alg = axis.algebra
-    z = DualNumber(t, u)
-    cz, sz = dualnum.cos(z), dualnum.sin(z)
-    i_axis = axis * alg.blade("I")
-    return (cz.to_multivector(alg) + sz.re * axis + sz.du * i_axis)
+    c, s = math.cos(t), math.sin(t)
+    return (alg.multivector({"1": c, "I": -u * s}) + s * axis
+            + (u * c) * (axis * alg.blade("I")))
 
 
 def exp_bivector(b: Multivector) -> Multivector:
@@ -115,9 +121,11 @@ def exp_bivector(b: Multivector) -> Multivector:
     Ideal bivectors give translators ``1 + b``.  Otherwise, in 3D and in
     the notation of :func:`~pgakit.metric.bivector_axis`, ``t = sqrt(l)``,
     ``s = sin(t) / t`` and ``k = m (cos t - s) / l`` give the screw
-    ``cos t + (s i + k rev(e), s e) + m s I``.
+    ``cos t + (s i + k rev(e), s e) + m s I``.  Raises
+    :class:`NumericError` when ``e . e`` or the squared norm overflows.
     """
     alg = b.algebra
+    require_pga(alg)
     if alg.dim == 3:
         m0 = b["E0"]
         if abs(m0) <= _EPS * max(1.0, float(np.abs(b.coeffs).max())):
@@ -125,9 +133,11 @@ def exp_bivector(b: Multivector) -> Multivector:
         return math.cos(m0) + math.sin(m0) / m0 * b
     c = biv_coeffs(b)
     i, e = c[:3], c[3:]
-    l = float(e @ e)
+    l, cc = float(e @ e), float(c @ c)
+    if not (math.isfinite(l) and math.isfinite(cc)):
+        raise NumericError("bivector too large: its norm overflows")
     t = math.sqrt(l)
-    if t <= _EPS * math.sqrt(float(c @ c)):
+    if t <= _EPS * math.sqrt(cc):
         return alg.scalar(1.0) + b
     rev_e = e[::-1]
     m = float(i @ rev_e)
@@ -187,8 +197,8 @@ def screw_log(g: Multivector) -> ScrewLog:
     arbitrary axis.
     """
     alg = g.algebra
-    if alg.dim != 4:
-        raise ValueError("screw_log needs the spatial algebra")
+    if alg.signature != Signature(3, 0, 1):
+        raise ValueError(f"screw_log needs Cl(3,0,1), not Cl{alg.signature}")
     s_r = g.scalar_part
     c6 = biv_coeffs(g)
     xi_scale = math.sqrt(float(c6 @ c6))
@@ -209,8 +219,9 @@ def screw_log(g: Multivector) -> ScrewLog:
 
 
 def rotor_log(g: Multivector) -> Multivector:
-    """Logarithm of a rotor as a bivector, in 2D or 3D."""
+    """Logarithm of a rotor as a bivector, in Cl(2,0,1) or Cl(3,0,1)."""
     alg = g.algebra
+    require_pga(alg)
     if alg.dim == 4:
         return screw_log(g).bivector()
     if g.scalar_part < 0.0:
@@ -238,9 +249,10 @@ def screw_decompose(g: Multivector) -> tuple[Multivector, Multivector]:
 # the rotor constraint
 
 
-def rotor_constraint(g: Multivector) -> DualNumber:
-    """``g ~g`` as a dual number; equal to 1 exactly on the spin group."""
-    return DualNumber.from_multivector(g * ~g)
+def rotor_constraint(g: Multivector) -> DualParts:
+    """Scalar and pseudoscalar parts of ``g ~g``; ``(1, 0)`` on the spin group."""
+    z = g * ~g
+    return DualParts(z.scalar_part, z.pseudo_part)
 
 
 def is_rotor(g: Multivector, tol: float = 1e-9) -> bool:
@@ -258,12 +270,15 @@ def normalize_rotor(g: Multivector) -> Multivector:
     form, ``g -> a^(-1/2) (g - (b / 2a) g I)`` (De Keninck & Roelfs,
     arXiv:2206.07496); direction is preserved and an exact rotor comes
     back unchanged.  Raises :class:`NumericError` unless ``a`` is finite
-    and positive and ``b`` finite.
+    and positive, ``b`` finite and the rotor found finite.
     """
     alg = g.algebra
     if np.count_nonzero(g.coeffs[alg.even_tables.odd]):
         raise ValueError("a rotor is an even element")
-    return even_mv(alg, normalize_even(alg, g.coeffs[alg.even_indices]))
+    ge = normalize_even(alg, g.coeffs[alg.even_indices])
+    if not np.isfinite(ge).all():
+        raise NumericError("cannot normalize: the rotor overflows")
+    return even_mv(alg, ge)
 
 
 def normalize_even(alg: Algebra, ge: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,15 @@ def count_einsum(monkeypatch):
 def assert_rel_close(got, want, rel=1e-12):
     scale = max(np.abs(got).max(), np.abs(want).max())
     assert np.abs(got - want).max() <= rel * scale
+
+
+def newton_normalize(g):
+    """``g (g ~g)^(-1/2)`` from Multivector products only: three Newton
+    steps ``w <- w (3 - z w w) / 2`` for the inverse square root of
+    ``z = g ~g``, started at the scalar part.  An oracle for the closed
+    form ``normalize_rotor``, which it never calls."""
+    z = g * ~g
+    w = g.algebra.scalar(1.0 / math.sqrt(z.scalar_part))
+    for _ in range(3):
+        w = w * (3.0 - z * w * w) * 0.5
+    return g * w

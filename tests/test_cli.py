@@ -12,16 +12,17 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from pgakit import (BODY, MomentumState, Particle, VelocityState, force_line,
-                    inertia_assemble, pga2d, pga3d, point, point_coords,
-                    sandwich)
+from pgakit import (BODY, MomentumState, Particle, VelocityState, algebra,
+                    force_line, inertia_assemble, pga2d, pga3d, point,
+                    point_coords, sandwich)
 from pgakit.cli import main
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
 import pgakit.scene as scene_mod
 from pgakit.scene import (SceneError, dump_scene, load_scene, parse_scene,
                           run_simulation, scene_to_dict)
-from pgakit.versors import rotor_constraint
+
+from conftest import newton_normalize
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +113,10 @@ def test_eval_parse_errors(capsys):
         rc, _, err = run_cli(capsys, "eval", bad)
         assert rc == 2, bad
         assert "position" in err or "error" in err
+    for deep in ("(" * 3000 + "1" + ")" * 3000, "~" * 3000 + "e1", "!-" * 1500 + "1"):
+        rc, out, err = run_cli(capsys, "eval", deep)
+        assert rc == 2 and out == "" and _one_error_line(err)
+        assert "nests too deeply" in err
     with pytest.raises(ExprError):
         evaluate("E3", pga2d())
 
@@ -156,6 +161,59 @@ def test_log_cli_roundtrip_flag(capsys):
 def test_log_cli_rejects_zero(capsys):
     rc, _, err = run_cli(capsys, "log", "--coeffs", "0,0,0,0,0,0,0,0")
     assert rc == 3 and "normalize" in err
+
+
+_BIG = "9" * 200
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, what", [
+    (("eval", f"{_BIG}*{_BIG}"), 3, "not finite"),
+    (("eval", f"{_BIG}*{_BIG} - {_BIG}*{_BIG}"), 3, "not finite"),
+    (("exp", "--coeffs", "0,0,0,1e200,0,0"), 3, "overflows"),
+    (("exp", "--signature", "3,0,0", "--coeffs", "0.1,0.2,0.3"), 2, "Cl(3,0,0)"),
+    (("exp", "--signature", "4,0,0", "--coeffs", "1,0,0,0,0,0"), 2, "Cl(4,0,0)"),
+    (("log", "--signature", "2,0,0", "--coeffs", "1,0"), 2, "Cl(2,0,0)"),
+    (("log", "--signature", "5,0,0", "--coeffs", ",".join("1" + "0" * 15)), 2,
+     "Cl(5,0,0)"),
+])
+def test_cli_rejects_overflow_and_non_pga_signatures(capsys, argv, code, what):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == code and out == "" and _one_error_line(err) and what in err
+
+
+# The exp/log fuzz: PGA and other signatures, coefficients tame or any
+# finite float, their count right for the command or not.
+_FUZZ_SIGNATURES = [(2, 0, 1), (3, 0, 1), (2, 0, 0), (3, 0, 0), (4, 0, 0), (3, 1, 0),
+                    (5, 0, 1)]
+
+
+@st.composite
+def _exp_log_argv(draw):
+    command = draw(st.sampled_from(["exp", "log"]))
+    sig = draw(st.sampled_from(_FUZZ_SIGNATURES))
+    alg = algebra(*sig)
+    want = len(alg.grade_indices[2] if command == "exp" else alg.even_indices)
+    count = want if draw(st.booleans()) else draw(st.integers(1, 40))
+    real = draw(st.sampled_from([st.floats(-3, 3),
+                                 st.floats(allow_nan=False, allow_infinity=False)]))
+    coeffs = draw(st.lists(real, min_size=count, max_size=count))
+    argv = [command, "--signature", "%d,%d,%d" % sig,
+            "--coeffs=" + ",".join(map(repr, coeffs))]
+    return argv + ["--roundtrip"] if command == "log" and draw(st.booleans()) else argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_exp_log_argv())
+def test_exp_log_fuzz_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (0, 2, 3)
+    assert rc == 0 or (out.getvalue() == "" and _one_error_line(err.getvalue()))
+    assert rc != 0 or not any(w in out.getvalue() for w in ("nan", "inf"))
 
 
 @pytest.mark.parametrize("command, coeffs", [
@@ -364,6 +422,11 @@ def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
     assert rc == 2 and _one_error_line(err) and "rows" in err
     assert out.read_text() == ""
+    # a stride that records two rows does not let the steps through
+    rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out),
+                         "--stride", str(10**300))
+    assert rc == 2 and _one_error_line(err) and "steps" in err
+    assert out.read_text() == ""
     # the cap counts recorded rows, steps // stride + 1
     monkeypatch.setattr(scene_mod, "MAX_ROWS", 11)
 
@@ -373,6 +436,13 @@ def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):
     assert rows(10) == 11 and rows(21, stride=2) == 11
     with pytest.raises(SceneError, match="rows"):
         rows(11)
+    # and the steps themselves are capped, at any stride
+    monkeypatch.setattr(scene_mod, "MAX_ROWS", 10**6)
+    monkeypatch.setattr(scene_mod, "MAX_STEPS", 20)
+    assert rows(20) == 21
+    for stride in (1, 2, 21, 10**300):
+        with pytest.raises(SceneError, match="steps"):
+            rows(21, stride=stride)
 
 
 # The scene fuzz: well-formed documents, their numbers either tame or
@@ -444,14 +514,11 @@ def test_simulate_fuzz_exits_0_2_or_3(tmp_path, doc, stride):
 
 def _reference_rows(cfg):
     """run_simulation at stride 1 rebuilt from the public Multivector API:
-    RK4 on multivectors, the dual-number renormalization, one sandwich per
-    tracked point and per force evaluation."""
+    RK4 on multivectors, a Newton-iteration renormalization, one sandwich
+    per tracked point and per force evaluation."""
     alg = pga3d()
     inertia = inertia_assemble([Particle.at(alg, b["mass"], b["position"])
                                 for b in cfg.bodies])
-
-    def renormalize(g):
-        return g * rotor_constraint(g).sqrt().inverse().to_multivector(alg)
 
     def omega(pi):
         return inertia.inverse_apply(MomentumState(biv_coeffs(pi), BODY))
@@ -471,7 +538,7 @@ def _reference_rows(cfg):
             vals += point_coords(sandwich(g, point(alg, *p)))
         return vals
 
-    g = renormalize(even_mv(alg, cfg.rotor0))
+    g = newton_normalize(even_mv(alg, cfg.rotor0))
     pi = biv_mv(alg, inertia.apply(VelocityState(np.array(cfg.omega_body),
                                                  BODY)).coeffs)
     t, h = 0.0, cfg.dt
@@ -481,7 +548,7 @@ def _reference_rows(cfg):
         k2g, k2p = rhs(t + h / 2, g + h / 2 * k1g, pi + h / 2 * k1p)
         k3g, k3p = rhs(t + h / 2, g + h / 2 * k2g, pi + h / 2 * k2p)
         k4g, k4p = rhs(t + h, g + h * k3g, pi + h * k3p)
-        g = renormalize(g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
+        g = newton_normalize(g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
         pi = pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
         rows.append(row(t, g, pi))

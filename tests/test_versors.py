@@ -1,19 +1,20 @@
 """Sandwich isometries, rotor classes, exponential and logarithm."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pgakit import (DegenerateElementError, NumericError, distance,
+from pgakit import (DegenerateElementError, NumericError, algebra, distance,
                     exp_bivector, exp_screw, is_rotor, line3d_point_dir,
                     normalize, normalize_rotor, point, point_coords, rotator,
-                    rotor_log, sandwich, sandwich_matrix, screw_decompose,
-                    screw_log, translator)
+                    pga2d, rotor_log, sandwich, sandwich_matrix,
+                    screw_decompose, screw_log, translator)
 from pgakit.metric import biv_mv, even_mv, line2d_through
 from pgakit.versors import rotor_constraint
 
-from conftest import random_mv
+from conftest import assert_rel_close, newton_normalize, random_mv
 
 
 def reflect2d(line_abc, p):
@@ -216,6 +217,36 @@ def test_exp_matches_power_series(space_alg, rng):
         assert exp_bivector(b).isclose(series(b), rel=1e-12)
 
 
+def test_exp_screw_matches_exp_bivector(space_alg, rng):
+    # exp((t + uI) A) for a unit axis A, against the general exponential
+    for _ in range(40):
+        axis = normalize(line3d_point_dir(
+            space_alg, rng.normal(size=3), rng.normal(size=3) + 0.2))
+        t, u = rng.uniform(-3.0, 3.0, size=2)
+        want = exp_bivector(t * axis + u * (axis * space_alg.blade("I")))
+        assert_rel_close(exp_screw(axis, t, u).coeffs, want.coeffs)
+
+
+def test_exp_and_log_take_only_the_pga_signatures():
+    for alg in (algebra(2, 0, 0), algebra(3, 0, 0), algebra(4, 0, 0),
+                algebra(3, 1, 0), algebra(5, 0, 1)):
+        named = re.escape(f"Cl{alg.signature}")
+        with pytest.raises(ValueError, match=named):
+            exp_bivector(alg.zero())
+        with pytest.raises(ValueError, match=named):
+            rotor_log(alg.scalar(1.0))
+        with pytest.raises(ValueError, match=named):
+            screw_log(alg.scalar(1.0))
+    with pytest.raises(ValueError, match=re.escape("Cl(2,0,1)")):
+        screw_log(pga2d().scalar(1.0))
+
+
+def test_exp_rejects_overflowing_bivectors(space_alg):
+    for c in ([0, 0, 0, 1e200, 0, 0], [1e300, 0, 0, 1.0, 0, 0]):
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            exp_bivector(biv_mv(space_alg, c))
+
+
 def test_exp_lands_on_rotor_manifold(space_alg, rng):
     for _ in range(40):
         b = random_mv(space_alg, rng, grade=2)
@@ -334,13 +365,13 @@ def test_normalize_rotor(space_alg, rng):
 
 
 def test_normalize_rotor_closed_form_matches_dual_route(space_alg, rng):
-    # reference: divide by the dual-number square root of g ~g
+    # reference: divide by the square root of the dual number g ~g = a + bI,
+    # found by Newton's iteration on Multivector products
     for kind in ("rotator", "translator", "screw"):
         for _ in range(10):
             g = rand_rotor(space_alg, rng, kind)
             g = rng.uniform(0.3, 3.0) * g + rng.normal() * 1e-2 * space_alg.blade("I")
-            w = rotor_constraint(g).sqrt().inverse()
-            want = g * w.to_multivector(space_alg)
+            want = newton_normalize(g)
             assert normalize_rotor(g).isclose(want, rel=1e-14, floor=1e-15)
     # exact rotors come back bit for bit
     for g in (space_alg.scalar(1.0), translator(space_alg, (0.3, -2.0, 1.5)),
