@@ -7,11 +7,14 @@ a force couple is just a force on the ideal line, and a force does no
 work exactly when its line is incident with the velocity.
 """
 
+import math
+
 import numpy as np
 
-from pgakit import (BODY, MotionState, Particle, VelocityState, body_energy,
-                    euler_step, force_line, frame_convert, inertia_assemble,
-                    pga2d, pga3d, power, resultant, work)
+from pgakit import (BODY, SPACE, ForceSchedule, MotionState, Particle,
+                    VelocityState, body_energy, euler_step, force_line,
+                    frame_convert, inertia_assemble, pga2d, pga3d, power,
+                    resultant, work)
 from pgakit.dynamics import force_moment_2d, force_state, force_vector_2d
 
 plane = pga2d()
@@ -51,21 +54,17 @@ body = [Particle.at(space, m, x) for m, x in
          (0.7, (-0.4, 0.8, -0.6)), (2.0, (0.3, 0.4, 1.1))]]
 inertia = inertia_assemble(body)
 pull = force_state(space, (0.2, -0.1, 0.4), (0.3, 0.1, -1.5))
+# a constant space-frame force: one line whose window is always open
+always = ForceSchedule([pull.coeffs], [-math.inf], [math.inf], SPACE)
 
 state = MotionState(space.scalar(1.0), inertia.apply(
     VelocityState(np.array([0.1, 0.2, -0.1, 0.4, -0.3, 0.5]), BODY)))
 times, rates = [0.0], []
-
-
-def body_force(t, g, pi):
-    return frame_convert(pull, g, BODY)
-
-
 rates.append(power(inertia.inverse_apply(state.pi_body),
                    frame_convert(pull, state.g, BODY)))
 e_start = 0.5 * body_energy(inertia, state)
 for _ in range(2000):
-    state = euler_step(state, inertia, 1e-3, force=body_force)
+    state = euler_step(state, inertia, 1e-3, force=always)
     times.append(state.t)
     rates.append(power(inertia.inverse_apply(state.pi_body),
                        frame_convert(pull, state.g, BODY)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -188,6 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roundtrip", action="store_true",
                    help="also print the exp(log(g)) residual")
     p.set_defaults(func=cmd_log)
+    # a value may start with "-" ("-e1", "--coeffs -0.5,0,0"): a word with
+    # one leading dash that names no option is read as a value, the way
+    # argparse already reads a plain negative number
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 

@@ -18,12 +18,12 @@ Conventions kept throughout (factor 2 included):
 :func:`integrate` is the one RK4 loop: it runs any number of steps on
 flat coefficient arrays and returns the recorded states as one
 ``(rows, 14)`` array, making no :class:`Multivector` or state object
-per step; :func:`euler_step` is that loop over one step.  Forces that
-switch on and off are a :class:`ForceSchedule`, data the loop reads at
-every stage: the sum of the open lines is looked up, and a space-frame
-sum is moved to the body frame by one grade-2 sandwich matrix of
-``~g``.  A callable force is the general route, for forces that depend
-on the state.  The inertia
+per step; :func:`euler_step` is that loop over one step.  The one force
+input is a :class:`ForceSchedule`, force lines over time windows as
+data the loop reads at every stage: the sum of the open lines is looked
+up, and a space-frame sum is moved to the body frame by one grade-2
+sandwich matrix of ``~g``.  A constant force is one line whose window
+is always open.  The inertia
 operator is inverted and condition-checked once per tensor, the
 products are the even-subalgebra tables of
 :attr:`Algebra.even_tables`, and the rotor is renormalized in closed
@@ -409,39 +409,38 @@ class MotionState:
 
 
 def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
-              steps: int, stride: int = 1,
-              force=None) -> tuple[np.ndarray, np.ndarray]:
+              steps: int, stride: int = 1, force: ForceSchedule | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """``steps`` RK4 steps of the motion equations on the flat state.
 
     Returns the recorded times and a ``(rows, 14)`` array of states, each
     row the even rotor coefficients (basis order) then the body momentum.
     Rows are taken at steps 0, stride, 2*stride, ..., so there are
     ``steps // stride + 1`` of them and row 0 is ``state`` itself.
-    ``force`` is as for :func:`euler_step`.  A :class:`ForceSchedule` is
-    evaluated at every stage on flat arrays: the open windows select the
-    sum of their lines, and a space-frame sum reaches the body frame as
-    ``~g F g``, one grade-2 sandwich matrix of the reversed stage rotor.
-    A constant :class:`ForceState` is a one-line body-frame schedule
-    whose window is always open.  The rotor is renormalized after every
-    step; no :class:`Multivector` or state object is made per step
-    unless a force callable needs its arguments.  Raises
-    :class:`~pgakit.versors.NumericError` when a rotor cannot be
-    normalized or a momentum is not finite.
+    ``force`` is None or a :class:`ForceSchedule`, evaluated at every
+    stage on flat arrays: the open windows select the sum of their
+    lines, and a space-frame sum reaches the body frame as ``~g F g``,
+    one grade-2 sandwich matrix of the reversed stage rotor.  Any other
+    ``force`` raises :class:`TypeError`.  The rotor is renormalized after
+    every step; no :class:`Multivector` or state object is made per
+    step.  Raises :class:`~pgakit.versors.NumericError` when a rotor
+    cannot be normalized or a momentum is not finite.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be a whole number >= 0, not {steps!r}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be a whole number >= 1, not {stride!r}")
+    if force is not None and not isinstance(force, ForceSchedule):
+        raise TypeError("force must be a ForceSchedule or None, not "
+                        f"{type(force).__name__}")
     alg = state.g.algebra
     tables = alg.even_tables
     motion, ne = tables.motion, len(tables.even)
     inv_op = inertia._inverse_operator
 
-    if isinstance(force, ForceState):
-        if force.frame != BODY:
-            raise FrameError("a constant force must be given in the body frame")
-        force = ForceSchedule(force.coeffs[None], [-np.inf], [np.inf], BODY)
-    if isinstance(force, ForceSchedule):
+    if force is not None:
         # the set of open windows changes only at an edge, so the sum of
         # the open lines is tabulated once per interval between edges;
         # row i is ``open @ lines`` at the interval's first time, bit for
@@ -452,26 +451,18 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         active = [bool(total.any()) for total in totals]
         to_body = force.frame == SPACE
         rev = alg._rev_signs[tables.even]
-        force = None
-    else:
-        totals = None
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     def rhs(t, y):
         omega = inv_op @ y[ne:]
         dy = _bilinear(y, omega, motion)
-        if totals is not None:
+        if force is not None:
             i = bisect_right(edges, t)
             total = totals[i]
             if to_body and active[i]:
                 # ~g F g: one grade-2 sandwich matrix of the reversed rotor
                 total = sandwich_matrix_even(alg, rev * y[:ne], 2) @ total
             dy[ne:] += total
-        elif force is not None:
-            f = force(t, even_mv(alg, y[:ne]), MomentumState(y[ne:], BODY))
-            if f.frame != BODY:
-                raise FrameError("force callable must return a body-frame state")
-            dy[ne:] += f.coeffs
         return dy
 
     y = np.concatenate((state.g.coeffs[tables.even], state.pi_body.coeffs))
@@ -495,16 +486,13 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
 
 
 def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
-               force=None) -> MotionState:
+               force: ForceSchedule | None = None) -> MotionState:
     """One RK4 step of the motion equations, rotor renormalized at the end.
 
-    ``force`` may be None, a body-frame :class:`ForceState`, a
-    :class:`ForceSchedule` of windowed lines in either frame, or a
-    callable ``(t, g, pi_body) -> ForceState`` evaluated at every
-    stage (the rotor argument is stage-extrapolated).  Raises
-    :class:`~pgakit.versors.NumericError` when the new rotor cannot be
-    normalized or the new momentum is not finite.  This is
-    :func:`integrate` over one step.
+    This is :func:`integrate` over one step, with its one force input:
+    None or a :class:`ForceSchedule` of windowed lines in either frame.
+    Raises :class:`~pgakit.versors.NumericError` when the new rotor
+    cannot be normalized or the new momentum is not finite.
     """
     times, states = integrate(state, inertia, dt, 1, force=force)
     alg = state.g.algebra

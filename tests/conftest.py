@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pgakit import algebra, pga2d, pga3d
+from pgakit import (BODY, SPACE, MomentumState, algebra, pga2d, pga3d,
+                    sandwich)
+from pgakit.metric import biv_coeffs
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +80,36 @@ def newton_normalize(g):
     for _ in range(3):
         w = w * (3.0 - z * w * w) * 0.5
     return g * w
+
+
+def reference_rk4(inertia, g, pi, dt, steps, force=None, frame=SPACE):
+    """RK4 of the motion equations on Multivectors, from ``t = 0``: an
+    oracle for ``dynamics.integrate``, which it never calls.  ``g`` is
+    the rotor and ``pi`` the body momentum as a bivector; ``force(t)``
+    is the force bivector acting at time t in ``frame``, moved to the
+    body frame per stage by the sandwich ``~g F g`` when it is a
+    space-frame one.  The rotor is renormalized by ``newton_normalize``
+    after each step.  Returns the ``steps + 1`` states ``(t, g, pi)``."""
+    alg = g.algebra
+
+    def rhs(t, g, pi):
+        om = inertia.inverse_apply(
+            MomentumState(biv_coeffs(pi), BODY)).as_multivector(alg)
+        dpi = 2.0 * pi.commutator(om)
+        if force is not None:
+            f = force(t)
+            dpi = dpi + (sandwich(~g, f) if frame == SPACE else f)
+        return g * om, dpi
+
+    t, h = 0.0, dt
+    states = [(t, g, pi)]
+    for _ in range(steps):
+        k1g, k1p = rhs(t, g, pi)
+        k2g, k2p = rhs(t + h / 2, g + h / 2 * k1g, pi + h / 2 * k1p)
+        k3g, k3p = rhs(t + h / 2, g + h / 2 * k2g, pi + h / 2 * k2p)
+        k4g, k4p = rhs(t + h, g + h * k3g, pi + h * k3p)
+        g = newton_normalize(g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
+        pi = pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        t += h
+        states.append((t, g, pi))
+    return states

@@ -22,7 +22,7 @@ import pgakit.scene as scene_mod
 from pgakit.scene import (SceneError, dump_scene, load_scene, parse_scene,
                           run_simulation, scene_to_dict)
 
-from conftest import newton_normalize
+from conftest import newton_normalize, reference_rk4
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +76,9 @@ def test_eval_examples(capsys):
     rc, out, _ = run_cli(capsys, "eval",
                          "(e0-e1)*(E0+E1)*(e0-e1)", "--signature", "2,0,1")
     assert rc == 0 and out.strip() == "-E0 - E1"
+    # a leading minus is part of the expression, not a flag
+    rc, out, _ = run_cli(capsys, "eval", "-e1")
+    assert rc == 0 and out.strip() == "-e1"
 
 
 def test_eval_reflection_chain_matches_worked_example(capsys):
@@ -137,6 +140,10 @@ def test_exp_cli(capsys):
     assert rc == 0 and out.strip() == "1"
     rc, out, _ = run_cli(capsys, "exp", "--coeffs", "0.5,0,0", "--signature", "2,0,1")
     assert rc == 0 and "E0" in out and out.startswith("0.87758256189037")
+    rc, out, _ = run_cli(capsys, "exp", "--coeffs", "-0.5,0,0", "--signature", "2,0,1")
+    assert (rc, out) == (0, run_cli(capsys, "exp", "--coeffs=-0.5,0,0",
+                                    "--signature", "2,0,1")[1])
+    assert out.strip() == "0.8775825618903728 - 0.479425538604203E0"
 
 
 def test_log_cli_translator(capsys):
@@ -176,6 +183,10 @@ _BIG = "9" * 200
     (("log", "--signature", "2,0,0", "--coeffs", "1,0"), 2, "Cl(2,0,0)"),
     (("log", "--signature", "5,0,0", "--coeffs", ",".join("1" + "0" * 15)), 2,
      "Cl(5,0,0)"),
+    # a value with a leading minus reaches the command, not argparse
+    (("eval", f"-{_BIG}*{_BIG}"), 3, "not finite"),
+    (("eval", "-e9"), 2, "e9"),
+    (("exp", "--coeffs", "-1e200,0,0,-1e200,0,0"), 3, "overflows"),
 ])
 def test_cli_rejects_overflow_and_non_pga_signatures(capsys, argv, code, what):
     rc, out, err = run_cli(capsys, *argv)
@@ -221,6 +232,7 @@ def test_exp_log_fuzz_exits_0_2_or_3(argv):
     ("exp", "0,0,0,0.1,-inf,0.7"),
     ("log", "1,0,0,0,nan,0,0,0"),
     ("log", "inf,0,0,0,0,0,0,0"),
+    ("log", "-inf,0,0,0,0,0,0,0"),
 ])
 def test_exp_log_cli_reject_non_finite(capsys, command, coeffs):
     rc, out, err = run_cli(capsys, command, "--coeffs", coeffs)
@@ -514,26 +526,23 @@ def test_simulate_fuzz_exits_0_2_or_3(tmp_path, doc, stride):
 
 def _reference_rows(cfg):
     """run_simulation at stride 1 rebuilt from the public Multivector API:
-    RK4 on multivectors, a Newton-iteration renormalization, one sandwich
-    per tracked point and per force evaluation."""
+    the conftest RK4 with the open force lines summed per stage, and one
+    sandwich per tracked point."""
     alg = pga3d()
     inertia = inertia_assemble([Particle.at(alg, b["mass"], b["position"])
                                 for b in cfg.bodies])
 
-    def omega(pi):
-        return inertia.inverse_apply(MomentumState(biv_coeffs(pi), BODY))
-
-    def rhs(t, g, pi):
-        om = omega(pi).as_multivector(alg)
+    def force(t):
         total = alg.zero()
         for f in cfg.forces:
             if f.t_start <= t < f.t_end:
                 total = total + force_line(alg, f.point, f.vector)
-        return g * om, 2.0 * pi.commutator(om) + sandwich(~g, total)
+        return total
 
     def row(t, g, pi):
         vals = [t, *g.coeffs[alg.even_indices], *biv_coeffs(pi),
-                inertia.energy(omega(pi))]
+                inertia.energy(inertia.inverse_apply(
+                    MomentumState(biv_coeffs(pi), BODY)))]
         for p in cfg.outputs:
             vals += point_coords(sandwich(g, point(alg, *p)))
         return vals
@@ -541,18 +550,8 @@ def _reference_rows(cfg):
     g = newton_normalize(even_mv(alg, cfg.rotor0))
     pi = biv_mv(alg, inertia.apply(VelocityState(np.array(cfg.omega_body),
                                                  BODY)).coeffs)
-    t, h = 0.0, cfg.dt
-    rows = [row(t, g, pi)]
-    for _ in range(cfg.steps):
-        k1g, k1p = rhs(t, g, pi)
-        k2g, k2p = rhs(t + h / 2, g + h / 2 * k1g, pi + h / 2 * k1p)
-        k3g, k3p = rhs(t + h / 2, g + h / 2 * k2g, pi + h / 2 * k2p)
-        k4g, k4p = rhs(t + h, g + h * k3g, pi + h * k3p)
-        g = newton_normalize(g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g))
-        pi = pi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        t += h
-        rows.append(row(t, g, pi))
-    return np.array(rows)
+    return np.array([row(*state) for state in
+                     reference_rk4(inertia, g, pi, cfg.dt, cfg.steps, force)])
 
 
 def test_run_simulation_matches_reference_loop():
@@ -649,3 +648,5 @@ def test_usage_exit_codes(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["simulate"]) == 2       # missing required arguments
+    assert main(["eval", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pgakit eval")

@@ -20,6 +20,8 @@ from pgakit.dynamics import (force_moment_2d, force_state, force_vector_2d,
 from pgakit.metric import biv_coeffs, biv_mv, even_mv, line3d_point_dir
 from pgakit.versors import rotor_constraint
 
+from conftest import assert_rel_close, reference_rk4
+
 
 def four_point_body(alg):
     data = [(1.0, (0.1, 0.2, 0.3)), (1.5, (1.0, -0.5, 0.2)),
@@ -272,13 +274,26 @@ def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
             (st.g.coeffs[space_alg.even_indices], st.pi_body.coeffs)))
         for _ in range(4):
             st = euler_step(st, a, 0.05)
-    with pytest.raises(ValueError, match="stride"):
-        integrate(st, a, 0.05, 4, stride=0)
+    for stride in (0, 2.5):
+        with pytest.raises(ValueError, match="stride"):
+            integrate(st, a, 0.05, 4, stride=stride)
+    for steps in (-1, 2.5):
+        with pytest.raises(ValueError, match="steps"):
+            integrate(st, a, 0.05, steps)
+    assert len(integrate(st, a, 0.05, np.int64(3))[0]) == 4
 
 
-def test_integrate_space_schedule_matches_the_force_callable(space_alg, rng):
-    # the callable moves the open lines to the body frame per stage with
-    # frame_convert; the schedule must give the same states bit for bit
+def _reference_table(states):
+    # the conftest RK4 states as integrate's times and (rows, 14) table
+    alg = states[0][1].algebra
+    return (np.array([t for t, _, _ in states]),
+            np.array([np.concatenate((g.coeffs[alg.even_indices], biv_coeffs(pi)))
+                      for _, g, pi in states]))
+
+
+def test_integrate_space_schedule_matches_the_reference_rk4(space_alg, rng):
+    # the reference moves the open lines to the body frame per stage with
+    # a Multivector sandwich and sums them line by line
     a = inertia_assemble(four_point_body(space_alg))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
@@ -294,34 +309,47 @@ def test_integrate_space_schedule_matches_the_force_callable(space_alg, rng):
     t_start = np.array([0.0, 0.033, half])
     t_end = np.array([half, math.inf, 0.2])
 
-    def callback(t, g, pi):
-        total = ((t_start <= t) & (t < t_end)) @ lines
-        return frame_convert(ForceState(total, SPACE), g, BODY)
+    def reference(t_end):
+        def force(t):
+            total = space_alg.zero()
+            for line, lo, hi in zip(lines, t_start, t_end):
+                if lo <= t < hi:
+                    total = total + biv_mv(space_alg, line)
+            return total
+        return _reference_table(reference_rk4(
+            a, st.g, biv_mv(space_alg, st.pi_body.coeffs), h, 30, force))
 
     times, got = integrate(st, a, h, 30,
                            force=ForceSchedule(lines, t_start, t_end, SPACE))
-    want_times, want = integrate(st, a, h, 30, force=callback)
-    assert np.array_equal(times, want_times) and np.array_equal(got, want)
+    want_times, want = reference(t_end)
+    assert np.array_equal(times, want_times)
+    assert_rel_close(got, want)
     # the edge is live: one ulp later, line 0 is still open at that stage
     late = t_end.copy()
     late[0] = np.nextafter(half, 1.0)
     _, moved = integrate(st, a, h, 30,
                          force=ForceSchedule(lines, t_start, late, SPACE))
     assert np.array_equal(moved[:8], got[:8]) and not np.array_equal(moved, got)
+    assert_rel_close(moved, reference(late)[1])
 
 
 def test_integrate_constant_body_force_is_an_always_open_window(space_alg, rng):
     a = inertia_assemble(four_point_body(space_alg))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
-    f = ForceState(rng.normal(size=6), BODY)
-    _, got = integrate(st, a, 0.01, 20, force=f)
-    _, want = integrate(st, a, 0.01, 20, force=lambda t, g, pi: f)
-    assert np.array_equal(got, want)
-    always = ForceSchedule([f.coeffs], [-math.inf], [math.inf], BODY)
-    assert np.array_equal(integrate(st, a, 0.01, 20, force=always)[1], got)
-    with pytest.raises(FrameError):
-        integrate(st, a, 0.01, 2, force=ForceState(f.coeffs, SPACE))
+    f = rng.normal(size=6)
+    always = ForceSchedule([f], [-math.inf], [math.inf], BODY)
+    _, got = integrate(st, a, 0.01, 20, force=always)
+    _, want = _reference_table(reference_rk4(
+        a, st.g, biv_mv(space_alg, st.pi_body.coeffs), 0.01, 20,
+        lambda t: biv_mv(space_alg, f), BODY))
+    assert_rel_close(got, want)
+    # the retired force inputs fail loudly instead of running force-free
+    for stale in (ForceState(f, BODY), lambda t, g, pi: ForceState(f, BODY)):
+        with pytest.raises(TypeError, match=type(stale).__name__):
+            integrate(st, a, 0.01, 2, force=stale)
+        with pytest.raises(TypeError, match=type(stale).__name__):
+            euler_step(st, a, 0.01, force=stale)
 
 
 def test_force_schedule_validates_its_input():
@@ -395,16 +423,13 @@ def test_momentum_rate_equals_force(space_alg, rng):
     body = four_point_body(space_alg)
     a = inertia_assemble(body)
     f_space = force_state(space_alg, (0.3, 0.1, -0.2), (0.0, 0.5, 1.0))
-
-    def cb(t, g, pi):
-        return frame_convert(f_space, g, BODY)
-
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
     st = MotionState(space_alg.scalar(1.0),
                      a.apply(VelocityState(0.3 * rng.normal(size=6), BODY)))
     errs = []
     for dt in (4e-2, 2e-2):
-        mid = euler_step(st, a, dt, force=cb)
-        after = euler_step(mid, a, dt, force=cb)
+        mid = euler_step(st, a, dt, force=constant)
+        after = euler_step(mid, a, dt, force=constant)
         fd = (space_momentum(after).coeffs - space_momentum(st).coeffs) / (2 * dt)
         errs.append(np.abs(fd - f_space.coeffs).max())
     assert errs[0] < 1e-2
@@ -557,9 +582,7 @@ def test_power_magnitude_from_distance_and_angle(space_alg, rng):
 def test_work_matches_energy_change(space_alg, rng):
     a = inertia_assemble(four_point_body(space_alg))
     f_space = force_state(space_alg, (0.2, -0.1, 0.4), (0.0, 0.0, -1.5))
-
-    def cb(t, g, pi):
-        return frame_convert(f_space, g, BODY)
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
 
     def run(dt, steps):
         st = MotionState(space_alg.scalar(1.0),
@@ -570,7 +593,7 @@ def test_work_matches_energy_change(space_alg, rng):
                             frame_convert(f_space, st.g, BODY)))
         e0 = 0.5 * body_energy(a, st)
         for _ in range(steps):
-            st = euler_step(st, a, dt, force=cb)
+            st = euler_step(st, a, dt, force=constant)
             times.append(st.t)
             powers.append(power(a.inverse_apply(st.pi_body),
                                 frame_convert(f_space, st.g, BODY)))
@@ -584,10 +607,7 @@ def test_work_matches_energy_change(space_alg, rng):
 def test_work_sign_matches_energy_slope(space_alg):
     a = inertia_assemble(four_point_body(space_alg))
     f_space = force_state(space_alg, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
-    def cb(t, g, pi):
-        return frame_convert(f_space, g, BODY)
-
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
     st = MotionState(space_alg.scalar(1.0),
                      a.apply(VelocityState(
                          np.array([0.3, 0.0, 0.0, 0.0, 0.0, 0.1]), BODY)))
@@ -595,7 +615,7 @@ def test_work_sign_matches_energy_slope(space_alg):
         e_before = 0.5 * body_energy(a, st)
         p_now = power(a.inverse_apply(st.pi_body),
                       frame_convert(f_space, st.g, BODY))
-        st = euler_step(st, a, 1e-3, force=cb)
+        st = euler_step(st, a, 1e-3, force=constant)
         slope = (0.5 * body_energy(a, st) - e_before) / 1e-3
         if abs(p_now) > 1e-3:
             assert math.copysign(1, slope) == math.copysign(1, p_now)
