@@ -151,9 +151,8 @@ class Algebra:
     """
 
     def __init__(self, p: int, n: int = 0, z: int = 0):
-        sig = p if isinstance(p, Signature) else Signature(p, n, z)
-        self.signature = sig
-        self.dim = sig.dim
+        self.signature = Signature(p, n, z)
+        self.dim = self.signature.dim
         self.n_blades = 1 << self.dim
         self._build_basis()
         self._build_tables()
@@ -490,7 +489,8 @@ class Multivector:
             self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.algebra.signature, self.coeffs.tobytes()))
+        # -0.0 + 0.0 is 0.0: coefficients that compare equal hash alike
+        return hash((self.algebra.signature, (self.coeffs + 0.0).tobytes()))
 
     def isclose(self, other, rel: float = REL_TOL, floor: float = ABS_TOL) -> bool:
         other = self._coerce(other)

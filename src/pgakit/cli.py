@@ -1,10 +1,14 @@
 """Command-line surface: Cayley tables, a blade calculator, exp/log,
 and the batch rigid-body simulator.
 
-Exit codes: 0 success, 2 usage or parse problems (including a malformed
-scene, an output path that cannot be opened and exp/log outside PGA), 3
-numeric failures (singular inertia, non-normalizable rotors, a value
-that stops being finite).  Each failure prints one ``error:`` line.
+Commands raise and :func:`main` alone reports: it prints one ``error:``
+line and maps the error to the exit code.  Exit codes: 0 success; 2 for
+:class:`UsageError` (a bad signature, coefficient list or ``--out``
+path, exp/log outside PGA), :class:`~pgakit.scene.SceneError` (a
+malformed scene) and :class:`~pgakit.expr.ExprError`; 3 for every other
+``ValueError``, the numeric failures (singular inertia, a rotor that
+cannot be normalized, a value that stops being finite).  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Algebra, Signature, format_multivector
-from .dynamics import SingularInertiaError
+from .algebra import Algebra, format_multivector
 from .expr import ExprError, evaluate
 from .metric import biv_mv, even_mv
 from .scene import SceneError, load_scene, run_simulation, write_csv
@@ -29,40 +32,39 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+class UsageError(ValueError):
+    """A bad command-line value; :func:`main` exits with ``EXIT_USAGE``."""
+
+
 def _parse_signature(text: str) -> Algebra:
     try:
         parts = [int(p) for p in text.split(",")]
         if len(parts) != 3:
             raise ValueError
-        return Algebra(Signature(*parts))
+        return Algebra(*parts)
     except ValueError:
-        raise SystemExit(_usage_error(f"invalid signature {text!r}; expected P,N,Z"))
+        raise UsageError(f"invalid signature {text!r}; expected P,N,Z") from None
 
 
 def _parse_pga_signature(text: str) -> Algebra:
+    alg = _parse_signature(text)
     try:
-        return require_pga(_parse_signature(text))
+        return require_pga(alg)
     except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        raise UsageError(str(exc)) from None
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _numeric_error(message: object) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_NUMERIC
-
-
-def _parse_coeffs(text: str) -> list[float]:
+def _parse_coeffs(args, alg: Algebra, want: int, kind: str) -> list[float]:
+    """``args.coeffs`` as ``want`` finite numbers, the ``kind`` part of ``alg``."""
     try:
-        coeffs = [float(p) for p in text.split(",")]
+        coeffs = [float(p) for p in args.coeffs.split(",")]
     except ValueError:
-        raise SystemExit(_usage_error(f"invalid coefficient list {text!r}"))
+        raise UsageError(f"invalid coefficient list {args.coeffs!r}") from None
     if not all(math.isfinite(c) for c in coeffs):
-        raise SystemExit(_usage_error(f"non-finite coefficient in {text!r}"))
+        raise UsageError(f"non-finite coefficient in {args.coeffs!r}")
+    if len(coeffs) != want:
+        raise UsageError(f"{args.command} needs {want} {kind} coefficients "
+                         f"for Cl{alg.signature}")
     return coeffs
 
 
@@ -81,71 +83,43 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-# an overflow surfaces as a numeric error, not as warnings
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_eval(args) -> int:
-    alg = _parse_signature(args.signature)
-    try:
-        value = evaluate(args.expression, alg)
-    except ExprError as exc:
-        return _usage_error(str(exc))
+    value = evaluate(args.expression, _parse_signature(args.signature))
     if not np.isfinite(value.coeffs).all():
-        return _numeric_error(f"the value is not finite: {value}")
+        raise NumericError(f"the value is not finite: {value}")
     print(value)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_scene(args.scene)
-    except SceneError as exc:
-        return _usage_error(str(exc))
+    cfg = load_scene(args.scene)
     # fail on an unwritable output before integrating, not after
     try:
         with open(args.out, "a"):
             pass
     except OSError as exc:
-        return _usage_error(f"cannot write {args.out}: {exc.strerror}")
-    try:
-        header, table = run_simulation(cfg, stride=args.stride)
-    except SceneError as exc:
-        return _usage_error(str(exc))
-    except (SingularInertiaError, NumericError) as exc:
-        return _numeric_error(exc)
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+    header, table = run_simulation(cfg, stride=args.stride)
     write_csv(args.out, header, table)
     print(f"wrote {len(table)} rows to {args.out}")
     return EXIT_OK
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_exp(args) -> int:
     alg = _parse_pga_signature(args.signature)
-    coeffs = _parse_coeffs(args.coeffs)
-    want = len(alg.grade_indices[2])
-    if len(coeffs) != want:
-        return _usage_error(f"exp needs {want} bivector coefficients for Cl{alg.signature}")
-    try:
-        print(exp_bivector(biv_mv(alg, coeffs)))
-    except NumericError as exc:
-        return _numeric_error(exc)
+    coeffs = _parse_coeffs(args, alg, len(alg.grade_indices[2]), "bivector")
+    print(exp_bivector(biv_mv(alg, coeffs)))
     return EXIT_OK
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_log(args) -> int:
     alg = _parse_pga_signature(args.signature)
-    coeffs = _parse_coeffs(args.coeffs)
-    want = len(alg.even_indices)
-    if len(coeffs) != want:
-        return _usage_error(f"log needs {want} even coefficients for Cl{alg.signature}")
-    try:
-        g = normalize_rotor(even_mv(alg, coeffs))
-        b = rotor_log(g)
-        if not np.isfinite(b.coeffs).all():
-            raise NumericError(f"the logarithm is not finite: {b}")
-        e = exp_bivector(b) if args.roundtrip else None
-    except ValueError as exc:
-        return _numeric_error(exc)
+    coeffs = _parse_coeffs(args, alg, len(alg.even_indices), "even")
+    g = normalize_rotor(even_mv(alg, coeffs))
+    b = rotor_log(g)
+    if not np.isfinite(b.coeffs).all():
+        raise NumericError(f"the logarithm is not finite: {b}")
+    e = exp_bivector(b) if args.roundtrip else None
     print(b)
     if e is not None:
         residual = min(float(np.abs((e - g).coeffs).max()),
@@ -204,9 +178,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # an overflow surfaces as a numeric error, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (UsageError, SceneError, ExprError)):
+            return EXIT_USAGE
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

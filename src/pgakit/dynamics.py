@@ -247,7 +247,6 @@ class InertiaTensor:
     """
 
     form: np.ndarray
-    algebra: Algebra
 
     def __post_init__(self):
         arr = np.asarray(self.form, dtype=float)
@@ -294,38 +293,35 @@ def _unit_velocity_spear(r: Multivector, b: Multivector) -> Multivector:
     return join(r, 2.0 * b.commutator(r))
 
 
-def inertia_assemble(particles, alg: Algebra | None = None) -> InertiaTensor:
+def inertia_assemble(particles) -> InertiaTensor:
     """Sum of the particle forms; encodes the body's shape once and for all.
 
     The spear of a point ``r`` driven by the unit velocity bivector
     ``E_i`` is quadratic in ``r``: its coefficients are
-    ``S[:, i] = r_a r_c T[a, c, i]``, with ``T`` built from the basis
-    points.  A particle's energy form pairs its spears,
-    ``-m/2 S^T P S`` with ``P[k, l] = <(E_k I) ^ E_l>``, so the whole
-    body is two contractions, not products per particle.
+    ``S[:, i] = r_a r_c T[a, c, i]``, with ``T[a, c, i] = join(R_a,
+    2 E_i x R_c)`` over the basis points ``R_a``, ``R_c``.  A particle's
+    energy form pairs its spears, ``-m/2 S^T P S`` with ``P[k, l] =
+    <(E_k I) ^ E_l>``, so the whole body is two contractions, not
+    products per particle.  ``T`` and ``P`` are contractions of the
+    algebra's commutator, join, geometric and outer product tables.
 
     An empty body gives the zero tensor (applying it is fine, inverting
     it reports the singularity).
     """
     particles = list(particles)
     if not particles:
-        from .algebra import pga3d
-        return InertiaTensor(np.zeros((6, 6)), alg or pga3d())
+        return InertiaTensor(np.zeros((6, 6)))
     alg = particles[0].r.algebra
     idx = alg.grade_indices[alg.dim - 1]
-    basis = [biv_mv(alg, row) for row in np.eye(6)]
-    corners = [Multivector(alg, row) for row in np.eye(alg.n_blades)[idx]]
-    # T[a, c, i] = join(R_a, 2 E_i x R_c) over the basis points R_a, R_c
-    t = 2.0 * np.array([[[biv_coeffs(join(ra, b.commutator(rc))) for b in basis]
-                         for rc in corners] for ra in corners])
-    i_mv = alg.blade("I")
-    pair = np.array([[pseudo_part((bk * i_mv) ^ bl) for bl in basis]
-                     for bk in basis])
+    biv, top = alg.grade_indices[2], alg.pseudoscalar_index
+    t = 2.0 * np.einsum("icm,amk->acik", alg._comm[biv][:, idx],
+                        alg._vee[idx][:, :, biv])
+    pair = alg._gp[biv, top] @ alg._op[:, biv, top]
     r = np.array([p.r.coeffs[idx] for p in particles])
     masses = np.array([p.mass for p in particles])
     spears = np.einsum("pa,pc,acik->pki", r, r, t)
     form = -0.5 * np.einsum("p,pki,kl,plj->ij", masses, spears, pair, spears)
-    return InertiaTensor(form, alg)
+    return InertiaTensor(form)
 
 
 def momentum_of_body(particles, omega: VelocityState) -> MomentumState:
@@ -423,11 +419,13 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     one grade-2 sandwich matrix of the reversed stage rotor.  Any other
     ``force`` raises :class:`TypeError`.  The rotor is renormalized after
     every step; no :class:`Multivector` or state object is made per
-    step.  Raises :class:`~pgakit.versors.NumericError` when a rotor
-    cannot be normalized or a momentum is not finite.
+    step.  Raises :class:`~pgakit.versors.NumericError` when ``dt`` is
+    not finite, a rotor cannot be normalized or a momentum is not finite.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a whole number >= 0, not {steps!r}")
+    if not np.isfinite(dt):
+        raise NumericError(f"dt is not finite: {dt!r}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if not isinstance(stride, (int, np.integer)) or stride < 1:

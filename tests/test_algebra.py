@@ -158,6 +158,7 @@ def test_scalar_interop(space_alg):
     assert (2 * x - x) == x
     assert (x + 1)["1"] == 1.0
     assert (x / 2)["e1"] == 0.5
+    assert len({x - x, -(x - x)}) == 1
     with pytest.raises(TypeError):
         x.isclose("x")
 

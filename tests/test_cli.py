@@ -187,6 +187,11 @@ _BIG = "9" * 200
     (("eval", f"-{_BIG}*{_BIG}"), 3, "not finite"),
     (("eval", "-e9"), 2, "e9"),
     (("exp", "--coeffs", "-1e200,0,0,-1e200,0,0"), 3, "overflows"),
+    # wrong counts, malformed lists and signatures are usage errors
+    (("exp", "--coeffs", "1,2"), 2, "needs 6 bivector"),
+    (("log", "--coeffs", "1,2,3"), 2, "needs 8 even"),
+    (("exp", "--coeffs", "a,b"), 2, "invalid coefficient list"),
+    (("eval", "e1", "--signature", "9,0,0"), 2, "invalid signature"),
 ])
 def test_cli_rejects_overflow_and_non_pga_signatures(capsys, argv, code, what):
     rc, out, err = run_cli(capsys, *argv)

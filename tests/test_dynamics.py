@@ -100,8 +100,8 @@ def test_single_particle_at_origin_blocks(space_alg):
     np.testing.assert_allclose(a.form, want, atol=1e-14)
 
 
-def test_empty_body_zero_tensor(space_alg):
-    a = inertia_assemble([], space_alg)
+def test_empty_body_zero_tensor():
+    a = inertia_assemble([])
     assert not a.form.any()
     with pytest.raises(SingularInertiaError):
         a.inverse_apply(MomentumState(np.ones(6), BODY))
@@ -280,6 +280,10 @@ def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
     for steps in (-1, 2.5):
         with pytest.raises(ValueError, match="steps"):
             integrate(st, a, 0.05, steps)
+    for dt in (np.nan, np.inf):
+        for steps in (0, 4):
+            with pytest.raises(ValueError, match="dt"):
+                integrate(st, a, dt, steps)
     assert len(integrate(st, a, 0.05, np.int64(3))[0]) == 4
 
 
