@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from pgakit import (BODY, SPACE, ForceSchedule, MotionState, Particle,
+from pgakit import (BODY, ForceSchedule, MotionState, Particle,
                     VelocityState, body_energy, euler_step, force_line,
                     frame_convert, inertia_assemble, pga2d, pga3d, power,
                     resultant, work)
@@ -55,7 +55,7 @@ body = [Particle.at(space, m, x) for m, x in
 inertia = inertia_assemble(body)
 pull = force_state(space, (0.2, -0.1, 0.4), (0.3, 0.1, -1.5))
 # a constant space-frame force: one line whose window is always open
-always = ForceSchedule([pull.coeffs], [-math.inf], [math.inf], SPACE)
+always = ForceSchedule([pull.coeffs], [-math.inf], [math.inf])
 
 state = MotionState(space.scalar(1.0), inertia.apply(
     VelocityState(np.array([0.1, 0.2, -0.1, 0.4, -0.3, 0.5]), BODY)))

@@ -10,11 +10,11 @@ bivector-valued rigid-body dynamics integrator.
 from .algebra import (ABS_TOL, REL_TOL, Algebra, Multivector, Signature,
                       SignatureMismatchError, algebra, pga2d, pga3d)
 from .duality import dual_j, join
-from .metric import (Bivector3, DegenerateElementError, Pitch, angle,
-                     bivector_axis, bivector_pitch, bivector_split,
-                     common_normal, direction, distance, ideal_norm,
-                     ideal_point, is_simple, killing_norm, line2d,
-                     line2d_through, line3d_point_dir, line3d_through,
+from .metric import (DegenerateElementError, Pitch, angle, bivector_axis,
+                     bivector_pitch, bivector_split, common_normal,
+                     direction, distance, ideal_norm, ideal_point,
+                     is_simple, killing_norm, line2d, line2d_through,
+                     line3d_point_dir, line3d_through,
                      noneuclidean_distance, normalize, null_plane,
                      null_point, plane, pluecker, point, point_coords,
                      point_weight, pseudo_part, vector_norm)
@@ -24,11 +24,10 @@ from .versors import (NumericError, ScrewLog, exp_bivector, exp_screw,
 from .dynamics import (BODY, SPACE, ForceSchedule, ForceState, FrameError,
                        InertiaTensor, MomentumState, MotionState, Particle,
                        SingularInertiaError, VelocityState, body_energy,
-                       euler_step, force_homogeneous, force_line,
-                       force_state, frame_convert, inertia_assemble,
-                       inertia_clifford_apply, kinetic_energy,
-                       momentum_of_body, orbit_derivative, power,
-                       principal_decomposition, resultant, space_momentum,
-                       work)
+                       euler_step, force_line, force_state, frame_convert,
+                       inertia_assemble, inertia_clifford_apply,
+                       kinetic_energy, momentum_of_body, orbit_derivative,
+                       power, principal_decomposition, resultant,
+                       space_momentum, work)
 
 __version__ = "0.1.0"

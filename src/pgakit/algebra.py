@@ -196,12 +196,12 @@ class Algebra:
 
     def _build_tables(self):
         self._gp = self._product_tensor(self.signature.squares)
-        # the outer product is the geometric product of the fully
-        # degenerate metric: blades sharing a generator wedge to zero
-        self._op = self._product_tensor((0,) * self.dim)
+        # the outer and inner products are grade masks of the geometric
+        # product: grade k+l of a k- and an l-blade, and grade |k-l|
         g = self.grades
-        ip_keep = (g[None, None, :] == abs(g[:, None, None] - g[None, :, None]))
-        self._ip = np.where(ip_keep, self._gp, 0.0)
+        g_i, g_j, g_k = g[:, None, None], g[None, :, None], g[None, None, :]
+        self._op = np.where(g_k == g_i + g_j, self._gp, 0.0)
+        self._ip = np.where(g_k == abs(g_i - g_j), self._gp, 0.0)
         self._comm = 0.5 * (self._gp - self._gp.transpose(1, 0, 2))
         rev = np.where(g * (g - 1) // 2 % 2 == 1, -1.0, 1.0)
         self._rev_signs = rev
@@ -230,10 +230,7 @@ class Algebra:
             for name, value in coeffs.items():
                 arr[self.name_to_index[name]] = value
             return _wrap(self, arr)
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.shape != (self.n_blades,):
-            raise ValueError(f"expected {self.n_blades} coefficients")
-        return Multivector(self, arr)
+        return Multivector(self, coeffs)
 
     def zero(self) -> "Multivector":
         return _wrap(self, np.zeros(self.n_blades))
@@ -353,6 +350,8 @@ class Multivector:
         # a private copy, frozen: sharing a Multivector can never leak
         # writes in either direction
         coeffs = np.array(coeffs, dtype=float)
+        if coeffs.shape != (alg.n_blades,):
+            raise ValueError(f"expected {alg.n_blades} coefficients")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -431,12 +430,18 @@ class Multivector:
         return self._product(other, self.algebra._ip_flat)
 
     def __and__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         from . import duality
         return duality.join(self, other)
 
     def commutator(self, other: "Multivector") -> "Multivector":
         """Antisymmetric half-difference ``(a b - b a) / 2``."""
-        return self._product(self._coerce(other), self.algebra._comm_flat)
+        other = self._coerce(other)
+        if other is None:
+            raise TypeError("commutator takes a multivector or a number")
+        return self._product(other, self.algebra._comm_flat)
 
     def __invert__(self):
         return _wrap(self.algebra, self.coeffs * self.algebra._rev_signs)

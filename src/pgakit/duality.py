@@ -35,7 +35,12 @@ def join(a: Multivector, b: Multivector) -> Multivector:
     to the point-based algebra, wedged there, and mapped back.  As the map
     is a fixed permutation, that is one precomputed table, applied in one
     kernel call.  Associative; the meet is simply the native outer
-    product ``a ^ b``.
+    product ``a ^ b``.  Operands that are not multivectors raise
+    :class:`TypeError`.
     """
-    a._check(b)
+    try:
+        a._check(b)
+    except AttributeError:
+        raise TypeError("join takes two multivectors, not "
+                        f"{type(a).__name__} and {type(b).__name__}") from None
     return _wrap(a.algebra, _bilinear(a.coeffs, b.coeffs, a.algebra._vee_flat))

@@ -19,13 +19,12 @@ Conventions kept throughout (factor 2 included):
 flat coefficient arrays and returns the recorded states as one
 ``(rows, 14)`` array, making no :class:`Multivector` or state object
 per step; :func:`euler_step` is that loop over one step.  The one force
-input is a :class:`ForceSchedule`, force lines over time windows as
-data the loop reads at every stage: the sum of the open lines is looked
-up, and a space-frame sum is moved to the body frame by one grade-2
-sandwich matrix of ``~g``.  A constant force is one line whose window
-is always open.  The inertia
-operator is inverted and condition-checked once per tensor, the
-products are the even-subalgebra tables of
+input is a :class:`ForceSchedule`, space-frame force lines over time
+windows as data the loop reads at every stage: the sum of the open
+lines is looked up and moved to the body frame by one grade-2 sandwich
+matrix of ``~g``.  A constant force is one line whose window is always
+open.  The inertia operator is inverted and condition-checked once per
+tensor, the products are the even-subalgebra tables of
 :attr:`Algebra.even_tables`, and the rotor is renormalized in closed
 form (:func:`~pgakit.versors.normalize_even`).  A step whose rotor or
 momentum stops being finite raises
@@ -139,17 +138,16 @@ def frame_convert(x, g: Multivector, to: str):
 class ForceSchedule:
     """Force lines over time windows, as data for :func:`integrate`.
 
-    Row ``i`` of ``lines`` holds the six bivector coordinates of a force
-    line in ``frame``; it acts while ``t_start[i] <= t < t_end[i]``, and
-    lines whose windows overlap add up.  A line that is not finite raises
-    :class:`~pgakit.versors.NumericError` naming its index, so it cannot
-    turn the sum of the lines that are off into NaN.
+    Row ``i`` of ``lines`` holds the six bivector coordinates of a
+    space-frame force line; it acts while ``t_start[i] <= t <
+    t_end[i]``, and lines whose windows overlap add up.  A line that is
+    not finite raises :class:`~pgakit.versors.NumericError` naming its
+    index, so it cannot turn the sum of the lines that are off into NaN.
     """
 
     lines: np.ndarray
     t_start: np.ndarray
     t_end: np.ndarray
-    frame: str
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writeable
@@ -162,8 +160,6 @@ class ForceSchedule:
                 raise ValueError(f"{name} needs one time per line, not NaN")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.frame not in (BODY, SPACE):
-            raise ValueError(f"unknown frame {self.frame!r}")
         bad = np.flatnonzero(~np.isfinite(lines).all(axis=1))
         if len(bad):
             raise NumericError(f"force {bad[0]} is not finite")
@@ -415,8 +411,8 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     ``steps // stride + 1`` of them and row 0 is ``state`` itself.
     ``force`` is None or a :class:`ForceSchedule`, evaluated at every
     stage on flat arrays: the open windows select the sum of their
-    lines, and a space-frame sum reaches the body frame as ``~g F g``,
-    one grade-2 sandwich matrix of the reversed stage rotor.  Any other
+    lines, which reaches the body frame as ``~g F g``, one grade-2
+    sandwich matrix of the reversed stage rotor.  Any other
     ``force`` raises :class:`TypeError`.  The rotor is renormalized after
     every step; no :class:`Multivector` or state object is made per
     step.  Raises :class:`~pgakit.versors.NumericError` when ``dt`` is
@@ -447,7 +443,6 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         totals = [((force.t_start <= at) & (at < force.t_end)) @ force.lines
                   for at in [-np.inf, *edges]]
         active = [bool(total.any()) for total in totals]
-        to_body = force.frame == SPACE
         rev = alg._rev_signs[tables.even]
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
@@ -457,7 +452,7 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         if force is not None:
             i = bisect_right(edges, t)
             total = totals[i]
-            if to_body and active[i]:
+            if active[i]:
                 # ~g F g: one grade-2 sandwich matrix of the reversed rotor
                 total = sandwich_matrix_even(alg, rev * y[:ne], 2) @ total
             dy[ne:] += total
@@ -488,7 +483,7 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
     """One RK4 step of the motion equations, rotor renormalized at the end.
 
     This is :func:`integrate` over one step, with its one force input:
-    None or a :class:`ForceSchedule` of windowed lines in either frame.
+    None or a :class:`ForceSchedule` of windowed space-frame lines.
     Raises :class:`~pgakit.versors.NumericError` when the new rotor
     cannot be normalized or the new momentum is not finite.
     """
@@ -522,18 +517,14 @@ def space_momentum(state: MotionState) -> MomentumState:
 # forces, statics, work
 
 
-def force_homogeneous(p: Multivector, v: Multivector) -> Multivector:
-    """Weighted line ``P join i(V)`` carrying a force of vector ``v``.
+def force_line(alg: Algebra, at, vector) -> Multivector:
+    """Weighted line ``P join i(V)`` carrying a force of ``vector`` at ``at``.
 
     3D coordinate layout (moments | vector):
     ``mx e01 + my e02 + mz e03 + vz e12 + vy e31 + vx e23``.
     In 2D the result is the 1-vector ``m e0 - vy e1 + vx e2``.
     """
-    return join(p, v)
-
-
-def force_line(alg: Algebra, at, vector) -> Multivector:
-    return force_homogeneous(point(alg, *at), ideal_point(alg, *vector))
+    return join(point(alg, *at), ideal_point(alg, *vector))
 
 
 def resultant(forces) -> Multivector:
@@ -554,8 +545,9 @@ def force_vector_2d(h: Multivector) -> tuple[float, float]:
     return (h["e2"], -h["e1"])
 
 
-def force_state(alg: Algebra, at, vector, frame: str = SPACE) -> ForceState:
-    return ForceState(biv_coeffs(force_line(alg, at, vector)), frame)
+def force_state(alg: Algebra, at, vector) -> ForceState:
+    """The space-frame state of :func:`force_line`."""
+    return ForceState(biv_coeffs(force_line(alg, at, vector)), SPACE)
 
 
 def power(omega, delta) -> float:

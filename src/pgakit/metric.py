@@ -225,8 +225,6 @@ def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
 # ---------------------------------------------------------------------------
 # 3D line geometry
 
-BIV_NAMES = ("e01", "e02", "e03", "e12", "e31", "e23")
-
 
 def biv_coeffs(x: Multivector) -> np.ndarray:
     """The six Pluecker coordinates of a grade-2 element."""
@@ -248,38 +246,6 @@ def even_mv(alg: Algebra, coeffs) -> Multivector:
     arr = np.zeros(alg.n_blades)
     arr[alg.even_indices] = coeffs
     return _wrap(alg, arr)
-
-
-@dataclass(frozen=True)
-class Bivector3:
-    """Named view of the plane-based Pluecker coordinates of a 3D bivector."""
-
-    p01: float
-    p02: float
-    p03: float
-    p12: float
-    p31: float
-    p23: float
-
-    @classmethod
-    def from_multivector(cls, x: Multivector) -> "Bivector3":
-        return cls(*biv_coeffs(x))
-
-    def to_multivector(self, alg: Algebra) -> Multivector:
-        return biv_mv(alg, self.coeffs)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([self.p01, self.p02, self.p03,
-                         self.p12, self.p31, self.p23])
-
-    @property
-    def ideal(self) -> np.ndarray:
-        return np.array([self.p01, self.p02, self.p03])
-
-    @property
-    def euclidean(self) -> np.ndarray:
-        return np.array([self.p12, self.p31, self.p23])
 
 
 def pluecker(a: Multivector, b: Multivector) -> float:

@@ -20,7 +20,7 @@ force entry or in ``integrator``, is refused rather than ignored.
 The trajectory is CSV: one row per recorded step with the rotor, the
 body momentum, the kinetic energy and the dehomogenized space-frame
 position of every tracked point.  :func:`run_simulation` hands the
-forces to :func:`~pgakit.dynamics.integrate` as one space-frame
+force lines to :func:`~pgakit.dynamics.integrate` as one
 :class:`~pgakit.dynamics.ForceSchedule`, integrates once, then computes
 the energy and tracked-point columns as array operations over blocks of
 rows and returns one float table, refused with
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import pga3d
-from .dynamics import (BODY, SPACE, ForceSchedule, MomentumState, MotionState,
+from .dynamics import (BODY, ForceSchedule, MomentumState, MotionState,
                        Particle, VelocityState, _momentum_energy, force_line,
                        inertia_assemble, integrate)
 from .metric import biv_coeffs, even_mv, point
@@ -76,21 +76,13 @@ class SceneForce:
 @dataclass(frozen=True)
 class SceneConfig:
     bodies: list
-    integrator: dict
-    signature: tuple = (3, 0, 1)
+    dt: float
+    steps: int
     omega_body: list | None = None
     pi_body: list | None = None
     rotor0: list = field(default_factory=lambda: [1.0] + [0.0] * 7)
     forces: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
-
-    @property
-    def dt(self) -> float:
-        return float(self.integrator["dt"])
-
-    @property
-    def steps(self) -> int:
-        return int(self.integrator["steps"])
 
 
 def _require(cond, message):
@@ -185,8 +177,8 @@ def parse_scene(data: dict) -> SceneConfig:
 
     return SceneConfig(
         bodies=parsed_bodies,
-        integrator={"dt": dt, "steps": int(steps)},
-        signature=(3, 0, 1),
+        dt=dt,
+        steps=int(steps),
         omega_body=state6 if key == "omega_body" else None,
         pi_body=state6 if key == "pi_body" else None,
         rotor0=rotor0,
@@ -201,27 +193,6 @@ def load_scene(path: str) -> SceneConfig:
     except (OSError, ValueError, RecursionError) as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
     return parse_scene(data)
-
-
-def scene_to_dict(cfg: SceneConfig) -> dict:
-    out = {
-        "signature": list(cfg.signature),
-        "bodies": cfg.bodies,
-        "initial": ({"omega_body": cfg.omega_body} if cfg.omega_body is not None
-                    else {"pi_body": cfg.pi_body}),
-        "rotor0": cfg.rotor0,
-        "integrator": cfg.integrator,
-        "outputs": cfg.outputs,
-    }
-    if cfg.forces:
-        out["forces"] = [asdict(f) for f in cfg.forces]
-    return out
-
-
-def dump_scene(cfg: SceneConfig, path: str):
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +236,7 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
     if cfg.forces:
         schedule = ForceSchedule(
             [biv_coeffs(force_line(alg, f.point, f.vector)) for f in cfg.forces],
-            [f.t_start for f in cfg.forces], [f.t_end for f in cfg.forces], SPACE)
+            [f.t_start for f in cfg.forces], [f.t_end for f in cfg.forces])
 
     header = (["t"] + [f"g{i}" for i in range(8)] + [f"pi{i}" for i in range(6)]
               + ["energy"])

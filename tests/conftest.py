@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pgakit import (BODY, SPACE, MomentumState, algebra, pga2d, pga3d,
-                    sandwich)
+from pgakit import BODY, MomentumState, algebra, pga2d, pga3d, sandwich
 from pgakit.metric import biv_coeffs
 
 
@@ -82,14 +81,14 @@ def newton_normalize(g):
     return g * w
 
 
-def reference_rk4(inertia, g, pi, dt, steps, force=None, frame=SPACE):
+def reference_rk4(inertia, g, pi, dt, steps, force=None):
     """RK4 of the motion equations on Multivectors, from ``t = 0``: an
     oracle for ``dynamics.integrate``, which it never calls.  ``g`` is
     the rotor and ``pi`` the body momentum as a bivector; ``force(t)``
-    is the force bivector acting at time t in ``frame``, moved to the
-    body frame per stage by the sandwich ``~g F g`` when it is a
-    space-frame one.  The rotor is renormalized by ``newton_normalize``
-    after each step.  Returns the ``steps + 1`` states ``(t, g, pi)``."""
+    is the space-frame force bivector acting at time t, moved to the
+    body frame per stage by the sandwich ``~g F g``.  The rotor is
+    renormalized by ``newton_normalize`` after each step.  Returns the
+    ``steps + 1`` states ``(t, g, pi)``."""
     alg = g.algebra
 
     def rhs(t, g, pi):
@@ -97,8 +96,7 @@ def reference_rk4(inertia, g, pi, dt, steps, force=None, frame=SPACE):
             MomentumState(biv_coeffs(pi), BODY)).as_multivector(alg)
         dpi = 2.0 * pi.commutator(om)
         if force is not None:
-            f = force(t)
-            dpi = dpi + (sandwich(~g, f) if frame == SPACE else f)
+            dpi = dpi + sandwich(~g, force(t))
         return g * om, dpi
 
     t, h = 0.0, dt

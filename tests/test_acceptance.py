@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 
-from pgakit import (BODY, SPACE, ForceSchedule, MotionState, Particle,
-                    VelocityState, body_energy, distance, euler_step,
-                    exp_bivector, force_line, frame_convert, inertia_assemble,
+from pgakit import (BODY, ForceSchedule, MotionState, Particle, VelocityState,
+                    body_energy, distance, euler_step, exp_bivector,
+                    force_line, frame_convert, inertia_assemble,
                     inertia_clifford_apply, join, line3d_point_dir,
                     normalize, pga2d, pga3d, point, point_coords, power,
                     resultant, rotator, rotor_log, sandwich,
@@ -284,7 +284,7 @@ def test_criterion_11_work_theorem():
         (0.7, (-0.4, 0.8, -0.6)), (2.0, (0.3, 0.4, 1.1))]]
     inertia = inertia_assemble(body)
     f_space = force_state(alg, (0.2, -0.1, 0.4), (0.3, 0.1, -1.5))
-    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf])
 
     def gap(dt, steps):
         state = MotionState(alg.scalar(1.0), inertia.apply(

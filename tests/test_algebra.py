@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgakit import (Multivector, Signature, SignatureMismatchError, algebra,
-                    ideal_point, point)
+                    ideal_point, join, point)
 from pgakit.algebra import _bilinear
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
 from pgakit.versors import sandwich_matrix, sandwich_matrix_even
@@ -159,8 +159,19 @@ def test_scalar_interop(space_alg):
     assert (x + 1)["1"] == 1.0
     assert (x / 2)["e1"] == 0.5
     assert len({x - x, -(x - x)}) == 1
+    assert (x & 2.0) == join(x, space_alg.scalar(2.0))
+    assert x.commutator(2.0) == space_alg.zero()
     with pytest.raises(TypeError):
         x.isclose("x")
+    # like ^ and |, & coerces numbers only; join and commutator name the type
+    with pytest.raises(TypeError):
+        x & "s"
+    with pytest.raises(TypeError, match="float"):
+        join(x, 2.0)
+    with pytest.raises(TypeError, match="str"):
+        join("s", x)
+    with pytest.raises(TypeError, match="commutator"):
+        x.commutator("s")
 
 
 def test_immutability(space_alg, rng):
@@ -198,6 +209,12 @@ def test_immutability(space_alg, rng):
     np.testing.assert_array_equal(made[1].coeffs, want)
     np.testing.assert_array_equal(biv_coeffs(made[2]), want[:6])
     np.testing.assert_array_equal(made[3].coeffs[space_alg.even_indices], want[:8])
+    # a coefficient array of any other shape is refused up front
+    for bad in ([1.0, 2.0], np.zeros((1, 16))):
+        for make in (space_alg.multivector,
+                     lambda c: Multivector(space_alg, c)):
+            with pytest.raises(ValueError, match="expected 16 coefficients"):
+                make(bad)
 
 
 def test_formatting(space_alg):
@@ -227,6 +244,9 @@ def test_products_match_dense_tables(oracle_alg, rng, monkeypatch):
     got = [(a * b, a ^ b, a | b, a.commutator(b)) for a, b in pairs]
     assert calls == []
     monkeypatch.undo()
+    # the outer product table is a grade mask of the geometric one; the
+    # product of the fully degenerate metric is its independent reference
+    assert np.array_equal(alg._op, alg._product_tensor((0,) * alg.dim))
     for (a, b), products in zip(pairs, got):
         for table, prod in zip((alg._gp, alg._op, alg._ip, alg._comm), products):
             assert_rel_close(prod.coeffs, np.einsum("i,j,ijk->k", a.coeffs,

@@ -19,8 +19,7 @@ from pgakit.cli import main
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
 import pgakit.scene as scene_mod
-from pgakit.scene import (SceneError, dump_scene, load_scene, parse_scene,
-                          run_simulation, scene_to_dict)
+from pgakit.scene import SceneError, load_scene, parse_scene, run_simulation
 
 from conftest import newton_normalize, reference_rk4
 
@@ -261,13 +260,6 @@ def scene_dict(**over):
     }
     base.update(over)
     return base
-
-
-def test_scene_roundtrip():
-    cfg = parse_scene(scene_dict(forces=[
-        {"point": [0, 0, 0], "vector": [0, 0, -1], "t_start": 0.0, "t_end": 0.5}]))
-    again = parse_scene(scene_to_dict(cfg))
-    assert cfg == again
 
 
 def test_scene_validation_errors():
@@ -640,13 +632,6 @@ def test_write_csv_matches_per_value_format(tmp_path):
         f"{x:.17g},{y:.17g}\n" for x, y in big.tolist())
     scene_mod.write_csv(str(path), ["x"], np.empty((0, 1)))
     assert path.read_text() == "x\n"
-
-
-def test_scene_dump_and_load(tmp_path):
-    cfg = parse_scene(scene_dict())
-    path = tmp_path / "round.json"
-    dump_scene(cfg, str(path))
-    assert load_scene(str(path)) == cfg
 
 
 def test_usage_exit_codes(capsys):

@@ -324,7 +324,7 @@ def test_integrate_space_schedule_matches_the_reference_rk4(space_alg, rng):
             a, st.g, biv_mv(space_alg, st.pi_body.coeffs), h, 30, force))
 
     times, got = integrate(st, a, h, 30,
-                           force=ForceSchedule(lines, t_start, t_end, SPACE))
+                           force=ForceSchedule(lines, t_start, t_end))
     want_times, want = reference(t_end)
     assert np.array_equal(times, want_times)
     assert_rel_close(got, want)
@@ -332,21 +332,21 @@ def test_integrate_space_schedule_matches_the_reference_rk4(space_alg, rng):
     late = t_end.copy()
     late[0] = np.nextafter(half, 1.0)
     _, moved = integrate(st, a, h, 30,
-                         force=ForceSchedule(lines, t_start, late, SPACE))
+                         force=ForceSchedule(lines, t_start, late))
     assert np.array_equal(moved[:8], got[:8]) and not np.array_equal(moved, got)
     assert_rel_close(moved, reference(late)[1])
 
 
-def test_integrate_constant_body_force_is_an_always_open_window(space_alg, rng):
+def test_integrate_constant_force_is_an_always_open_window(space_alg, rng):
     a = inertia_assemble(four_point_body(space_alg))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
     f = rng.normal(size=6)
-    always = ForceSchedule([f], [-math.inf], [math.inf], BODY)
+    always = ForceSchedule([f], [-math.inf], [math.inf])
     _, got = integrate(st, a, 0.01, 20, force=always)
     _, want = _reference_table(reference_rk4(
         a, st.g, biv_mv(space_alg, st.pi_body.coeffs), 0.01, 20,
-        lambda t: biv_mv(space_alg, f), BODY))
+        lambda t: biv_mv(space_alg, f)))
     assert_rel_close(got, want)
     # the retired force inputs fail loudly instead of running force-free
     for stale in (ForceState(f, BODY), lambda t, g, pi: ForceState(f, BODY)):
@@ -358,19 +358,16 @@ def test_integrate_constant_body_force_is_an_always_open_window(space_alg, rng):
 
 def test_force_schedule_validates_its_input():
     lines = np.ones((2, 6))
-    schedule = ForceSchedule(lines, [0.0, 0.5], [1.0, math.inf], SPACE)
+    schedule = ForceSchedule(lines, [0.0, 0.5], [1.0, math.inf])
     assert lines.flags.writeable and not schedule.lines.flags.writeable
     with pytest.raises(NumericError, match="force 1 is not finite"):
-        ForceSchedule([np.ones(6), [0, math.inf, 0, 0, 0, 0]], [0, 0], [1, 1],
-                      SPACE)
+        ForceSchedule([np.ones(6), [0, math.inf, 0, 0, 0, 0]], [0, 0], [1, 1])
     with pytest.raises(ValueError, match="six"):
-        ForceSchedule(np.ones((2, 5)), [0, 0], [1, 1], SPACE)
+        ForceSchedule(np.ones((2, 5)), [0, 0], [1, 1])
     with pytest.raises(ValueError, match="t_end"):
-        ForceSchedule(lines, [0, 0], [1], SPACE)
+        ForceSchedule(lines, [0, 0], [1])
     with pytest.raises(ValueError, match="t_start"):
-        ForceSchedule(lines, [0, math.nan], [1, 1], SPACE)
-    with pytest.raises(ValueError, match="frame"):
-        ForceSchedule(lines, [0, 0], [1, 1], "lab")
+        ForceSchedule(lines, [0, math.nan], [1, 1])
 
 
 def test_spherical_body_spins_uniformly(space_alg):
@@ -427,7 +424,7 @@ def test_momentum_rate_equals_force(space_alg, rng):
     body = four_point_body(space_alg)
     a = inertia_assemble(body)
     f_space = force_state(space_alg, (0.3, 0.1, -0.2), (0.0, 0.5, 1.0))
-    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf])
     st = MotionState(space_alg.scalar(1.0),
                      a.apply(VelocityState(0.3 * rng.normal(size=6), BODY)))
     errs = []
@@ -586,7 +583,7 @@ def test_power_magnitude_from_distance_and_angle(space_alg, rng):
 def test_work_matches_energy_change(space_alg, rng):
     a = inertia_assemble(four_point_body(space_alg))
     f_space = force_state(space_alg, (0.2, -0.1, 0.4), (0.0, 0.0, -1.5))
-    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf])
 
     def run(dt, steps):
         st = MotionState(space_alg.scalar(1.0),
@@ -611,7 +608,7 @@ def test_work_matches_energy_change(space_alg, rng):
 def test_work_sign_matches_energy_slope(space_alg):
     a = inertia_assemble(four_point_body(space_alg))
     f_space = force_state(space_alg, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf], SPACE)
+    constant = ForceSchedule([f_space.coeffs], [-math.inf], [math.inf])
     st = MotionState(space_alg.scalar(1.0),
                      a.apply(VelocityState(
                          np.array([0.3, 0.0, 0.0, 0.0, 0.0, 0.1]), BODY)))

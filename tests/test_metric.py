@@ -501,19 +501,6 @@ def test_polar_line_is_ideal_and_orthogonal(space_alg, rng):
                                atol=1e-12)
 
 
-def test_bivector3_view(space_alg, rng):
-    from pgakit import Bivector3
-    c = rng.normal(size=6)
-    mv = space_alg.multivector(dict(zip(
-        ["e01", "e02", "e03", "e12", "e31", "e23"], c)))
-    view = Bivector3.from_multivector(mv)
-    assert view.p01 == c[0] and view.p31 == c[4] and view.p23 == c[5]
-    np.testing.assert_array_equal(view.coeffs, c)
-    np.testing.assert_array_equal(view.ideal, c[:3])
-    np.testing.assert_array_equal(view.euclidean, c[3:])
-    assert view.to_multivector(space_alg) == mv
-
-
 def test_triangle_centers_against_coordinate_oracles(plane_alg, rng):
     from pgakit import vector_norm
     for _ in range(15):
