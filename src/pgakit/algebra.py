@@ -18,6 +18,10 @@ squaring to +1, -1 and 0.  The degenerate/negative directions come
 first, so ``Algebra(3, 0, 1)`` has ``e0**2 == 0`` and
 ``Algebra(3, 1, 0)`` has ``e0**2 == -1``.
 
+The kernel's boundary is decided here once: which operands a product
+takes (``_NUMBER``), how a blade name becomes a slot (``Algebra._slot``)
+and how a coefficient slice becomes an element (:meth:`Algebra.embed`).
+
 Multivectors are immutable values; every operation returns a new one,
 so they are safe to share between threads.
 """
@@ -35,6 +39,9 @@ ABS_TOL = 1e-15
 
 _MIN_DIM = 2
 _MAX_DIM = 6
+
+# the operands that act as scalars in products, sums and comparisons
+_NUMBER = (int, float, np.floating, np.integer)
 
 
 class SignatureMismatchError(ValueError):
@@ -205,7 +212,7 @@ class Algebra:
         self._comm = 0.5 * (self._gp - self._gp.transpose(1, 0, 2))
         rev = np.where(g * (g - 1) // 2 % 2 == 1, -1.0, 1.0)
         self._rev_signs = rev
-        # complementary-blade permutation used by the duality module
+        # complementary-blade permutation: the duality map of dual()
         full = self.n_blades - 1
         c = self.complement_index = np.array(
             [self._index_of_mask[full ^ m] for m in self.masks], dtype=int)
@@ -224,29 +231,34 @@ class Algebra:
 
     # -- basic constructors -------------------------------------------
 
+    def _slot(self, name: str) -> int:
+        """Coefficient index of a blade name; the ``KeyError`` names both."""
+        try:
+            return self.name_to_index[name]
+        except KeyError:
+            raise KeyError(f"unknown blade {name!r} in Cl{self.signature}") from None
+
+    def embed(self, slots, coeffs) -> "Multivector":
+        """The element with (a copy of) ``coeffs`` in the index or index
+        array ``slots``, such as ``even_indices``, and zeros elsewhere."""
+        arr = np.zeros(self.n_blades)
+        arr[slots] = coeffs
+        return _wrap(self, arr)
+
     def multivector(self, coeffs) -> "Multivector":
         if isinstance(coeffs, dict):
-            arr = np.zeros(self.n_blades)
-            for name, value in coeffs.items():
-                arr[self.name_to_index[name]] = value
-            return _wrap(self, arr)
+            return self.embed([self._slot(name) for name in coeffs],
+                              list(coeffs.values()))
         return Multivector(self, coeffs)
 
     def zero(self) -> "Multivector":
-        return _wrap(self, np.zeros(self.n_blades))
+        return self.embed(0, 0.0)
 
     def scalar(self, value: float) -> "Multivector":
-        arr = np.zeros(self.n_blades)
-        arr[0] = value
-        return _wrap(self, arr)
+        return self.embed(0, value)
 
     def blade(self, name: str) -> "Multivector":
-        arr = np.zeros(self.n_blades)
-        try:
-            arr[self.name_to_index[name]] = 1.0
-        except KeyError:
-            raise KeyError(f"unknown blade {name!r} in Cl{self.signature}") from None
-        return _wrap(self, arr)
+        return self.embed(self._slot(name), 1.0)
 
     @property
     def blades(self) -> dict[str, "Multivector"]:
@@ -334,13 +346,30 @@ def pga3d() -> Algebra:
     return algebra(3, 0, 1)
 
 
+def _product(table: str, reflected: bool = False, refusal: str | None = None):
+    """The product operator of the flat table ``Algebra.<table>``: the
+    coerced other operand comes first when ``reflected``, and one that
+    cannot be coerced gives ``NotImplemented`` or ``TypeError(refusal)``."""
+    def product(self, other):
+        other = self._coerce(other)
+        if other is None:
+            if refusal is None:
+                return NotImplemented
+            raise TypeError(refusal)
+        a, b = (other, self) if reflected else (self, other)
+        alg = self.algebra
+        return _wrap(alg, _bilinear(a.coeffs, b.coeffs, getattr(alg, table)))
+    return product
+
+
 class Multivector:
     """Immutable dense element of an :class:`Algebra`.
 
     Operators: ``*`` geometric product, ``^`` outer product (the meet in
     a plane-based algebra), ``|`` generalized inner product (grade
     ``|k-l|`` part), ``&`` join (regressive product via the duality
-    map), ``~`` reversion.
+    map), ``~`` reversion; ``a.commutator(b)`` is ``(a b - b a) / 2``.
+    A number on either side of a binary operator acts as a scalar.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -354,9 +383,6 @@ class Multivector:
             raise ValueError(f"expected {alg.n_blades} coefficients")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-
-    def _product(self, other: "Multivector", table: np.ndarray) -> "Multivector":
-        return _wrap(self.algebra, _bilinear(self.coeffs, other.coeffs, table))
 
     def __setattr__(self, *_):
         raise AttributeError("Multivector is immutable")
@@ -372,7 +398,7 @@ class Multivector:
         if isinstance(other, Multivector):
             self._check(other)
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return self.algebra.scalar(float(other))
         return None
 
@@ -399,49 +425,30 @@ class Multivector:
     def __neg__(self):
         return _wrap(self.algebra, -self.coeffs)
 
+    # the hottest operator: no coercion, and a number scales exactly
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check(other)
-            return self._product(other, self.algebra._gp_flat)
-        if isinstance(other, (int, float, np.floating, np.integer)):
+            alg = self.algebra
+            return _wrap(alg, _bilinear(self.coeffs, other.coeffs, alg._gp_flat))
+        if isinstance(other, _NUMBER):
             return _wrap(self.algebra, self.coeffs * float(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return _wrap(self.algebra, self.coeffs * float(other))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return _wrap(self.algebra, self.coeffs / float(other))
         return NotImplemented
 
-    def __xor__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._product(other, self.algebra._op_flat)
-
-    def __or__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._product(other, self.algebra._ip_flat)
-
-    def __and__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        from . import duality
-        return duality.join(self, other)
-
-    def commutator(self, other: "Multivector") -> "Multivector":
-        """Antisymmetric half-difference ``(a b - b a) / 2``."""
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("commutator takes a multivector or a number")
-        return self._product(other, self.algebra._comm_flat)
+    __xor__ = _product("_op_flat")
+    __rxor__ = _product("_op_flat", reflected=True)
+    __or__ = _product("_ip_flat")
+    __ror__ = _product("_ip_flat", reflected=True)
+    __and__ = _product("_vee_flat")
+    __rand__ = _product("_vee_flat", reflected=True)
+    commutator = _product("_comm_flat", refusal="commutator takes a multivector or a number")
 
     def __invert__(self):
         return _wrap(self.algebra, self.coeffs * self.algebra._rev_signs)
@@ -451,18 +458,17 @@ class Multivector:
     # -- structure accessors -------------------------------------------
 
     def grade(self, k: int) -> "Multivector":
-        out = np.where(self.algebra.grades == k, self.coeffs, 0.0)
-        return _wrap(self.algebra, out)
+        return _wrap(self.algebra, np.where(self.algebra.grades == k, self.coeffs, 0.0))
 
     def grades(self, rel_tol: float = 0.0) -> list[int]:
         """Grades with a nonzero coefficient.
 
         With a ``rel_tol``, grades whose largest coefficient falls below
-        ``rel_tol * max|coeffs|`` are treated as numerical dust.
+        ``rel_tol * max|coeffs|``, if finite, are treated as numerical dust.
         """
         mag = np.abs(self.coeffs)
         cutoff = rel_tol * float(mag.max(initial=0.0))
-        live = mag > cutoff if cutoff > 0.0 else self.coeffs != 0.0
+        live = mag > cutoff if 0.0 < cutoff < np.inf else self.coeffs != 0.0
         alg = self.algebra
         return np.bincount(alg.grades[live], minlength=alg.dim + 1).nonzero()[0].tolist()
 
@@ -476,17 +482,18 @@ class Multivector:
 
     def __getitem__(self, key) -> float:
         if isinstance(key, str):
-            key = self.algebra.name_to_index[key]
+            key = self.algebra._slot(key)
         return float(self.coeffs[key])
 
     def dual(self) -> "Multivector":
-        from . import duality
-        return duality.dual_j(self)
+        """The sign-free duality map, an exact involution: a gather by
+        complementary blade (see :mod:`pgakit.duality`)."""
+        return _wrap(self.algebra, self.coeffs[self.algebra.complement_index])
 
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _NUMBER):
             other = self.algebra.scalar(float(other))
         if not isinstance(other, Multivector):
             return NotImplemented
@@ -494,6 +501,11 @@ class Multivector:
             self.coeffs, other.coeffs)
 
     def __hash__(self):
+        # a scalar equals its number, so it hashes as the number; a NaN
+        # equals nothing, and its float hash differs per object
+        c = self.coeffs[0]
+        if c == c and not self.coeffs[1:].any():
+            return hash(float(c))
         # -0.0 + 0.0 is 0.0: coefficients that compare equal hash alike
         return hash((self.algebra.signature, (self.coeffs + 0.0).tobytes()))
 

@@ -12,7 +12,8 @@ map here -- with ``I**2 == 0`` that product destroys ideal parts.
 
 On every grade except the middle one the permutation is the identity on
 coefficients; on the middle grade of the 4D algebra the Pluecker
-6-tuple is reversed.
+6-tuple is reversed.  Both live in :mod:`pgakit.algebra`, as
+``Multivector.dual`` and ``&``; the functions here name them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def dual_j(x: Multivector) -> Multivector:
 
     Involution: ``dual_j(dual_j(x)) == x`` exactly.
     """
-    return _wrap(x.algebra, x.coeffs[x.algebra.complement_index])
+    return x.dual()
 
 
 def join(a: Multivector, b: Multivector) -> Multivector:
@@ -35,7 +36,8 @@ def join(a: Multivector, b: Multivector) -> Multivector:
     to the point-based algebra, wedged there, and mapped back.  As the map
     is a fixed permutation, that is one precomputed table, applied in one
     kernel call.  Associative; the meet is simply the native outer
-    product ``a ^ b``.  Operands that are not multivectors raise
+    product ``a ^ b``.  This is ``a & b`` without the coercion of
+    numbers, bit for bit: operands that are not multivectors raise
     :class:`TypeError`.
     """
     try:

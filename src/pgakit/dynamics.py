@@ -49,9 +49,9 @@ import numpy as np
 from .algebra import Algebra, Multivector, _bilinear
 from .duality import join
 from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
-                     point, pseudo_part, ideal_norm)
-from .versors import (NumericError, normalize_even, sandwich, sandwich_matrix,
-                      sandwich_matrix_even)
+                     point, point_coords, pseudo_part, ideal_norm)
+from .versors import (NumericError, _even_coeffs, normalize_even, sandwich,
+                      sandwich_matrix, sandwich_matrix_even)
 
 BODY = "body"
 SPACE = "space"
@@ -368,7 +368,6 @@ def principal_decomposition(particles) -> PrincipalAxes:
     """Diagonalize a body: translate to the centroid, rotate to axes."""
     particles = list(particles)
     masses = np.array([p.mass for p in particles])
-    from .metric import point_coords
     positions = np.array([point_coords(p.r) for p in particles])
     total = masses.sum()
     center = masses @ positions / total
@@ -389,7 +388,7 @@ def principal_decomposition(particles) -> PrincipalAxes:
 
 @dataclass(frozen=True)
 class MotionState:
-    """Integrator state: body-to-space rotor, body momentum, time."""
+    """Integrator state: body-to-space rotor (even), body momentum, time."""
 
     g: Multivector
     pi_body: MomentumState
@@ -398,6 +397,7 @@ class MotionState:
     def __post_init__(self):
         if self.pi_body.frame != BODY:
             raise FrameError("MotionState stores the body-frame momentum")
+        _even_coeffs(self.g)                  # raises on an odd part
 
 
 def integrate(state: MotionState, inertia: InertiaTensor, dt: float,

@@ -9,11 +9,14 @@ Grammar (products bind equally, left-associative; unary tightest):
 ``*`` geometric, ``^`` outer/meet, ``.`` inner, ``&`` join,
 ``x`` commutator, ``~`` reversion, ``!`` duality map.  Numbers are
 plain decimals (no exponent notation, so ``1e2`` cannot be confused
-with a blade product).
+with a blade product).  Each binary symbol maps to the
+:class:`~pgakit.algebra.Multivector` operator it names, so the parser
+makes no product decision of its own.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .algebra import Algebra, Multivector
@@ -25,7 +28,11 @@ _TOKEN = re.compile(r"""
   | (?P<op>[-+*^.&x~!()])
 """, re.VERBOSE)
 
-_PRODUCT_OPS = "*^.&x"
+# the binary operators by precedence level, loosest first, and the unary ones
+_LEVELS = ({"+": operator.add, "-": operator.sub},
+           {"*": operator.mul, "^": operator.xor, ".": operator.or_,
+            "&": operator.and_, "x": Multivector.commutator})
+_UNARY = {"~": operator.invert, "!": Multivector.dual, "-": operator.neg}
 
 
 class ExprError(ValueError):
@@ -69,36 +76,16 @@ class _Parser:
             raise ExprError(f"unexpected {text!r}", pos)
         return value
 
-    def expr(self) -> Multivector:
-        value = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
-            else:
-                return value
-
-    def term(self) -> Multivector:
-        value = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in _PRODUCT_OPS:
-                self.next()
-                rhs = self.factor()
-                if text == "*":
-                    value = value * rhs
-                elif text == "^":
-                    value = value ^ rhs
-                elif text == ".":
-                    value = value | rhs
-                elif text == "&":
-                    value = value & rhs
-                else:
-                    value = value.commutator(rhs)
-            else:
-                return value
+    def expr(self, level: int = 0) -> Multivector:
+        """Operands joined left to right by the operators of ``_LEVELS[level]``."""
+        if level == len(_LEVELS):
+            return self.factor()
+        ops = _LEVELS[level]
+        value = self.expr(level + 1)
+        while (op := ops.get(self.peek()[1])) is not None:
+            self.next()
+            value = op(value, self.expr(level + 1))
+        return value
 
     def factor(self) -> Multivector:
         kind, text, pos = self.next()
@@ -107,21 +94,16 @@ class _Parser:
         if kind == "blade":
             try:
                 return self.alg.blade(text)
-            except KeyError:
-                raise ExprError(
-                    f"unknown blade {text!r} in Cl{self.alg.signature}", pos) from None
-        if kind == "op" and text == "~":
-            return ~self.factor()
-        if kind == "op" and text == "!":
-            return self.factor().dual()
-        if kind == "op" and text == "(":
+            except KeyError as err:
+                raise ExprError(err.args[0], pos) from None
+        if text in _UNARY:
+            return _UNARY[text](self.factor())
+        if text == "(":
             value = self.expr()
             kind, text, pos = self.next()
             if text != ")":
                 raise ExprError("expected ')'", pos)
             return value
-        if kind == "op" and text == "-":
-            return -self.factor()
         if kind == "end":
             raise ExprError("unexpected end of expression", pos)
         raise ExprError(f"unexpected {text!r}", pos)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, _wrap
+from .algebra import Algebra, Multivector
 from .duality import join
 
 SIMPLE_REL_TOL = 1e-9
@@ -40,19 +40,13 @@ class DegenerateElementError(ValueError):
 def point(alg: Algebra, *coords: float) -> Multivector:
     """Embed a position as a unit-weight point."""
     _expect_coords(alg, coords)
-    arr = np.zeros(alg.n_blades)
-    idx = alg.grade_indices[alg.dim - 1]
-    arr[idx[0]] = 1.0
-    arr[idx[1:]] = coords
-    return _wrap(alg, arr)
+    return alg.embed(alg.grade_indices[alg.dim - 1], (1.0, *coords))
 
 
 def ideal_point(alg: Algebra, *coords: float) -> Multivector:
     """Embed a free vector as a point on the ideal line/plane."""
     _expect_coords(alg, coords)
-    arr = np.zeros(alg.n_blades)
-    arr[alg.grade_indices[alg.dim - 1][1:]] = coords
-    return _wrap(alg, arr)
+    return alg.embed(alg.grade_indices[alg.dim - 1][1:], coords)
 
 
 def line2d(alg: Algebra, a: float, b: float, c: float) -> Multivector:
@@ -193,9 +187,7 @@ def point_nd(alg: Algebra, *coords: float) -> Multivector:
     """A point of a non-degenerate model as a 1-vector (x0, x1, ...)."""
     if len(coords) != alg.dim:
         raise ValueError(f"expected {alg.dim} homogeneous coordinates")
-    arr = np.zeros(alg.n_blades)
-    arr[alg.grade_indices[1]] = coords
-    return _wrap(alg, arr)
+    return alg.embed(alg.grade_indices[1], coords)
 
 
 def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
@@ -233,9 +225,7 @@ def biv_coeffs(x: Multivector) -> np.ndarray:
 
 def biv_mv(alg: Algebra, coeffs) -> Multivector:
     """The grade-2 element with the given coefficients, in basis order."""
-    arr = np.zeros(alg.n_blades)
-    arr[alg.grade_indices[2]] = coeffs
-    return _wrap(alg, arr)
+    return alg.embed(alg.grade_indices[2], coeffs)
 
 
 def even_mv(alg: Algebra, coeffs) -> Multivector:
@@ -243,9 +233,7 @@ def even_mv(alg: Algebra, coeffs) -> Multivector:
 
     In Cl(3,0,1) that is ``(1, e01, e02, e03, e12, e31, e23, I)``.
     """
-    arr = np.zeros(alg.n_blades)
-    arr[alg.even_indices] = coeffs
-    return _wrap(alg, arr)
+    return alg.embed(alg.even_indices, coeffs)
 
 
 def pluecker(a: Multivector, b: Multivector) -> float:
@@ -258,10 +246,10 @@ def pluecker(a: Multivector, b: Multivector) -> float:
     return (a ^ b).pseudo_part
 
 
-def is_simple(xi: Multivector, rel: float = SIMPLE_REL_TOL) -> bool:
+def is_simple(xi: Multivector) -> bool:
     """Whether the bivector factors as a wedge of planes, i.e. is a line."""
     n2 = float(biv_coeffs(xi) @ biv_coeffs(xi))
-    return abs(pluecker(xi, xi)) <= rel * max(n2, _EPS)
+    return abs(pluecker(xi, xi)) <= SIMPLE_REL_TOL * max(n2, _EPS)
 
 
 def bivector_split(xi: Multivector) -> tuple[Multivector, Multivector]:

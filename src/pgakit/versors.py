@@ -38,6 +38,13 @@ def require_pga(alg: Algebra) -> Algebra:
     return alg
 
 
+def _even_coeffs(g: Multivector) -> np.ndarray:
+    """The even coefficients of ``g`` (basis order); ``ValueError`` on any odd one."""
+    if np.count_nonzero(g.coeffs[g.algebra.even_tables.odd]):
+        raise ValueError("expected an even element (a rotor or a multiple of one)")
+    return g.coeffs[g.algebra.even_indices]
+
+
 def sandwich(g: Multivector, x: Multivector) -> Multivector:
     """Apply the isometry of a (normalized) versor: ``g x ~g``."""
     return g * x * ~g
@@ -49,10 +56,7 @@ def sandwich_matrix(g: Multivector, k: int) -> np.ndarray:
     ``g`` must be even (a rotor or a multiple of one).  One matrix moves
     any number of grade-``k`` elements: ``coeffs @ sandwich_matrix(g, k).T``.
     """
-    alg = g.algebra
-    if np.count_nonzero(g.coeffs[alg.even_tables.odd]):
-        raise ValueError("sandwich_matrix takes an even element")
-    return sandwich_matrix_even(alg, g.coeffs[alg.even_indices], k)
+    return sandwich_matrix_even(g.algebra, _even_coeffs(g), k)
 
 
 def sandwich_matrix_even(alg: Algebra, ge: np.ndarray, k: int) -> np.ndarray:
@@ -121,11 +125,16 @@ def exp_bivector(b: Multivector) -> Multivector:
     Ideal bivectors give translators ``1 + b``.  Otherwise, in 3D and in
     the notation of :func:`~pgakit.metric.bivector_axis`, ``t = sqrt(l)``,
     ``s = sin(t) / t`` and ``k = m (cos t - s) / l`` give the screw
-    ``cos t + (s i + k rev(e), s e) + m s I``.  Raises
-    :class:`NumericError` when ``e . e`` or the squared norm overflows.
+    ``cos t + (s i + k rev(e), s e) + m s I``.  Raises ``ValueError`` on
+    a part of another grade above ``1e-9`` of the largest coefficient
+    (dust below it is dropped) and :class:`NumericError` when ``e . e``
+    or the squared norm overflows.
     """
     alg = b.algebra
     require_pga(alg)
+    if set(b.grades(rel_tol=1e-9)) - {2}:
+        raise ValueError("exp_bivector takes a bivector (a grade-2 element)")
+    b = b.grade(2)
     if alg.dim == 3:
         m0 = b["E0"]
         if abs(m0) <= _EPS * max(1.0, float(np.abs(b.coeffs).max())):
@@ -255,12 +264,11 @@ def rotor_constraint(g: Multivector) -> DualParts:
     return DualParts(z.scalar_part, z.pseudo_part)
 
 
-def is_rotor(g: Multivector, tol: float = 1e-9) -> bool:
-    odd = g.coeffs[g.algebra.grades % 2 == 1]
-    if float(np.abs(odd).max(initial=0.0)) > tol:
-        return False
+def is_rotor(g: Multivector) -> bool:
+    """Whether ``g`` is even and ``g ~g = 1``, each to within ``1e-9``."""
     z = rotor_constraint(g)
-    return abs(z.re - 1.0) <= tol and abs(z.du) <= tol
+    odd = np.abs(g.coeffs[g.algebra.even_tables.odd])
+    return bool(np.max([abs(z.re - 1.0), abs(z.du), *odd]) <= 1e-9)
 
 
 def normalize_rotor(g: Multivector) -> Multivector:
@@ -273,9 +281,7 @@ def normalize_rotor(g: Multivector) -> Multivector:
     and positive, ``b`` finite and the rotor found finite.
     """
     alg = g.algebra
-    if np.count_nonzero(g.coeffs[alg.even_tables.odd]):
-        raise ValueError("a rotor is an even element")
-    ge = normalize_even(alg, g.coeffs[alg.even_indices])
+    ge = normalize_even(alg, _even_coeffs(g))
     if not np.isfinite(ge).all():
         raise NumericError("cannot normalize: the rotor overflows")
     return even_mv(alg, ge)

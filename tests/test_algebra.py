@@ -1,5 +1,7 @@
 """Product engine: Cayley tables, ring axioms, grade structure."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,16 @@ def test_scalar_interop(space_alg):
     assert len({x - x, -(x - x)}) == 1
     assert (x & 2.0) == join(x, space_alg.scalar(2.0))
     assert x.commutator(2.0) == space_alg.zero()
+    # a scalar equals its number, so it hashes as the number too
+    assert len({space_alg.scalar(1.0), 1.0}) == 1
+    assert {1.0: "a"}[space_alg.scalar(1.0)] == "a"
+    assert {0.0: "z"}[space_alg.scalar(-0.0)] == "z"
+    assert space_alg.scalar(np.float32(0.5)) == np.float32(0.5)
+    # the three blade lookups refuse an unknown name with one message
+    for lookup in (space_alg.blade, lambda name: space_alg.multivector({name: 1.0}),
+                   lambda name: x[name]):
+        with pytest.raises(KeyError, match=re.escape("unknown blade 'e9' in Cl(3,0,1)")):
+            lookup("e9")
     with pytest.raises(TypeError):
         x.isclose("x")
     # like ^ and |, & coerces numbers only; join and commutator name the type
@@ -244,6 +256,15 @@ def test_products_match_dense_tables(oracle_alg, rng, monkeypatch):
     got = [(a * b, a ^ b, a | b, a.commutator(b)) for a, b in pairs]
     assert calls == []
     monkeypatch.undo()
+    two = alg.scalar(2.0)
+    for a, b in pairs:
+        # & is the join, and a number on the left acts as a scalar, bit for bit
+        assert np.array_equal((a & b).coeffs, join(a, b).coeffs)
+        for reflected, want in ((2.0 ^ a, two ^ a), (2.0 | a, two | a),
+                                (2.0 & a, join(two, a))):
+            assert np.array_equal(reflected.coeffs, want.coeffs)
+        # the duality map is a gather by complementary blade
+        assert np.array_equal(a.dual().coeffs, a.coeffs[alg.complement_index])
     # the outer product table is a grade mask of the geometric one; the
     # product of the fully degenerate metric is its independent reference
     assert np.array_equal(alg._op, alg._product_tensor((0,) * alg.dim))

@@ -233,6 +233,15 @@ def test_frame_tags_enforced(space_alg, rng):
         VelocityState(np.ones(6), BODY) + VelocityState(np.ones(6), SPACE)
 
 
+def test_motion_state_refuses_an_odd_rotor(space_alg):
+    # the integrator reads only the even coefficients: an odd part would
+    # be dropped without a word, so the state refuses it up front
+    pi = MomentumState(np.ones(6), BODY)
+    with pytest.raises(ValueError, match="even"):
+        MotionState(1.0 + space_alg.blade("e1"), pi)
+    MotionState(1.0 + space_alg.blade("e12"), pi)
+
+
 # ---------------------------------------------------------------------------
 # motion
 

@@ -1,5 +1,7 @@
-"""Package hygiene: every public helper and constant has a caller."""
+"""Package hygiene: every public helper and constant has a caller, and
+every import within the package points down its layers."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -37,3 +39,31 @@ def test_every_public_name_is_referenced():
             if len(re.findall(rf"\b{name}\b", text)) <= 1:
                 unused.append(f"{info.name}.{name}")
     assert unused == []
+
+
+# the modules of the package, lowest layer first: a module imports only
+# from the layers below its own, so expr reads the algebra and nothing else
+LAYERS = [{"algebra"}, {"duality", "expr"}, {"metric"}, {"versors"},
+          {"dynamics"}, {"scene"}, {"cli"}, {"__init__", "__main__"}]
+
+
+def test_imports_point_down_the_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    src = ROOT / "src" / "pgakit"
+    assert {path.stem for path in src.glob("*.py")} == set(layer)
+    wrong = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [node.module] if node.module else [a.name for a in node.names]
+            else:
+                continue
+            for target in (t.removeprefix("pgakit.") for t in targets):
+                if target in layer and (node not in top
+                                        or layer[target] >= layer[path.stem]):
+                    wrong.append(f"{path.stem}:{node.lineno} imports {target}")
+    assert wrong == []

@@ -241,6 +241,18 @@ def test_exp_and_log_take_only_the_pga_signatures():
         screw_log(pga2d().scalar(1.0))
 
 
+def test_exp_refuses_parts_of_other_grades(plane_alg, space_alg):
+    # a scalar, a vector or an ideal-point part is not silently dropped,
+    # leaked into the result or scaled like the bivector
+    bl2, bl3 = plane_alg.blades, space_alg.blades
+    for b in (0.3 * bl3["e01"] + 5.0, 0.3 * bl3["e12"] + bl3["e1"],
+              0.3 * bl2["E0"] + bl2["e1"], 0.3 * bl3["e12"] + math.inf):
+        with pytest.raises(ValueError, match="bivector"):
+            exp_bivector(b)
+    # parts below the 1e-9 dust level are dropped
+    assert exp_bivector(0.3 * bl3["e01"] + 1e-12) == 1.0 + 0.3 * bl3["e01"]
+
+
 def test_exp_rejects_overflowing_bivectors(space_alg):
     for c in ([0, 0, 0, 1e200, 0, 0], [1e300, 0, 0, 1.0, 0, 0]):
         with pytest.raises(NumericError), np.errstate(over="ignore"):
