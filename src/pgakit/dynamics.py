@@ -30,8 +30,9 @@ form (:func:`~pgakit.versors.normalize_even`).  A step whose rotor or
 momentum stops being finite raises
 :class:`~pgakit.versors.NumericError` instead of carrying NaN on.
 :func:`body_energy`'s formula also runs row-wise on a stack of momenta.
-Moving a bivector state between frames is one 6x6 matrix,
-:func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``.  The
+:func:`frame_convert` moves a tagged state between frames by one 6x6
+matrix, :func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``; a
+multivector moves by :func:`~pgakit.versors.sandwich`.  The
 inertia form of a body is two array contractions over all its points,
 so set-up does not grow by products per particle.
 
@@ -41,7 +42,7 @@ Body-frame and space-frame quantities are tagged and may not be mixed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +51,8 @@ from .algebra import Algebra, Multivector, _bilinear
 from .duality import join
 from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
                      point, point_coords, pseudo_part, ideal_norm)
-from .versors import (NumericError, _even_coeffs, normalize_even, sandwich,
+# sandwich is not called here; the benchmark's tracing tests use dynamics.sandwich
+from .versors import (NumericError, _even_coeffs, normalize_even, sandwich,  # noqa: F401
                       sandwich_matrix, sandwich_matrix_even)
 
 BODY = "body"
@@ -88,17 +90,6 @@ class _BivectorState:
     def as_multivector(self, alg: Algebra) -> Multivector:
         return biv_mv(alg, self.coeffs)
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        _same_frame(self, other)
-        return type(self)(self.coeffs + other.coeffs, self.frame)
-
-    def __mul__(self, scalar: float):
-        return type(self)(self.coeffs * float(scalar), self.frame)
-
-    __rmul__ = __mul__
-
 
 class VelocityState(_BivectorState):
     pass
@@ -112,26 +103,26 @@ class ForceState(_BivectorState):
     pass
 
 
-def _same_frame(a, b):
-    if a.frame != b.frame:
-        raise FrameError(f"cannot combine {a.frame}-frame and {b.frame}-frame states")
+def _body_coeffs(x: _BivectorState) -> np.ndarray:
+    """The coefficients of a body-frame state; :class:`FrameError` otherwise."""
+    if x.frame != BODY:
+        raise FrameError(f"expected a body-frame state, not a {x.frame}-frame one")
+    return x.coeffs
 
 
-def frame_convert(x, g: Multivector, to: str):
-    """Move a state or multivector between body and space frames.
+def frame_convert(x: _BivectorState, g: Multivector, to: str) -> _BivectorState:
+    """Move a tagged state between frames: body -> space is ``g X ~g``.
 
-    body -> space is ``g X ~g``; the inverse direction undoes it.
+    A multivector moves by :func:`~pgakit.versors.sandwich` of ``g`` or
+    ``~g``; anything but a tagged state raises :class:`TypeError`.
     """
-    if isinstance(x, _BivectorState):
-        if x.frame == to:
-            return x
-        m = sandwich_matrix(g if to == SPACE else ~g, 2)
-        return type(x)(m @ x.coeffs, to)
-    if to == SPACE:
-        return sandwich(g, x)
-    if to == BODY:
-        return sandwich(~g, x)
-    raise ValueError(f"unknown frame {to!r}")
+    if not isinstance(x, _BivectorState):
+        raise TypeError("frame_convert moves a tagged state, not "
+                        f"{type(x).__name__}; sandwich moves a multivector")
+    if x.frame == to:
+        return x
+    m = sandwich_matrix(g if to == SPACE else ~g, 2)
+    return type(x)(m @ x.coeffs, to)
 
 
 @dataclass(frozen=True)
@@ -165,6 +156,9 @@ class ForceSchedule:
             raise NumericError(f"force {bad[0]} is not finite")
         lines.flags.writeable = False
         object.__setattr__(self, "lines", lines)
+
+
+_NO_FORCE = ForceSchedule(np.zeros((0, 6)), (), ())  # what force=None runs
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +224,6 @@ def orbit_derivative(omega: Multivector, p: Multivector) -> Multivector:
 # inertia
 
 
-_K6 = np.fliplr(np.eye(6))  # Pluecker pairing of the bivector basis
-
-
 @dataclass(frozen=True)
 class InertiaTensor:
     """Positive semi-definite bilinear form on velocity bivectors.
@@ -249,20 +240,19 @@ class InertiaTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "form", arr)
 
-    @property
+    @cached_property
     def operator(self) -> np.ndarray:
-        """Matrix of Omega -> Pi over the bivector basis: ``-K form``."""
-        return -_K6 @ self.form
+        """Matrix of Omega -> Pi over the bivector basis: ``-form`` with
+        its rows reversed, as the Pluecker pairing reverses coordinates."""
+        op = -self.form[::-1]
+        op.flags.writeable = False    # cached: a caller must not alter apply
+        return op
 
     def apply(self, omega: VelocityState) -> MomentumState:
-        if omega.frame != BODY:
-            raise FrameError("the inertia tensor lives in the body frame")
-        return MomentumState(self.operator @ omega.coeffs, BODY)
+        return MomentumState(self.operator @ _body_coeffs(omega), BODY)
 
     def inverse_apply(self, pi: MomentumState) -> VelocityState:
-        if pi.frame != BODY:
-            raise FrameError("the inertia tensor lives in the body frame")
-        return VelocityState(self._inverse_operator @ pi.coeffs, BODY)
+        return VelocityState(self._inverse_operator @ _body_coeffs(pi), BODY)
 
     @cached_property
     def _inverse_operator(self) -> np.ndarray:
@@ -279,9 +269,8 @@ class InertiaTensor:
         return np.linalg.inv(op)
 
     def energy(self, omega: VelocityState) -> float:
-        if omega.frame != BODY:
-            raise FrameError("the inertia tensor lives in the body frame")
-        return float(omega.coeffs @ self.form @ omega.coeffs)
+        w = _body_coeffs(omega)
+        return float(w @ self.form @ w)
 
 
 def _unit_velocity_spear(r: Multivector, b: Multivector) -> Multivector:
@@ -342,9 +331,7 @@ def inertia_clifford_apply(a: InertiaTensor, omega: VelocityState) -> MomentumSt
     orientation of the volume is fixed once so that momenta land in the
     plane-based (axis) convention.
     """
-    if omega.frame != BODY:
-        raise FrameError("the inertia tensor lives in the body frame")
-    pairings = a.form @ omega.coeffs          # <Omega, b_j> for each generator
+    pairings = a.form @ _body_coeffs(omega)   # <Omega, b_j> for each generator
     orient = -1.0                             # chosen unit-volume orientation
     pi = np.zeros(6)
     for j in range(6):
@@ -365,18 +352,20 @@ class PrincipalAxes:
 
 
 def principal_decomposition(particles) -> PrincipalAxes:
-    """Diagonalize a body: translate to the centroid, rotate to axes."""
+    """Diagonalize a body: translate to the centroid, rotate to axes.
+
+    The rotational block of the centred inertia form, in x, y, z order,
+    is ``2 sum m (|r|^2 1 - r r^T)``: twice the classical tensor.
+    """
     particles = list(particles)
+    if not particles:
+        raise ValueError("an empty body has no principal axes")
     masses = np.array([p.mass for p in particles])
     positions = np.array([point_coords(p.r) for p in particles])
     total = masses.sum()
     center = masses @ positions / total
-    alg = particles[0].r.algebra
-    centered = [replace(p, r=point(alg, *(pos - center)))
-                for p, pos in zip(particles, positions)]
-    form = inertia_assemble(centered).form
-    # rotational block in x,y,z axis order: slots e23, e31, e12
-    rot = form[np.ix_([5, 4, 3], [5, 4, 3])]
+    r = positions - center
+    rot = 2.0 * ((masses @ (r * r).sum(axis=1)) * np.eye(3) - (masses * r.T) @ r)
     vals, vecs = np.linalg.eigh(rot)
     order = np.argsort(vals)[::-1]
     return PrincipalAxes(center, vecs[:, order].T, vals[order], float(total))
@@ -395,8 +384,7 @@ class MotionState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.pi_body.frame != BODY:
-            raise FrameError("MotionState stores the body-frame momentum")
+        _body_coeffs(self.pi_body)
         _even_coeffs(self.g)                  # raises on an odd part
 
 
@@ -409,10 +397,10 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     row the even rotor coefficients (basis order) then the body momentum.
     Rows are taken at steps 0, stride, 2*stride, ..., so there are
     ``steps // stride + 1`` of them and row 0 is ``state`` itself.
-    ``force`` is None or a :class:`ForceSchedule`, evaluated at every
-    stage on flat arrays: the open windows select the sum of their
-    lines, which reaches the body frame as ``~g F g``, one grade-2
-    sandwich matrix of the reversed stage rotor.  Any other
+    ``force`` is a :class:`ForceSchedule`, evaluated at every stage on
+    flat arrays: the open windows select the sum of their lines, which
+    reaches the body frame as ``~g F g``, one grade-2 sandwich matrix of
+    the reversed stage rotor.  None runs the empty schedule.  Any other
     ``force`` raises :class:`TypeError`.  The rotor is renormalized after
     every step; no :class:`Multivector` or state object is made per
     step.  Raises :class:`~pgakit.versors.NumericError` when ``dt`` is
@@ -426,36 +414,33 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         raise ValueError("dt must be positive")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a whole number >= 1, not {stride!r}")
-    if force is not None and not isinstance(force, ForceSchedule):
+    force = _NO_FORCE if force is None else force
+    if not isinstance(force, ForceSchedule):
         raise TypeError("force must be a ForceSchedule or None, not "
                         f"{type(force).__name__}")
     alg = state.g.algebra
     tables = alg.even_tables
     motion, ne = tables.motion, len(tables.even)
     inv_op = inertia._inverse_operator
+    rev = alg._rev_signs[tables.even]
 
-    if force is not None:
-        # the set of open windows changes only at an edge, so the sum of
-        # the open lines is tabulated once per interval between edges;
-        # row i is ``open @ lines`` at the interval's first time, bit for
-        # bit the sum at any stage time t with bisect_right(edges, t) == i
-        edges = sorted({*force.t_start.tolist(), *force.t_end.tolist()})
-        totals = [((force.t_start <= at) & (at < force.t_end)) @ force.lines
-                  for at in [-np.inf, *edges]]
-        active = [bool(total.any()) for total in totals]
-        rev = alg._rev_signs[tables.even]
+    # the set of open windows changes only at an edge, so the sum of the
+    # open lines is tabulated once per interval between edges; row i is
+    # ``open @ lines`` at the interval's first time, bit for bit the sum
+    # at any stage time t with bisect_right(edges, t) == i
+    edges = sorted({*force.t_start.tolist(), *force.t_end.tolist()})
+    totals = [((force.t_start <= at) & (at < force.t_end)) @ force.lines
+              for at in [-np.inf, *edges]]
+    active = [bool(total.any()) for total in totals]
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     def rhs(t, y):
         omega = inv_op @ y[ne:]
         dy = _bilinear(y, omega, motion)
-        if force is not None:
-            i = bisect_right(edges, t)
-            total = totals[i]
-            if active[i]:
-                # ~g F g: one grade-2 sandwich matrix of the reversed rotor
-                total = sandwich_matrix_even(alg, rev * y[:ne], 2) @ total
-            dy[ne:] += total
+        i = bisect_right(edges, t)
+        if active[i]:
+            # ~g F g: one grade-2 sandwich matrix of the reversed rotor
+            dy[ne:] += sandwich_matrix_even(alg, rev * y[:ne], 2) @ totals[i]
         return dy
 
     y = np.concatenate((state.g.coeffs[tables.even], state.pi_body.coeffs))
@@ -502,7 +487,8 @@ def body_energy(inertia: InertiaTensor, state: MotionState) -> float:
 def _momentum_energy(inertia: InertiaTensor, pi: np.ndarray) -> np.ndarray:
     """Energy of a body momentum, or of each row of a ``(rows, 6)`` stack.
 
-    ``form Omega = -K Pi``, so the energy is ``-Omega . K Pi``: one
+    ``form Omega = -rev(Pi)``, with ``rev`` the coordinate reversal of
+    the Pluecker pairing, so the energy is ``-Omega . rev(Pi)``: one
     mat-vec with the cached inverse and one dot per momentum.
     """
     omega = pi @ inertia._inverse_operator.T
@@ -558,8 +544,9 @@ def power(omega, delta) -> float:
     ``form(Omega, Omega) / 2`` along integrated motion.
     """
     if isinstance(omega, _BivectorState):
-        _same_frame(omega, delta)
-        return -float(omega.coeffs @ _K6 @ delta.coeffs)
+        if omega.frame != delta.frame:
+            raise FrameError(f"cannot pair {omega.frame}- and {delta.frame}-frame states")
+        return -float(omega.coeffs[::-1] @ delta.coeffs)
     return -pluecker(omega, delta)
 
 

@@ -27,6 +27,7 @@ from .duality import join
 
 SIMPLE_REL_TOL = 1e-9
 _EPS = 1e-12
+_DUST = 1e-9   # grades(rel_tol=...): a part under this share of the largest is dust
 
 
 class DegenerateElementError(ValueError):
@@ -61,6 +62,11 @@ def plane(alg: Algebra, a: float, b: float, c: float, d: float) -> Multivector:
     if alg.dim != 4:
         raise ValueError("plane needs the spatial algebra")
     return alg.multivector({"e0": d, "e1": a, "e2": b, "e3": c})
+
+
+def _clamp(c: float, lo: float, hi: float = math.inf) -> float:
+    """``c`` clipped to ``[lo, hi]``; NaN stays NaN (``min``/``max`` drop it)."""
+    return c if math.isnan(c) else max(lo, min(hi, c))
 
 
 def _expect_coords(alg, coords):
@@ -117,7 +123,7 @@ def ideal_norm(v: Multivector, probe: Multivector | None = None) -> float:
     if probe is None:
         probe = point(v.algebra, *([0.0] * (v.algebra.dim - 1)))
     j = join(v, probe)
-    k = j.grades(rel_tol=1e-9)
+    k = j.grades(rel_tol=_DUST)
     if k == [1]:
         return vector_norm(j)
     if k == [2]:
@@ -135,7 +141,7 @@ def normalize(x: Multivector) -> Multivector:
     points and ideal lines unit length.  Fully degenerate input (an
     ideal 1-vector such as e0) raises.
     """
-    ks = x.grades(rel_tol=1e-9)
+    ks = x.grades(rel_tol=_DUST)
     if not ks:
         raise DegenerateElementError("cannot normalize the zero element")
     if len(ks) != 1:
@@ -173,14 +179,12 @@ def distance(p: Multivector, q: Multivector) -> float:
 
 def angle(a: Multivector, b: Multivector) -> float:
     """Angle between normalized 1-vectors: arccos(a . b)."""
-    c = (a | b).scalar_part
-    return math.acos(max(-1.0, min(1.0, c)))
+    return math.acos(_clamp((a | b).scalar_part, -1.0, 1.0))
 
 
 def line_angle(xi: Multivector, phi: Multivector) -> float:
     """Angle between the directions of two normalized euclidean 3D lines."""
-    c = -(xi | phi).scalar_part
-    return math.acos(max(-1.0, min(1.0, c)))
+    return math.acos(_clamp(-(xi | phi).scalar_part, -1.0, 1.0))
 
 
 def point_nd(alg: Algebra, *coords: float) -> Multivector:
@@ -204,13 +208,11 @@ def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
     if abs(xx) <= _EPS * scale or abs(yy) <= _EPS * scale:
         raise DegenerateElementError("null vector has no distance")
     if (sig.p, sig.n, sig.z) == (4, 0, 0):
-        c = xy / math.sqrt(xx * yy)
-        return math.acos(max(-1.0, min(1.0, c)))
+        return math.acos(_clamp(xy / math.sqrt(xx * yy), -1.0, 1.0))
     if (sig.p, sig.n, sig.z) == (3, 1, 0):
         if xx > 0 or yy > 0:
             raise DegenerateElementError("hyperbolic points lie inside the ball")
-        c = -xy / math.sqrt(xx * yy)
-        return math.acosh(max(1.0, c))
+        return math.acosh(_clamp(-xy / math.sqrt(xx * yy), 1.0))
     raise ValueError(f"no distance formula for signature {sig}")
 
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Multivector, Signature, _bilinear
-from .metric import (DegenerateElementError, DualParts, biv_coeffs, biv_mv,
-                     bivector_axis, even_mv, is_simple, killing_norm,
-                     normalize, point_weight)
+from .metric import (_DUST, _EPS, DegenerateElementError, DualParts,
+                     _expect_coords, biv_coeffs, biv_mv, bivector_axis, even_mv,
+                     is_simple, killing_norm, normalize, point_weight)
 
-_EPS = 1e-12
 _PGA = (Signature(2, 0, 1), Signature(3, 0, 1))
 
 
@@ -43,6 +42,12 @@ def _even_coeffs(g: Multivector) -> np.ndarray:
     if np.count_nonzero(g.coeffs[g.algebra.even_tables.odd]):
         raise ValueError("expected an even element (a rotor or a multiple of one)")
     return g.coeffs[g.algebra.even_indices]
+
+
+def _require_finite(x: Multivector, what: str) -> None:
+    """:class:`NumericError` unless every coefficient of ``x`` is finite."""
+    if not np.isfinite(x.coeffs).all():
+        raise NumericError(f"the {what} has a coefficient that is not finite")
 
 
 def sandwich(g: Multivector, x: Multivector) -> Multivector:
@@ -73,6 +78,7 @@ def sandwich_matrix_even(alg: Algebra, ge: np.ndarray, k: int) -> np.ndarray:
 def translator(alg: Algebra, v) -> Multivector:
     """The rotor translating every finite point by the vector ``v``."""
     v = tuple(float(c) for c in v)
+    _expect_coords(alg, v)
     if alg.dim == 3:
         (vx, vy) = v
         return alg.multivector({"1": 1.0, "E1": vy / 2.0, "E2": -vx / 2.0})
@@ -88,7 +94,7 @@ def rotator(center: Multivector, theta: float) -> Multivector:
     half-angle convention ``cos(theta/2) + sin(theta/2) N``.
     """
     alg = center.algebra
-    ks = center.grades(rel_tol=1e-9)
+    ks = center.grades(rel_tol=_DUST)
     if ks == [2] and alg.dim == 4:
         if not is_simple(center):
             raise ValueError("a rotation axis must be a simple bivector")
@@ -127,12 +133,13 @@ def exp_bivector(b: Multivector) -> Multivector:
     ``s = sin(t) / t`` and ``k = m (cos t - s) / l`` give the screw
     ``cos t + (s i + k rev(e), s e) + m s I``.  Raises ``ValueError`` on
     a part of another grade above ``1e-9`` of the largest coefficient
-    (dust below it is dropped) and :class:`NumericError` when ``e . e``
-    or the squared norm overflows.
+    (dust below it is dropped) and :class:`NumericError` on a coefficient
+    that is not finite or when ``e . e`` or the squared norm overflows.
     """
     alg = b.algebra
     require_pga(alg)
-    if set(b.grades(rel_tol=1e-9)) - {2}:
+    _require_finite(b, "bivector")
+    if set(b.grades(rel_tol=_DUST)) - {2}:
         raise ValueError("exp_bivector takes a bivector (a grade-2 element)")
     b = b.grade(2)
     if alg.dim == 3:
@@ -203,11 +210,12 @@ def screw_log(g: Multivector) -> ScrewLog:
     For a pure translator the axis is not unique; the representative
     through the origin is returned, and a negated translator is mapped
     to the translator first.  The identity and -1 get a zero log on an
-    arbitrary axis.
+    arbitrary axis.  :class:`NumericError` on a coefficient that is not finite.
     """
     alg = g.algebra
     if alg.signature != Signature(3, 0, 1):
         raise ValueError(f"screw_log needs Cl(3,0,1), not Cl{alg.signature}")
+    _require_finite(g, "rotor")
     s_r = g.scalar_part
     c6 = biv_coeffs(g)
     xi_scale = math.sqrt(float(c6 @ c6))
@@ -228,11 +236,13 @@ def screw_log(g: Multivector) -> ScrewLog:
 
 
 def rotor_log(g: Multivector) -> Multivector:
-    """Logarithm of a rotor as a bivector, in Cl(2,0,1) or Cl(3,0,1)."""
+    """Logarithm of a rotor as a bivector, in Cl(2,0,1) or Cl(3,0,1);
+    :class:`NumericError` on a coefficient that is not finite."""
     alg = g.algebra
     require_pga(alg)
     if alg.dim == 4:
         return screw_log(g).bivector()
+    _require_finite(g, "rotor")
     if g.scalar_part < 0.0:
         g = -g
     s = g.scalar_part

@@ -221,6 +221,8 @@ def test_principal_decomposition(space_alg):
     rot = inertia_assemble(centered).form[np.ix_([5, 4, 3], [5, 4, 3])]
     diag = dec.axes @ rot @ dec.axes.T
     np.testing.assert_allclose(diag, np.diag(dec.moments), atol=1e-10)
+    with pytest.raises(ValueError, match="empty"):
+        principal_decomposition([])
 
 
 def test_frame_tags_enforced(space_alg, rng):
@@ -229,8 +231,22 @@ def test_frame_tags_enforced(space_alg, rng):
         a.apply(VelocityState(rng.normal(size=6), SPACE))
     with pytest.raises(FrameError):
         power(VelocityState(np.ones(6), BODY), ForceState(np.ones(6), SPACE))
-    with pytest.raises(FrameError):
-        VelocityState(np.ones(6), BODY) + VelocityState(np.ones(6), SPACE)
+    # every body-frame rule refuses a space-frame state
+    omega, pi = VelocityState(np.ones(6), SPACE), MomentumState(np.ones(6), SPACE)
+    for refuse in (lambda: a.inverse_apply(pi), lambda: a.energy(omega),
+                   lambda: inertia_clifford_apply(a, omega),
+                   lambda: MotionState(space_alg.scalar(1.0), pi)):
+        with pytest.raises(FrameError, match="body-frame"):
+            refuse()
+
+
+def test_pluecker_pairing_is_a_reversal(space_alg, rng):
+    a = inertia_assemble(four_point_body(space_alg))
+    assert np.array_equal(a.operator, -np.fliplr(np.eye(6)) @ a.form)
+    assert a.operator is a.operator and not a.operator.flags.writeable
+    w, f = rng.normal(size=6), rng.normal(size=6)
+    assert power(VelocityState(w, BODY), ForceState(f, BODY)) == pytest.approx(
+        -pluecker(biv_mv(space_alg, w), biv_mv(space_alg, f)), rel=1e-12)
 
 
 def test_motion_state_refuses_an_odd_rotor(space_alg):
@@ -263,7 +279,8 @@ def test_non_finite_step_raises(space_alg):
         with pytest.raises(NumericError):
             euler_step(st, a, math.inf)
         with pytest.raises(NumericError):
-            euler_step(MotionState(st.g, a.apply(1e200 * spin)), a, 1e-3)
+            euler_step(MotionState(st.g, a.apply(
+                VelocityState(1e200 * spin.coeffs, BODY))), a, 1e-3)
 
 
 def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
@@ -450,15 +467,19 @@ def test_frame_convert_roundtrip(space_alg, rng):
     from conftest import random_mv
     g = exp_bivector(random_mv(space_alg, rng, grade=2))
     x = random_mv(space_alg, rng)
-    assert frame_convert(frame_convert(x, g, SPACE), g, BODY).isclose(x, rel=1e-11)
-    assert frame_convert(x, space_alg.scalar(1.0), SPACE) == x
+    assert sandwich(~g, sandwich(g, x)).isclose(x, rel=1e-11)
+    assert sandwich(space_alg.scalar(1.0), x) == x
     # a tagged state moves by the 6x6 sandwich matrix, as its multivector does
     for to, frame in ((SPACE, BODY), (BODY, SPACE)):
         f = ForceState(rng.normal(size=6), frame)
-        want = biv_coeffs(frame_convert(f.as_multivector(space_alg), g, to))
+        want = biv_coeffs(sandwich(g if to == SPACE else ~g,
+                                   f.as_multivector(space_alg)))
         got = frame_convert(f, g, to)
         assert got.frame == to
         np.testing.assert_allclose(got.coeffs, want, rtol=0, atol=1e-13)
+    # a multivector moves by sandwich; frame_convert has no second route
+    with pytest.raises(TypeError, match="sandwich"):
+        frame_convert(x, g, SPACE)
 
 
 def test_body_to_space_derivative_formula(space_alg):
@@ -485,10 +506,9 @@ def test_body_to_space_derivative_formula(space_alg):
             s = euler_step(s, a, dt)
         mid = states[1]
         om_mid = a.inverse_apply(mid.pi_body).as_multivector(space_alg)
-        fd = (frame_convert(xc(2 * dt), states[2].g, SPACE)
-              - frame_convert(xc(0.0), states[0].g, SPACE)) / (2 * dt)
-        formula = frame_convert(
-            xc_dot(dt) + 2.0 * om_mid.commutator(xc(dt)), mid.g, SPACE)
+        fd = (sandwich(states[2].g, xc(2 * dt))
+              - sandwich(states[0].g, xc(0.0))) / (2 * dt)
+        formula = sandwich(mid.g, xc_dot(dt) + 2.0 * om_mid.commutator(xc(dt)))
         errs.append(np.abs((fd - formula).coeffs).max())
     assert errs[0] < 1e-2
     assert errs[1] < errs[0] / 3.0     # second-order convergence

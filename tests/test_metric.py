@@ -107,6 +107,19 @@ def test_angle(space_alg):
     assert angle(a, b) == pytest.approx(math.pi / 4)
 
 
+def test_nan_angles_and_distances_stay_nan(space_alg):
+    # a clamp through min/max would turn NaN into a wrong 0.0
+    nan = math.nan
+    assert math.isnan(angle(plane(space_alg, nan, 0, 0, 0),
+                            plane(space_alg, 1, 0, 0, 0)))
+    x_axis = line3d_point_dir(space_alg, (0, 0, 0), (1, 0, 0))
+    assert math.isnan(line_angle(nan * x_axis, x_axis))
+    for sig in ((4, 0, 0), (3, 1, 0)):
+        alg = algebra(*sig)
+        inside = point_nd(alg, 1.0, 0.1, 0.0, 0.0)
+        assert math.isnan(noneuclidean_distance(point_nd(alg, 1.0, nan, 0, 0), inside))
+
+
 def test_elliptic_distance():
     ell = algebra(4, 0, 0)
     x = point_nd(ell, 1.0, 0.2, -0.3, 0.5)

@@ -118,6 +118,8 @@ def test_translator_examples(plane_alg, space_alg, rng):
         {"1": 1.0, "E2": -1.0})
     assert translator(plane_alg, (0.0, 0.0)) == plane_alg.scalar(1.0)
     assert translator(space_alg, (0.0, 0.0, 0.0)) == space_alg.scalar(1.0)
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        translator(space_alg, (1.0, 2.0))
     t3 = translator(space_alg, (2.0, 4.0, 6.0))
     assert t3 == space_alg.multivector(
         {"1": 1.0, "e01": -1.0, "e02": -2.0, "e03": -3.0})
@@ -251,6 +253,28 @@ def test_exp_refuses_parts_of_other_grades(plane_alg, space_alg):
             exp_bivector(b)
     # parts below the 1e-9 dust level are dropped
     assert exp_bivector(0.3 * bl3["e01"] + 1e-12) == 1.0 + 0.3 * bl3["e01"]
+
+
+@pytest.mark.parametrize("case", [
+    "exp 2d nan", "exp 3d nan", "exp 2d inf", "screw_log nan", "screw_log inf",
+    "rotor_log 2d nan", "rotor_log 3d nan"])
+def test_exp_and_log_refuse_non_finite_coefficients(plane_alg, space_alg, case):
+    # a NaN or inf coefficient used to come back as an all-NaN rotor, a
+    # zero log or a misleading overflow / wrong-grade message
+    nan, inf = math.nan, math.inf
+    run = {
+        "exp 2d nan": lambda: exp_bivector(nan * plane_alg.blade("E1")),
+        "exp 3d nan": lambda: exp_bivector(biv_mv(space_alg, [nan, 0, 0, 1, 0, 0])),
+        "exp 2d inf": lambda: exp_bivector(inf * plane_alg.blade("E0")),
+        "screw_log nan": lambda: screw_log(space_alg.multivector({"1": nan, "e12": 0.6})),
+        "screw_log inf": lambda: screw_log(space_alg.multivector({"1": 1.0, "e01": inf})),
+        "rotor_log 2d nan": lambda: rotor_log(nan * plane_alg.scalar(1.0)),
+        "rotor_log 3d nan": lambda: rotor_log(nan * space_alg.scalar(1.0)),
+    }[case]
+    # inf * E0 puts 0 * inf = NaN in the other slots
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="not finite"):
+            run()
 
 
 def test_exp_rejects_overflowing_bivectors(space_alg):
