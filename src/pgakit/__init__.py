@@ -25,7 +25,7 @@ from .dynamics import (BODY, SPACE, ForceSchedule, ForceState, FrameError,
                        InertiaTensor, MomentumState, MotionState, Particle,
                        SingularInertiaError, VelocityState, body_energy,
                        euler_step, force_line, force_state, frame_convert,
-                       inertia_assemble, inertia_clifford_apply,
+                       inertia_assemble,
                        kinetic_energy, momentum_of_body, orbit_derivative,
                        power, principal_decomposition, resultant,
                        space_momentum, work)

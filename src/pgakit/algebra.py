@@ -203,6 +203,10 @@ class Algebra:
 
     def _build_tables(self):
         self._gp = self._product_tensor(self.signature.squares)
+        # per grade, the slots of the blades that square to non-zero (in
+        # PGA, those without e0): the diagonal of the scalar slice says which
+        nonnull = np.diagonal(self._gp[:, :, 0]) != 0.0
+        self._nonnull_slots = {k: s[nonnull[s]] for k, s in self.grade_indices.items()}
         # the outer and inner products are grade masks of the geometric
         # product: grade k+l of a k- and an l-blade, and grade |k-l|
         g = self.grades

@@ -4,8 +4,9 @@ and the batch rigid-body simulator.
 Commands raise and :func:`main` alone reports: it prints one ``error:``
 line and maps the error to the exit code.  Exit codes: 0 success; 2 for
 :class:`UsageError` (a bad signature, coefficient list or ``--out``
-path, exp/log outside PGA), :class:`~pgakit.scene.SceneError` (a
-malformed scene) and :class:`~pgakit.expr.ExprError`; 3 for every other
+path, a CSV write that fails, exp/log outside PGA),
+:class:`~pgakit.scene.SceneError` (a malformed scene) and
+:class:`~pgakit.expr.ExprError`; 3 for every other
 ``ValueError``, the numeric failures (singular inertia, a rotor that
 cannot be normalized, a value that stops being finite).  Any other
 exception is a bug and propagates.
@@ -91,16 +92,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _write_or_refuse(path: str, write) -> None:
+    """``write(path)``; an ``OSError`` becomes :class:`UsageError`."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = load_scene(args.scene)
-    # fail on an unwritable output before integrating, not after
-    try:
-        with open(args.out, "a"):
-            pass
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
+    # fail on an unwritable output before integrating, not after; a write
+    # that fails later (a full disk) is reported the same way
+    _write_or_refuse(args.out, lambda path: open(path, "a").close())
     header, table = run_simulation(cfg, stride=args.stride)
-    write_csv(args.out, header, table)
+    _write_or_refuse(args.out, lambda path: write_csv(path, header, table))
     print(f"wrote {len(table)} rows to {args.out}")
     return EXIT_OK
 

@@ -79,7 +79,8 @@ class _BivectorState:
     frame: str
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        # a copy, so freezing it leaves the caller's array writeable
+        arr = np.array(self.coeffs, dtype=float)
         if arr.shape != (6,):
             raise ValueError("a state has six bivector coordinates")
         arr.flags.writeable = False
@@ -236,7 +237,7 @@ class InertiaTensor:
     form: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.form, dtype=float)
+        arr = np.array(self.form, dtype=float)    # a copy, as for the states
         arr.flags.writeable = False
         object.__setattr__(self, "form", arr)
 
@@ -320,25 +321,6 @@ def momentum_of_body(particles, omega: VelocityState) -> MomentumState:
     for p in particles:
         total = total + p.mass * _unit_velocity_spear(p.r, om)
     return MomentumState(biv_coeffs(total), omega.frame)
-
-
-def inertia_clifford_apply(a: InertiaTensor, omega: VelocityState) -> MomentumState:
-    """Momentum via the auxiliary Clifford algebra over bivector space.
-
-    The inertia form is installed as the inner product on the six
-    velocity directions; contracting the velocity 1-vector into the
-    unit 6-volume gives a 5-vector whose dual is the momentum.  The
-    orientation of the volume is fixed once so that momenta land in the
-    plane-based (axis) convention.
-    """
-    pairings = a.form @ _body_coeffs(omega)   # <Omega, b_j> for each generator
-    orient = -1.0                             # chosen unit-volume orientation
-    pi = np.zeros(6)
-    for j in range(6):
-        sorted5 = orient * (-1.0) ** j * pairings[j]   # x . (b0 ^ ... ^ b5)
-        canonical5 = (-1.0) ** j * sorted5             # canonical 5-blade basis
-        pi[5 - j] += canonical5                        # complementary-blade dual
-    return MomentumState(pi, BODY)
 
 
 @dataclass(frozen=True)
@@ -541,8 +523,13 @@ def power(omega, delta) -> float:
 
     Zero exactly when the two lines are incident (the skater case).
     Matches the rate of change of the half-normalized energy
-    ``form(Omega, Omega) / 2`` along integrated motion.
+    ``form(Omega, Omega) / 2`` along integrated motion.  Takes two
+    tagged states or two multivectors; a mixed pair raises
+    :class:`TypeError`.
     """
+    if isinstance(omega, _BivectorState) != isinstance(delta, _BivectorState):
+        raise TypeError("power pairs two tagged states or two multivectors, "
+                        f"not {type(omega).__name__} and {type(delta).__name__}")
     if isinstance(omega, _BivectorState):
         if omega.frame != delta.frame:
             raise FrameError(f"cannot pair {omega.frame}- and {delta.frame}-frame states")

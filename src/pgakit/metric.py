@@ -9,7 +9,11 @@ elements are lines in their axis aspect, with Pluecker coordinates
     a x + b y + c z + d ->  d e0 + a e1 + b e2 + c e3
 
 Ideal elements (zero weight / zero spatial part) are the points and
-lines at infinity; ideal points double as free vectors.
+lines at infinity; ideal points double as free vectors.  One noise rule,
+``_negligible``, says what is ideal, whatever the scale: an element whose
+euclidean part (the blades without ``e0``) is at most 1e-12 of its
+largest coefficient of that grade, and a rotor whose rotation part is
+that small next to its euclidean part, which is 1 however far it moves.
 
 Everything here is a pure function of immutable multivectors.
 """
@@ -64,6 +68,19 @@ def plane(alg: Algebra, a: float, b: float, c: float, d: float) -> Multivector:
     return alg.multivector({"e0": d, "e1": a, "e2": b, "e3": c})
 
 
+def _negligible(part, whole) -> bool:
+    """Whether ``part``'s largest magnitude is at most ``_EPS`` times ``whole``'s."""
+    return bool(np.abs(part).max(initial=0.0)
+                <= _EPS * np.abs(whole).max(initial=0.0))
+
+
+def _euclidean_split(x: Multivector, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grade-``k`` coefficients of ``x`` on blades that square to non-zero
+    (in PGA, the blades without ``e0``), and all its grade-``k`` ones."""
+    alg = x.algebra
+    return x.coeffs[alg._nonnull_slots[k]], x.coeffs[alg.grade_indices[k]]
+
+
 def _clamp(c: float, lo: float, hi: float = math.inf) -> float:
     """``c`` clipped to ``[lo, hi]``; NaN stays NaN (``min``/``max`` drop it)."""
     return c if math.isnan(c) else max(lo, min(hi, c))
@@ -88,9 +105,9 @@ def point_coords(x: Multivector) -> tuple[float, ...]:
     Divides by the signed weight, so an odd sandwich's orientation flip
     disappears here; read the raw trivector coefficients to keep it.
     """
-    w = point_weight(x)
-    if abs(w) <= _EPS * max(1.0, np.abs(x.coeffs).max()):
+    if _negligible(*_euclidean_split(x, x.algebra.dim - 1)):
         raise DegenerateElementError("ideal point has no position")
+    w = point_weight(x)
     idx = x.algebra.grade_indices[x.algebra.dim - 1][1:]
     return tuple(float(c) / w for c in x.coeffs[idx])
 
@@ -147,23 +164,15 @@ def normalize(x: Multivector) -> Multivector:
     if len(ks) != 1:
         raise ValueError("normalize expects a homogeneous-grade element")
     (k,) = ks
-    scale = float(np.abs(x.coeffs).max())
-    dim = x.algebra.dim
+    ideal = _negligible(*_euclidean_split(x, k))
     if k == 1:
-        n = vector_norm(x)
-        if n <= _EPS * scale:
+        if ideal:
             raise DegenerateElementError("ideal line/plane cannot be normalized")
-        return x / n
-    if k == dim - 1:
-        w = point_weight(x)
-        if abs(w) > _EPS * scale:
-            return x / w
-        return x / ideal_norm(x)
-    if k == 2 and dim == 4:
-        n = killing_norm(x)
-        if n > _EPS * scale:
-            return x / n
-        return x / ideal_norm(x)
+        return x / vector_norm(x)
+    if k == x.algebra.dim - 1:
+        return x / ideal_norm(x) if ideal else x / point_weight(x)
+    if k == 2 and x.algebra.dim == 4:
+        return x / ideal_norm(x) if ideal else x / killing_norm(x)
     raise ValueError(f"no normalization convention for grade {k}")
 
 
@@ -295,15 +304,18 @@ def bivector_axis(xi: Multivector) -> Multivector:
     squares to -1 and keeps the orientation of the euclidean part.  A
     translator's bivector is ideal and has no axis.
     """
-    c = biv_coeffs(xi)
+    if _negligible(*_euclidean_split(xi, 2)):
+        raise DegenerateElementError("ideal bivector has no axis")
+    return biv_mv(xi.algebra, _axis_coeffs(biv_coeffs(xi)))
+
+
+def _axis_coeffs(c: np.ndarray) -> np.ndarray:
+    """:func:`bivector_axis` on Pluecker coordinates whose ``e`` is not zero."""
     i, e = c[:3], c[3:]
     l = float(e @ e)
-    if l <= _EPS ** 2 * max(float(c @ c), _EPS):
-        raise DegenerateElementError("ideal bivector has no axis")
     rev_e = e[::-1]
     m = float(i @ rev_e)
-    return biv_mv(xi.algebra,
-                  np.concatenate([i - (m / l) * rev_e, e]) / math.sqrt(l))
+    return np.concatenate([i - (m / l) * rev_e, e]) / math.sqrt(l)
 
 
 @dataclass(frozen=True)
@@ -328,14 +340,12 @@ def bivector_pitch(xi: Multivector) -> Pitch:
 
     For the screw generator ``(t + u I) Phi`` the value is ``2u/t``.
     """
-    c = biv_coeffs(xi)
-    scale = float(c @ c)
-    if scale <= _EPS ** 2:
+    part, whole = _euclidean_split(xi, 2)
+    if not whole.any():
         raise DegenerateElementError("zero bivector has no pitch")
-    den = pluecker(xi, polar_line(xi))
-    if abs(den) <= _EPS * scale:
+    if _negligible(part, whole):
         return Pitch.infinite()
-    return Pitch.of(-pluecker(xi, xi) / den)
+    return Pitch.of(-pluecker(xi, xi) / pluecker(xi, polar_line(xi)))
 
 
 class DualParts(NamedTuple):
@@ -385,28 +395,21 @@ def null_point(a: Multivector, xi: Multivector) -> Multivector:
 # inverses and projections
 
 
-def vector_inverse(a: Multivector) -> Multivector:
-    aa = (a | a).scalar_part
-    if abs(aa) <= _EPS * a.norm2():
-        raise DegenerateElementError("ideal 1-vector has no inverse")
-    return a / aa
-
-
-def bivector_inverse(xi: Multivector) -> Multivector:
-    xx = (xi | xi).scalar_part
-    if abs(xx) <= _EPS * xi.norm2():
-        raise DegenerateElementError("ideal bivector has no inverse")
-    return xi / xx
+def _inverse(x: Multivector, k: int) -> Multivector:
+    """``x / (x . x)``, the inverse of a euclidean grade-``k`` blade."""
+    if _negligible(*_euclidean_split(x, k)):
+        raise DegenerateElementError(f"ideal grade-{k} element has no inverse")
+    return x / (x | x).scalar_part
 
 
 def project_point_to_line(p: Multivector, xi: Multivector) -> Multivector:
     """Foot of the perpendicular from a point to a euclidean line."""
-    return (p | xi) * bivector_inverse(xi)
+    return (p | xi) * _inverse(xi, 2)
 
 
 def project_line_to_plane(xi: Multivector, a: Multivector) -> Multivector:
     """Orthogonal projection of a 3D line into a euclidean plane."""
-    return (xi | a) * vector_inverse(a)
+    return (xi | a) * _inverse(a, 1)
 
 
 def perp_through_point(p: Multivector, a: Multivector) -> Multivector:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Multivector, Signature, _bilinear
-from .metric import (_DUST, _EPS, DegenerateElementError, DualParts,
-                     _expect_coords, biv_coeffs, biv_mv, bivector_axis, even_mv,
-                     is_simple, killing_norm, normalize, point_weight)
+from .metric import (_DUST, DegenerateElementError, DualParts, _axis_coeffs,
+                     _euclidean_split, _expect_coords, _negligible, biv_coeffs,
+                     biv_mv, even_mv, is_simple, normalize)
 
 _PGA = (Signature(2, 0, 1), Signature(3, 0, 1))
 
@@ -95,18 +95,14 @@ def rotator(center: Multivector, theta: float) -> Multivector:
     """
     alg = center.algebra
     ks = center.grades(rel_tol=_DUST)
-    if ks == [2] and alg.dim == 4:
-        if not is_simple(center):
-            raise ValueError("a rotation axis must be a simple bivector")
-        n = normalize(center)
-        if killing_norm(n) < 0.5:
-            raise DegenerateElementError("ideal axis: use translator()")
-    elif ks == [alg.dim - 1]:
-        n = normalize(center)
-        if abs(point_weight(n)) < 0.5:
-            raise DegenerateElementError("ideal center: use translator()")
-    else:
+    axis = ks == [2] and alg.dim == 4
+    if axis and not is_simple(center):
+        raise ValueError("a rotation axis must be a simple bivector")
+    if not axis and ks != [alg.dim - 1]:
         raise ValueError("rotation center must be a point or a 3D line")
+    if _negligible(*_euclidean_split(center, ks[0])):
+        raise DegenerateElementError("ideal center or axis: use translator()")
+    n = normalize(center)
     return math.cos(theta / 2.0) + math.sin(theta / 2.0) * n
 
 
@@ -128,13 +124,14 @@ def exp_screw(axis: Multivector, t: float, u: float = 0.0) -> Multivector:
 def exp_bivector(b: Multivector) -> Multivector:
     """Exponential of a grade-2 element; always lands in the rotor group.
 
-    Ideal bivectors give translators ``1 + b``.  Otherwise, in 3D and in
-    the notation of :func:`~pgakit.metric.bivector_axis`, ``t = sqrt(l)``,
-    ``s = sin(t) / t`` and ``k = m (cos t - s) / l`` give the screw
-    ``cos t + (s i + k rev(e), s e) + m s I``.  Raises ``ValueError`` on
-    a part of another grade above ``1e-9`` of the largest coefficient
-    (dust below it is dropped) and :class:`NumericError` on a coefficient
-    that is not finite or when ``e . e`` or the squared norm overflows.
+    Only a bivector with no rotation part at all gives the translator
+    ``1 + b``: the closed forms are continuous as the angle goes to 0.
+    Otherwise, in 3D and in :func:`~pgakit.metric.bivector_axis`'s
+    notation, ``t = sqrt(l)``, ``s = sin(t) / t`` and ``k = m (cos t - s) / l``
+    give the screw ``cos t + (s i + k rev(e), s e) + m s I``.  Raises
+    ``ValueError`` on a part of another grade above ``1e-9`` of the largest
+    coefficient (dust below it is dropped), :class:`NumericError` on a
+    non-finite coefficient or when ``e . e`` or the squared norm overflows.
     """
     alg = b.algebra
     require_pga(alg)
@@ -144,7 +141,7 @@ def exp_bivector(b: Multivector) -> Multivector:
     b = b.grade(2)
     if alg.dim == 3:
         m0 = b["E0"]
-        if abs(m0) <= _EPS * max(1.0, float(np.abs(b.coeffs).max())):
+        if m0 == 0.0:
             return alg.scalar(1.0) + b
         return math.cos(m0) + math.sin(m0) / m0 * b
     c = biv_coeffs(b)
@@ -152,9 +149,9 @@ def exp_bivector(b: Multivector) -> Multivector:
     l, cc = float(e @ e), float(c @ c)
     if not (math.isfinite(l) and math.isfinite(cc)):
         raise NumericError("bivector too large: its norm overflows")
-    t = math.sqrt(l)
-    if t <= _EPS * math.sqrt(cc):
+    if l == 0.0:
         return alg.scalar(1.0) + b
+    t = math.sqrt(l)
     rev_e = e[::-1]
     m = float(i @ rev_e)
     cos_t, s = math.cos(t), math.sin(t) / t
@@ -202,15 +199,16 @@ def _origin_axis(alg: Algebra, direction) -> Multivector:
 def screw_log(g: Multivector) -> ScrewLog:
     """Logarithm of a unit 3D rotor: ``exp(log g) = g``.
 
-    The axis ``A`` is :func:`~pgakit.metric.bivector_axis` of the
-    grade-2 part ``(i, e)``.  With ``s`` and ``q`` the scalar and
+    The axis ``A`` is the closed form of :func:`~pgakit.metric.bivector_axis`
+    on the grade-2 part ``(i, e)``.  With ``s`` and ``q`` the scalar and
     pseudoscalar parts, ``t = atan2(|e|, s)`` lies in [0, pi] and
     ``u = -(s i . rev(A_e) + |e| q)``.
 
-    For a pure translator the axis is not unique; the representative
-    through the origin is returned, and a negated translator is mapped
-    to the translator first.  The identity and -1 get a zero log on an
-    arbitrary axis.  :class:`NumericError` on a coefficient that is not finite.
+    ``g`` is a translator when ``e`` is noise next to ``(s, e)``; its axis
+    is not unique, so the one through the origin is returned, and a
+    negated translator is mapped to the translator first.  The identity
+    and -1 get a zero log on an arbitrary axis.  :class:`NumericError` on
+    a coefficient that is not finite.
     """
     alg = g.algebra
     if alg.signature != Signature(3, 0, 1):
@@ -218,21 +216,19 @@ def screw_log(g: Multivector) -> ScrewLog:
     _require_finite(g, "rotor")
     s_r = g.scalar_part
     c6 = biv_coeffs(g)
-    xi_scale = math.sqrt(float(c6 @ c6))
-    g_scale = max(1.0, float(np.abs(g.coeffs).max()))
-    if xi_scale <= _EPS * g_scale:
+    if _negligible(c6, g.coeffs):
         return ScrewLog(_origin_axis(alg, (0.0, 0.0, 1.0)), 0.0, 0.0)
-    e_norm = math.sqrt(float(c6[3:] @ c6[3:]))
-    if e_norm <= _EPS * xi_scale:
+    e = c6[3:]
+    if _negligible(e, (s_r, *e)):
         # translator: map -g to g (the scalar part must be +1), then pick
         # the origin-passing axis; the log of a translator is not unique
         m = c6[:3] if s_r >= 0.0 else -c6[:3]
         length = math.sqrt(float(m @ m))
         return ScrewLog(_origin_axis(alg, -m / length), 0.0, length)
-    axis = bivector_axis(g.grade(2))
-    axis_e = biv_coeffs(axis)[3:]
-    u = -(s_r * float(c6[:3] @ axis_e[::-1]) + e_norm * g.pseudo_part)
-    return ScrewLog(axis, math.atan2(e_norm, s_r), u)
+    e_norm = math.sqrt(float(e @ e))
+    axis = _axis_coeffs(c6)
+    u = -(s_r * float(c6[:3] @ axis[3:][::-1]) + e_norm * g.pseudo_part)
+    return ScrewLog(biv_mv(alg, axis), math.atan2(e_norm, s_r), u)
 
 
 def rotor_log(g: Multivector) -> Multivector:
@@ -248,7 +244,7 @@ def rotor_log(g: Multivector) -> Multivector:
     s = g.scalar_part
     m = g.grade(2)
     m0 = m["E0"]
-    if abs(m0) <= _EPS * max(1.0, float(np.abs(g.coeffs).max())):
+    if _negligible(m0, (s, m0)):   # no rotation next to the euclidean part
         return m
     theta = math.atan2(m0, s)
     return theta / m0 * m

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -420,6 +421,17 @@ def test_simulate_unwritable_out_fails_before_integrating(tmp_path, capsys,
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out",
                          str(tmp_path / "missing" / "t.csv"))
     assert rc == 2 and _one_error_line(err) and "cannot write" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_failed_csv_write_is_a_usage_error(tmp_path, capsys):
+    # /dev/full opens for appending, so the check before integrating
+    # passes; the write itself then fails with ENOSPC
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(scene_dict()))
+    rc, out, err = run_cli(capsys, "simulate", str(scene), "--out", "/dev/full")
+    assert rc == 2 and out == "" and _one_error_line(err)
+    assert "cannot write /dev/full: No space left on device" in err
 
 
 def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):

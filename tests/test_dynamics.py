@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pgakit import (BODY, SPACE, ForceSchedule, ForceState, FrameError,
-                    MomentumState,
+                    InertiaTensor, MomentumState,
                     MotionState, NumericError, Particle, SingularInertiaError,
                     VelocityState, body_energy, distance, euler_step,
                     exp_bivector, force_line, frame_convert,
-                    inertia_assemble, inertia_clifford_apply, kinetic_energy,
+                    inertia_assemble, kinetic_energy,
                     momentum_of_body, normalize, orbit_derivative, pluecker,
                     point, point_coords, power, principal_decomposition,
                     resultant, sandwich, space_momentum, work)
@@ -180,15 +180,6 @@ def test_collinear_body_is_singular(space_alg):
         euler_step(st, a, 1e-3)
 
 
-def test_clifford_route_matches_matrix(space_alg, rng):
-    body = four_point_body(space_alg)
-    a = inertia_assemble(body)
-    for _ in range(10):
-        om = VelocityState(rng.normal(size=6), BODY)
-        np.testing.assert_allclose(inertia_clifford_apply(a, om).coeffs,
-                                   a.apply(om).coeffs, rtol=1e-12, atol=1e-12)
-
-
 def test_spherical_body_rotational_block_is_scalar(space_alg):
     body = []
     for axis in range(3):
@@ -234,7 +225,6 @@ def test_frame_tags_enforced(space_alg, rng):
     # every body-frame rule refuses a space-frame state
     omega, pi = VelocityState(np.ones(6), SPACE), MomentumState(np.ones(6), SPACE)
     for refuse in (lambda: a.inverse_apply(pi), lambda: a.energy(omega),
-                   lambda: inertia_clifford_apply(a, omega),
                    lambda: MotionState(space_alg.scalar(1.0), pi)):
         with pytest.raises(FrameError, match="body-frame"):
             refuse()
@@ -247,6 +237,22 @@ def test_pluecker_pairing_is_a_reversal(space_alg, rng):
     w, f = rng.normal(size=6), rng.normal(size=6)
     assert power(VelocityState(w, BODY), ForceState(f, BODY)) == pytest.approx(
         -pluecker(biv_mv(space_alg, w), biv_mv(space_alg, f)), rel=1e-12)
+
+
+def test_power_refuses_a_state_paired_with_a_multivector(space_alg):
+    state, mv = VelocityState(np.ones(6), BODY), space_alg.blade("e12")
+    for pair in ((state, mv), (mv, state)):
+        with pytest.raises(TypeError, match="VelocityState.*Multivector|"
+                                            "Multivector.*VelocityState"):
+            power(*pair)
+
+
+def test_value_classes_copy_the_callers_array(space_alg):
+    w, f = np.ones(6), np.eye(6)
+    state, inertia = VelocityState(w, BODY), InertiaTensor(f)
+    w[0], f[0, 0] = 2.0, 3.0                   # still writeable
+    assert state.coeffs[0] == 1.0 and inertia.form[0, 0] == 1.0
+    assert not (state.coeffs.flags.writeable or inertia.form.flags.writeable)
 
 
 def test_motion_state_refuses_an_odd_rotor(space_alg):

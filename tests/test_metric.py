@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from pgakit import (DegenerateElementError, algebra, angle, bivector_axis,
-                    bivector_pitch, bivector_split, common_normal, direction,
-                    distance, ideal_norm, ideal_point, is_simple, join,
+from pgakit import (DegenerateElementError, Multivector, Pitch, algebra,
+                    angle, bivector_axis, bivector_pitch, bivector_split,
+                    common_normal, direction, distance, ideal_norm,
+                    ideal_point, is_simple, join,
                     killing_norm, line3d_point_dir, line3d_through,
                     noneuclidean_distance, normalize, null_plane, null_point,
                     plane, pluecker, point, point_coords, point_weight,
@@ -260,6 +261,49 @@ def test_pitch_is_a_rigid_invariant(space_alg, rng):
     assert bivector_pitch(moved).value == pytest.approx(ref, rel=1e-9)
 
 
+def test_pitch_and_axis_agree_on_a_far_line(space_alg):
+    # e01 + 1e-8 e12 is the z-parallel line at distance 1e8 from the
+    # origin: a line, not a translator, however small its euclidean part
+    xi = space_alg.multivector({"e01": 1.0, "e12": 1e-8})
+    p = bivector_pitch(xi)
+    assert p.finite and p.value == 0.0
+    assert bivector_axis(xi).isclose(xi / 1e-8, rel=1e-15)
+
+
+def _answer(f, x):
+    """``f(x)`` as raw bytes, or the class of the error it raises."""
+    try:
+        got = f(x)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+    if isinstance(got, Pitch):
+        got = (got.finite, got.value if got.finite else 0.0)
+    return np.asarray(getattr(got, "coeffs", got), dtype=float).tobytes()
+
+
+def test_euclidean_decisions_do_not_depend_on_the_scale(plane_alg, space_alg):
+    # seeded points, lines/planes and bivectors, with the euclidean part
+    # (the blades without e0) shrunk towards and past the 1e-12 margin;
+    # scaling by 2**k is exact, so every answer must be bit for bit the same
+    rng = np.random.default_rng(14)
+    shrink = (1.0, 1e-6, 1e-11, 1e-12, 1e-13, 0.0)
+    kinds = [(plane_alg, 1), (plane_alg, 2), (space_alg, 1), (space_alg, 2),
+             (space_alg, 3), (space_alg, "line")]
+    funcs = [point_coords, normalize, bivector_axis, bivector_pitch]
+    for alg, kind in kinds * 150:
+        if kind == "line":
+            x = line3d_through(alg, rng.normal(size=3), rng.normal(size=3))
+        else:
+            x = random_mv(alg, rng, grade=kind)
+        coeffs = x.coeffs.copy()
+        euclidean = np.diagonal(alg._gp[:, :, 0]) != 0.0
+        coeffs[euclidean] *= rng.choice(shrink) * rng.uniform(0.5, 2.0)
+        x = Multivector(alg, coeffs)
+        y = 2.0 ** int(rng.integers(-400, 401)) * x
+        for f in funcs[:2] if alg is plane_alg else funcs:
+            assert _answer(f, x) == _answer(f, y), (f.__name__, x, y)
+
+
 def test_dual_angle(space_alg):
     bl = space_alg.blades
     # intersecting perpendicular axes: dual angle vanishes entirely
@@ -385,6 +429,16 @@ def test_project_line_to_plane_oracle(space_alg, rng):
     r = normalize(proj)
     w = normalize(want)
     assert r.isclose(w, rel=1e-8) or r.isclose(-w, rel=1e-8)
+
+
+def test_project_line_to_a_plane_far_from_the_origin(space_alg, rng):
+    # e0 + 1e-7 e1 is the plane x = -1e7: euclidean, so it projects, and
+    # the projection does not depend on the plane's scale
+    a = plane(space_alg, 1e-7, 0.0, 0.0, 1.0)
+    xi, _, _ = rand_line(space_alg, rng)
+    proj = project_line_to_plane(xi, a)
+    assert proj.isclose(project_line_to_plane(xi, normalize(a)), rel=1e-12)
+    assert np.abs((proj ^ a).coeffs).max() <= 1e-9 * np.abs(proj.coeffs).max()
 
 
 def test_perp_through_point_2d(plane_alg):

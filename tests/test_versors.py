@@ -291,6 +291,14 @@ def test_exp_lands_on_rotor_manifold(space_alg, rng):
         assert abs(z.re - 1.0) < 1e-12 and abs(z.du) < 1e-12
 
 
+@pytest.mark.parametrize("sig, coeffs", [
+    ((3, 0, 1), {"e01": 1e13, "e12": 1.0}), ((2, 0, 1), {"E0": 1.0, "E1": 1e13})])
+def test_exp_lands_on_the_rotor_group_far_from_the_origin(sig, coeffs):
+    # a 1-rad rotation about a center 1e13 from the origin is a rotation,
+    # not the translator 1 + b
+    assert is_rotor(exp_bivector(algebra(*sig).multivector(coeffs)))
+
+
 # ---------------------------------------------------------------------------
 # logarithm
 
@@ -344,6 +352,23 @@ def test_log_near_minus_one_keeps_sign(space_alg, rng):
             lg = screw_log(g)
             assert 0.0 <= lg.t <= math.pi
             assert lg.exp().isclose(g, rel=1e-12)
+
+
+def test_screw_log_keeps_a_rotation_next_to_a_long_translation(space_alg):
+    # the rotation is measured against the euclidean part of the rotor
+    # (size 1), not against the translation
+    g = exp_screw(space_alg.blade("e12"), 0.5, 1e12)
+    lg = screw_log(g)
+    assert lg.t == pytest.approx(0.5, rel=1e-12)
+    assert lg.u == pytest.approx(1e12, rel=1e-12)
+    assert lg.exp().isclose(g, rel=1e-12)
+
+
+def test_planar_log_keeps_a_rotation_next_to_a_long_translation(plane_alg):
+    g = plane_alg.multivector({"1": math.cos(0.5), "E0": math.sin(0.5), "E1": 1e13})
+    lg = rotor_log(g)
+    assert lg["E0"] == pytest.approx(0.5, rel=1e-12)
+    assert exp_bivector(lg).isclose(g, rel=1e-12)
 
 
 def test_exp_log_roundtrip_three_classes(space_alg, rng):
