@@ -14,6 +14,9 @@ lines at infinity; ideal points double as free vectors.  One noise rule,
 euclidean part (the blades without ``e0``) is at most 1e-12 of its
 largest coefficient of that grade, and a rotor whose rotation part is
 that small next to its euclidean part, which is 1 however far it moves.
+Every norm and distance is one ``math.hypot`` (``_norm``), which scales
+before it squares: nothing over- or underflows, and ``2**k x`` gives ``2**k``
+times the answer, bit for bit.
 
 Everything here is a pure function of immutable multivectors.
 """
@@ -75,10 +78,15 @@ def _negligible(part, whole) -> bool:
 
 
 def _euclidean_split(x: Multivector, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grade-``k`` coefficients of ``x`` on blades that square to non-zero
-    (in PGA, the blades without ``e0``), and all its grade-``k`` ones."""
+    """Grade ``k`` of ``x`` split into its euclidean part (the coefficients on
+    blades that square to non-zero; in PGA, those without ``e0``) and its ideal part."""
     alg = x.algebra
-    return x.coeffs[alg._nonnull_slots[k]], x.coeffs[alg.grade_indices[k]]
+    return x.coeffs[alg._nonnull_slots[k]], x.coeffs[alg._null_slots[k]]
+
+
+def _norm(c: np.ndarray) -> float:
+    """The 2-norm of the coefficients ``c``, scaled before it is squared."""
+    return math.hypot(*c.tolist())
 
 
 def _clamp(c: float, lo: float, hi: float = math.inf) -> float:
@@ -122,32 +130,24 @@ def pseudo_part(x: Multivector) -> float:
 
 
 def vector_norm(a: Multivector) -> float:
-    """Euclidean norm sqrt(a . a) of a grade-1 element (line or plane)."""
-    return math.sqrt(max((a | a).scalar_part, 0.0))
+    """Norm sqrt(a . a) of a line or plane: the 2-norm of its euclidean part."""
+    return _norm(_euclidean_split(a, 1)[0])
 
 
 def killing_norm(xi: Multivector) -> float:
-    """Norm sqrt(-xi . xi) of a euclidean 3D line/bivector."""
-    return math.sqrt(max(-(xi | xi).scalar_part, 0.0))
+    """Norm sqrt(-xi . xi) of a 3D bivector: the 2-norm of its euclidean part."""
+    return _norm(_euclidean_split(xi, 2)[0])
 
 
-def ideal_norm(v: Multivector, probe: Multivector | None = None) -> float:
-    """Length of an ideal element, via ``|| v join P ||``.
-
-    The result does not depend on the choice of the normalized
-    euclidean probe point ``P`` (default: the origin).
-    """
-    if probe is None:
-        probe = point(v.algebra, *([0.0] * (v.algebra.dim - 1)))
-    j = join(v, probe)
-    k = j.grades(rel_tol=_DUST)
-    if k == [1]:
-        return vector_norm(j)
-    if k == [2]:
-        return killing_norm(j)
-    if not k:
+def ideal_norm(v: Multivector) -> float:
+    """Length of an ideal point or line: the 2-norm of its ideal part, which
+    is ``|| v join P ||`` for each and every unit euclidean point ``P``."""
+    ks = v.grades(rel_tol=_DUST)
+    if not ks:
         return 0.0
-    raise DegenerateElementError("ideal norm needs an ideal point or line")
+    if len(ks) != 1 or ks[0] not in (2, v.algebra.dim - 1):
+        raise DegenerateElementError("ideal norm needs an ideal point or line")
+    return _norm(_euclidean_split(v, ks[0])[1])
 
 
 def normalize(x: Multivector) -> Multivector:
@@ -164,15 +164,16 @@ def normalize(x: Multivector) -> Multivector:
     if len(ks) != 1:
         raise ValueError("normalize expects a homogeneous-grade element")
     (k,) = ks
-    ideal = _negligible(*_euclidean_split(x, k))
+    part, ideal_part = _euclidean_split(x, k)
+    ideal = _negligible(part, ideal_part)
     if k == 1:
         if ideal:
             raise DegenerateElementError("ideal line/plane cannot be normalized")
-        return x / vector_norm(x)
+        return x / _norm(part)
     if k == x.algebra.dim - 1:
-        return x / ideal_norm(x) if ideal else x / point_weight(x)
+        return x / _norm(ideal_part) if ideal else x / point_weight(x)
     if k == 2 and x.algebra.dim == 4:
-        return x / ideal_norm(x) if ideal else x / killing_norm(x)
+        return x / _norm(ideal_part if ideal else part)
     raise ValueError(f"no normalization convention for grade {k}")
 
 
@@ -181,9 +182,8 @@ def normalize(x: Multivector) -> Multivector:
 
 
 def distance(p: Multivector, q: Multivector) -> float:
-    """Euclidean distance of two normalized points: ``|| P join Q ||``."""
-    j = join(p, q)
-    return vector_norm(j) if p.algebra.dim == 3 else killing_norm(j)
+    """Distance of normalized points: the 2-norm of the euclidean part of ``P join Q``."""
+    return _norm(_euclidean_split(join(p, q), p.algebra.dim - 2)[0])
 
 
 def angle(a: Multivector, b: Multivector) -> float:
@@ -207,9 +207,11 @@ def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
     """Distance in the elliptic (4,0,0) or hyperbolic (3,1,0) metric.
 
     Arguments are points given as 1-vectors of the respective algebra.
-    Null arguments (on the metric quadric) have no defined distance.
+    Null arguments (on the metric quadric) have no defined distance.  Both
+    are scaled to a largest coefficient of 1 first, so no scale matters.
     """
     sig = x.algebra.signature
+    x, y = (v / (np.abs(v.coeffs).max() or 1.0) for v in (x, y))
     xx = (x | x).scalar_part
     yy = (y | y).scalar_part
     xy = (x | y).scalar_part
@@ -258,9 +260,10 @@ def pluecker(a: Multivector, b: Multivector) -> float:
 
 
 def is_simple(xi: Multivector) -> bool:
-    """Whether the bivector factors as a wedge of planes, i.e. is a line."""
-    n2 = float(biv_coeffs(xi) @ biv_coeffs(xi))
-    return abs(pluecker(xi, xi)) <= SIMPLE_REL_TOL * max(n2, _EPS)
+    """Whether the bivector factors as a wedge of planes, i.e. is a line; it is
+    scaled to a largest coefficient of 1 before it is paired with itself."""
+    y = xi / (np.abs(xi.coeffs).max() or 1.0)
+    return abs(pluecker(y, y)) <= SIMPLE_REL_TOL * _norm(biv_coeffs(y)) ** 2
 
 
 def bivector_split(xi: Multivector) -> tuple[Multivector, Multivector]:
@@ -297,9 +300,9 @@ def bivector_axis(xi: Multivector) -> Multivector:
     Every euclidean bivector factors as ``(t + u I) A`` with ``A`` a unit
     line.  Write the Pluecker coordinates as ``(i, e)``, with
     ``rev(e) = (p23, p31, p12)``, ``l = e . e`` and ``m = i . rev(e)``,
-    so that ``xi xi = -l + 2 m I``; then
+    so that ``xi xi = -l + 2 m I``; then, with ``f = e / |e|``,
 
-        A = (i - (m / l) rev(e), e) / sqrt(l)
+        A = (i - (m / l) rev(e), e) / sqrt(l) = ((i - (i . rev(f)) rev(f)) / |e|, f)
 
     squares to -1 and keeps the orientation of the euclidean part.  A
     translator's bivector is ideal and has no axis.
@@ -312,10 +315,10 @@ def bivector_axis(xi: Multivector) -> Multivector:
 def _axis_coeffs(c: np.ndarray) -> np.ndarray:
     """:func:`bivector_axis` on Pluecker coordinates whose ``e`` is not zero."""
     i, e = c[:3], c[3:]
-    l = float(e @ e)
-    rev_e = e[::-1]
-    m = float(i @ rev_e)
-    return np.concatenate([i - (m / l) * rev_e, e]) / math.sqrt(l)
+    n = _norm(e)
+    f = e / n
+    rev_f = f[::-1]
+    return np.concatenate([(i - float(i @ rev_f) * rev_f) / n, f])
 
 
 @dataclass(frozen=True)
@@ -326,26 +329,20 @@ class Pitch:
     finite: bool
     value: float | None = None
 
-    @classmethod
-    def of(cls, value: float) -> "Pitch":
-        return cls(True, value)
-
-    @classmethod
-    def infinite(cls) -> "Pitch":
-        return cls(False, None)
-
 
 def bivector_pitch(xi: Multivector) -> Pitch:
     """Pitch of a euclidean bivector: zero for lines, infinite for ideal.
 
-    For the screw generator ``(t + u I) Phi`` the value is ``2u/t``.
+    For the screw generator ``(t + u I) Phi`` the value is ``2u/t``; on the
+    Pluecker coordinates ``(i, e)``, ``-2 (i . rev(e / |e|)) / |e|``.
     """
-    part, whole = _euclidean_split(xi, 2)
-    if not whole.any():
+    e, i = _euclidean_split(xi, 2)
+    if not (e.any() or i.any()):
         raise DegenerateElementError("zero bivector has no pitch")
-    if _negligible(part, whole):
-        return Pitch.infinite()
-    return Pitch.of(-pluecker(xi, xi) / pluecker(xi, polar_line(xi)))
+    if _negligible(e, i):
+        return Pitch(False)
+    n = _norm(e)
+    return Pitch(True, -2.0 * float(i @ (e / n)[::-1]) / n)
 
 
 class DualParts(NamedTuple):
@@ -396,10 +393,13 @@ def null_point(a: Multivector, xi: Multivector) -> Multivector:
 
 
 def _inverse(x: Multivector, k: int) -> Multivector:
-    """``x / (x . x)``, the inverse of a euclidean grade-``k`` blade."""
-    if _negligible(*_euclidean_split(x, k)):
+    """``x / (x . x)``, the inverse of a euclidean grade-``k`` blade, where
+    ``x . x`` is ``|x|^2`` times the sign of the reverse on grade ``k``."""
+    part, ideal_part = _euclidean_split(x, k)
+    if _negligible(part, ideal_part):
         raise DegenerateElementError(f"ideal grade-{k} element has no inverse")
-    return x / (x | x).scalar_part
+    n, alg = _norm(part), x.algebra
+    return x / (alg._rev_signs[alg.grade_indices[k][0]] * n) / n
 
 
 def project_point_to_line(p: Multivector, xi: Multivector) -> Multivector:
@@ -436,12 +436,11 @@ def common_normal(xi: Multivector, phi: Multivector) -> Multivector:
 # joins of positions (conveniences used all over the tests and demos)
 
 
-def line2d_through(alg: Algebra, a: tuple, b: tuple) -> Multivector:
-    return join(point(alg, *a), point(alg, *b))
-
-
 def line3d_through(alg: Algebra, a: tuple, b: tuple) -> Multivector:
     return join(point(alg, *a), point(alg, *b))
+
+
+line2d_through = line3d_through
 
 
 def line3d_point_dir(alg: Algebra, p: tuple, v: tuple) -> Multivector:

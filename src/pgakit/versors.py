@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import Algebra, Multivector, Signature, _bilinear
 from .metric import (_DUST, DegenerateElementError, DualParts, _axis_coeffs,
-                     _euclidean_split, _expect_coords, _negligible, biv_coeffs,
-                     biv_mv, even_mv, is_simple, normalize)
+                     _euclidean_split, _expect_coords, _negligible, _norm,
+                     biv_coeffs, biv_mv, even_mv, is_simple, normalize)
 
 _PGA = (Signature(2, 0, 1), Signature(3, 0, 1))
 
@@ -44,9 +44,9 @@ def _even_coeffs(g: Multivector) -> np.ndarray:
     return g.coeffs[g.algebra.even_indices]
 
 
-def _require_finite(x: Multivector, what: str) -> None:
-    """:class:`NumericError` unless every coefficient of ``x`` is finite."""
-    if not np.isfinite(x.coeffs).all():
+def _require_finite(x, what: str) -> None:
+    """:class:`NumericError` unless every coefficient (or number) in ``x`` is finite."""
+    if not np.isfinite(getattr(x, "coeffs", x)).all():
         raise NumericError(f"the {what} has a coefficient that is not finite")
 
 
@@ -76,9 +76,10 @@ def sandwich_matrix_even(alg: Algebra, ge: np.ndarray, k: int) -> np.ndarray:
 
 
 def translator(alg: Algebra, v) -> Multivector:
-    """The rotor translating every finite point by the vector ``v``."""
+    """The rotor translating every finite point by the vector ``v`` (finite)."""
     v = tuple(float(c) for c in v)
     _expect_coords(alg, v)
+    _require_finite(v, "translation")
     if alg.dim == 3:
         (vx, vy) = v
         return alg.multivector({"1": 1.0, "E1": vy / 2.0, "E2": -vx / 2.0})
@@ -91,8 +92,9 @@ def rotator(center: Multivector, theta: float) -> Multivector:
     """Rotation by ``theta`` about a point (2D) or a line (3D).
 
     The center must be euclidean; a 3D axis must be simple.  Uses the
-    half-angle convention ``cos(theta/2) + sin(theta/2) N``.
+    half-angle convention ``cos(theta/2) + sin(theta/2) N`` (``theta`` finite).
     """
+    _require_finite(theta, "angle")
     alg = center.algebra
     ks = center.grades(rel_tol=_DUST)
     axis = ks == [2] and alg.dim == 4
@@ -113,8 +115,9 @@ def rotator(center: Multivector, theta: float) -> Multivector:
 def exp_screw(axis: Multivector, t: float, u: float = 0.0) -> Multivector:
     """``exp((t + u I) axis)`` for a normalized simple euclidean axis.
 
-    Closed form: cos(t) - u sin(t) I + (sin(t) + u cos(t) I) axis.
+    Closed form: cos(t) - u sin(t) I + (sin(t) + u cos(t) I) axis (finite t, u).
     """
+    _require_finite((t, u), "dual angle")
     alg = axis.algebra
     c, s = math.cos(t), math.sin(t)
     return (alg.multivector({"1": c, "I": -u * s}) + s * axis
@@ -190,12 +193,6 @@ class ScrewLog:
         return exp_screw(self.axis, 0.0, self.u)
 
 
-def _origin_axis(alg: Algebra, direction) -> Multivector:
-    """Line through the origin with the given direction vector."""
-    dx, dy, dz = direction
-    return biv_mv(alg, [0.0, 0.0, 0.0, dz, dy, dx])
-
-
 def screw_log(g: Multivector) -> ScrewLog:
     """Logarithm of a unit 3D rotor: ``exp(log g) = g``.
 
@@ -217,15 +214,16 @@ def screw_log(g: Multivector) -> ScrewLog:
     s_r = g.scalar_part
     c6 = biv_coeffs(g)
     if _negligible(c6, g.coeffs):
-        return ScrewLog(_origin_axis(alg, (0.0, 0.0, 1.0)), 0.0, 0.0)
+        return ScrewLog(alg.blade("e12"), 0.0, 0.0)
     e = c6[3:]
     if _negligible(e, (s_r, *e)):
         # translator: map -g to g (the scalar part must be +1), then pick
-        # the origin-passing axis; the log of a translator is not unique
+        # the axis through the origin along -m (its e is the direction
+        # reversed); the log of a translator is not unique
         m = c6[:3] if s_r >= 0.0 else -c6[:3]
-        length = math.sqrt(float(m @ m))
-        return ScrewLog(_origin_axis(alg, -m / length), 0.0, length)
-    e_norm = math.sqrt(float(e @ e))
+        length = _norm(m)
+        return ScrewLog(biv_mv(alg, [0.0, 0.0, 0.0, *(-m[::-1] / length)]), 0.0, length)
+    e_norm = _norm(e)
     axis = _axis_coeffs(c6)
     u = -(s_r * float(c6[:3] @ axis[3:][::-1]) + e_norm * g.pseudo_part)
     return ScrewLog(biv_mv(alg, axis), math.atan2(e_norm, s_r), u)

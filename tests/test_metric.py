@@ -74,17 +74,21 @@ def test_ideal_norm_examples(plane_alg):
     v = plane_alg.multivector({"E1": 3.0, "E2": 4.0})
     assert ideal_norm(v) == pytest.approx(5.0)
     assert ideal_norm(plane_alg.blade("E1")) == 1.0
-    # independent of the normalized euclidean probe point
+    # || v join P || for a unit euclidean point P, whichever it is
     probe = point(plane_alg, 7.0, 0.0)
-    assert ideal_norm(v, probe) == pytest.approx(5.0)
+    assert vector_norm(join(v, probe)) == pytest.approx(5.0)
 
 
 def test_ideal_norm_probe_independence_3d(space_alg, rng):
+    # the paper measures an ideal element through the join with any unit
+    # point; that route is the oracle for the coefficient norm
     v = ideal_point(space_alg, *rng.normal(size=3))
-    ref = ideal_norm(v)
+    ideal_line = join(v, ideal_point(space_alg, *rng.normal(size=3)))
     for _ in range(5):
         probe = point(space_alg, *rng.normal(size=3))
-        assert ideal_norm(v, probe) == pytest.approx(ref, rel=1e-12)
+        assert killing_norm(join(v, probe)) == pytest.approx(ideal_norm(v), rel=1e-12)
+        assert vector_norm(join(ideal_line, probe)) == pytest.approx(
+            ideal_norm(ideal_line), rel=1e-12)
 
 
 def test_distance(space_alg):
@@ -142,6 +146,21 @@ def test_hyperbolic_distance_additive_along_geodesic(rng):
     assert dac == pytest.approx(dab + dbc, rel=1e-10)
 
 
+def test_noneuclidean_distance_does_not_depend_on_the_scale(rng):
+    # each point is divided by its largest coefficient first, so 1e-170 x
+    # is not null and 1e170 x does not overflow
+    for sig in ((4, 0, 0), (3, 1, 0)):
+        alg = algebra(*sig)
+        for _ in range(20):
+            x, y = (point_nd(alg, 1.0, *rng.uniform(-0.5, 0.5, size=3)) for _ in "xy")
+            ref = noneuclidean_distance(x, y)
+            for k in rng.integers(-1000, 1001, size=2):
+                assert noneuclidean_distance(2.0 ** int(k) * x, y) == ref
+                assert noneuclidean_distance(x, 2.0 ** int(k) * y) == ref
+            for s in (1e-170, 1e170):
+                assert noneuclidean_distance(s * x, s * y) == pytest.approx(ref, rel=1e-12)
+
+
 def test_null_argument_rejected():
     hyp = algebra(3, 1, 0)
     on_quadric = point_nd(hyp, 1.0, 1.0, 0.0, 0.0)
@@ -165,7 +184,10 @@ def test_pluecker_pairings(space_alg):
 def test_simplicity(space_alg, rng):
     bl = space_alg.blades
     assert not is_simple(bl["e03"] + bl["e12"])
+    # no absolute floor: a tiny screw is still a screw
+    assert not is_simple(1e-11 * (bl["e03"] + bl["e12"]))
     assert is_simple(bl["e12"])
+    assert is_simple(space_alg.zero())
     for _ in range(10):
         a = random_mv(space_alg, rng, grade=1)
         b = random_mv(space_alg, rng, grade=1)
@@ -289,7 +311,7 @@ def test_euclidean_decisions_do_not_depend_on_the_scale(plane_alg, space_alg):
     shrink = (1.0, 1e-6, 1e-11, 1e-12, 1e-13, 0.0)
     kinds = [(plane_alg, 1), (plane_alg, 2), (space_alg, 1), (space_alg, 2),
              (space_alg, 3), (space_alg, "line")]
-    funcs = [point_coords, normalize, bivector_axis, bivector_pitch]
+    funcs = [point_coords, normalize, bivector_axis, bivector_pitch, is_simple]
     for alg, kind in kinds * 150:
         if kind == "line":
             x = line3d_through(alg, rng.normal(size=3), rng.normal(size=3))
@@ -299,9 +321,51 @@ def test_euclidean_decisions_do_not_depend_on_the_scale(plane_alg, space_alg):
         euclidean = np.diagonal(alg._gp[:, :, 0]) != 0.0
         coeffs[euclidean] *= rng.choice(shrink) * rng.uniform(0.5, 2.0)
         x = Multivector(alg, coeffs)
-        y = 2.0 ** int(rng.integers(-400, 401)) * x
+        k = int(rng.integers(-1000, 1001))
+        y = 2.0 ** k * x
+        if not np.array_equal(2.0 ** -k * y.coeffs, x.coeffs):
+            continue   # a subnormal coefficient: the scaling itself rounds
         for f in funcs[:2] if alg is plane_alg else funcs:
             assert _answer(f, x) == _answer(f, y), (f.__name__, x, y)
+
+
+def test_magnitudes_scale_exactly_with_the_element(plane_alg, space_alg):
+    # every magnitude is one math.hypot, which scales before it squares:
+    # f(2**k x) == 2**k f(x) bit for bit, far past where a square overflows
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        cases = []
+        for alg in (plane_alg, space_alg):
+            n = alg.dim - 1
+            p, q = (point(alg, *rng.normal(size=n)) for _ in "pq")
+            v = ideal_point(alg, *rng.normal(size=n))
+            cases += [(vector_norm, random_mv(alg, rng, grade=1)), (ideal_norm, v),
+                      (lambda x, q=q: distance(x, q), p)]
+        w = ideal_point(space_alg, *rng.normal(size=3))
+        cases += [(killing_norm, random_mv(space_alg, rng, grade=2)),
+                  (ideal_norm, join(v, w))]
+        s = 2.0 ** int(rng.integers(-1000, 1001))
+        for f, x in cases:
+            assert f(s * x) == s * f(x), (f, x, s)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e300])
+def test_tiny_and_huge_elements_get_the_unit_answers(space_alg, scale):
+    # squared coefficients under- or overflow at these scales; the answers
+    # must still be finite and those of the unscaled element
+    line = line3d_through(space_alg, (0, 0, 0), (1, 2, 3))
+    screw = line3d_through(space_alg, (1, 0, 2), (1, 2, 3))
+    screw = screw + 0.3 * (screw * space_alg.blade("I"))
+    ideal_line = join(ideal_point(space_alg, 1, 2, 3), ideal_point(space_alg, 0, 1, -1))
+    for x in (line, plane(space_alg, 1, 2, 3, 4), ideal_point(space_alg, 1, 2, 3),
+              ideal_line, point(space_alg, 1, 2, 3), screw):
+        got = normalize(scale * x)
+        assert np.isfinite(got.coeffs).all()
+        assert got.isclose(normalize(x), rel=1e-15)
+    for x in (line, screw):
+        assert bivector_axis(scale * x).isclose(bivector_axis(x), rel=1e-15)
+        assert bivector_pitch(scale * x).value == pytest.approx(
+            bivector_pitch(x).value, rel=1e-15, abs=1e-300)
 
 
 def test_dual_angle(space_alg):

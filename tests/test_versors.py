@@ -277,6 +277,26 @@ def test_exp_and_log_refuse_non_finite_coefficients(plane_alg, space_alg, case):
             run()
 
 
+@pytest.mark.parametrize("case", [
+    "translator 2d nan", "translator 3d inf", "rotator 2d nan", "rotator 3d inf",
+    "exp_screw t nan", "exp_screw u inf"])
+def test_versor_constructors_refuse_non_finite_input(plane_alg, space_alg, case):
+    # these used to give NaN rotors (odd slots included), a bare math
+    # domain error or an overflow warning
+    nan, inf = math.nan, math.inf
+    axis = space_alg.blade("e12")
+    run = {
+        "translator 2d nan": lambda: translator(plane_alg, (nan, 0.0)),
+        "translator 3d inf": lambda: translator(space_alg, (0.0, inf, 0.0)),
+        "rotator 2d nan": lambda: rotator(point(plane_alg, 1.0, 2.0), nan),
+        "rotator 3d inf": lambda: rotator(axis, inf),
+        "exp_screw t nan": lambda: exp_screw(axis, nan),
+        "exp_screw u inf": lambda: exp_screw(axis, 0.3, inf),
+    }[case]
+    with pytest.raises(NumericError, match="not finite"):
+        run()
+
+
 def test_exp_rejects_overflowing_bivectors(space_alg):
     for c in ([0, 0, 0, 1e200, 0, 0], [1e300, 0, 0, 1.0, 0, 0]):
         with pytest.raises(NumericError), np.errstate(over="ignore"):
