@@ -6,6 +6,7 @@ systems on the rotor and the body momentum.  No external forces: the
 energy and the space momentum must stay put while the top tumbles.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -56,10 +57,10 @@ scene = parse_scene({
     "outputs": [[0.1, 0.2, 0.3]],
 })
 header, rows = run_simulation(scene, stride=500)
-with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
-    path = fh.name
-write_csv(path, header, rows)
-print("wrote", len(rows), "rows to", path)
+with tempfile.TemporaryDirectory() as folder:
+    path = os.path.join(folder, "top.csv")
+    write_csv(path, header, rows)
+    print("wrote", len(rows), "rows to", path)
 print("columns:", ", ".join(header))
 energies = [row[15] for row in rows]
 print("energy column:", ["%.9f" % e for e in energies])

@@ -224,11 +224,11 @@ class Algebra:
             [self._index_of_mask[full ^ m] for m in self.masks], dtype=int)
         # the join J(J(a) ^ J(b)) has a table of its own: J is a sign-free
         # involution, so it is the outer product's permuted on every axis
-        self._vee = self._op[np.ix_(c, c, c)]
+        vee = self._op[np.ix_(c, c, c)]
         n = self.n_blades
         (self._gp_flat, self._op_flat, self._ip_flat, self._comm_flat,
          self._vee_flat) = (t.reshape(n, n * n) for t in (
-             self._gp, self._op, self._ip, self._comm, self._vee))
+             self._gp, self._op, self._ip, self._comm, vee))
 
     @cached_property
     def even_tables(self) -> "EvenTables":

@@ -18,23 +18,19 @@ Conventions kept throughout (factor 2 included):
 :func:`integrate` is the one RK4 loop: it runs any number of steps on
 flat coefficient arrays and returns the recorded states as one
 ``(rows, 14)`` array, making no :class:`Multivector` or state object
-per step; :func:`euler_step` is that loop over one step.  The one force
+per step; :func:`euler_step` is that loop over one step.  Its one force
 input is a :class:`ForceSchedule`, space-frame force lines over time
-windows as data the loop reads at every stage: the sum of the open
-lines is looked up and moved to the body frame by one grade-2 sandwich
-matrix of ``~g``.  A constant force is one line whose window is always
-open.  The inertia operator is inverted and condition-checked once per
-tensor, the products are the even-subalgebra tables of
-:attr:`Algebra.even_tables`, and the rotor is renormalized in closed
-form (:func:`~pgakit.versors.normalize_even`).  A step whose rotor or
-momentum stops being finite raises
+windows: at every stage the sum of the open lines reaches the body
+frame by one grade-2 sandwich matrix of ``~g``.  The inertia operator
+is inverted and condition-checked once per tensor, the products are the
+tables of :attr:`Algebra.even_tables`, and the rotor is renormalized in
+closed form (:func:`~pgakit.versors.normalize_even`); a rotor or
+momentum that stops being finite raises
 :class:`~pgakit.versors.NumericError` instead of carrying NaN on.
-:func:`body_energy`'s formula also runs row-wise on a stack of momenta.
-:func:`frame_convert` moves a tagged state between frames by one 6x6
-matrix, :func:`~pgakit.versors.sandwich_matrix` of ``g`` or ``~g``; a
-multivector moves by :func:`~pgakit.versors.sandwich`.  The
-inertia form of a body is two array contractions over all its points,
-so set-up does not grow by products per particle.
+:func:`frame_convert` moves a tagged state by one 6x6 matrix; a
+multivector moves by :func:`~pgakit.versors.sandwich`.  The inertia
+form is a closed form in the body's mass, first moment and second
+moment, so set-up makes no product per particle.
 
 Body-frame and space-frame quantities are tagged and may not be mixed.
 """
@@ -49,8 +45,8 @@ import numpy as np
 
 from .algebra import Algebra, Multivector, _bilinear
 from .duality import join
-from .metric import (biv_coeffs, biv_mv, even_mv, ideal_point, pluecker,
-                     point, point_coords, pseudo_part, ideal_norm)
+from .metric import (DegenerateElementError, biv_coeffs, biv_mv, even_mv,
+                     ideal_norm, ideal_point, pluecker, point, pseudo_part)
 # sandwich is not called here; the benchmark's tracing tests use dynamics.sandwich
 from .versors import (NumericError, _even_coeffs, normalize_even, sandwich,  # noqa: F401
                       sandwich_matrix, sandwich_matrix_even)
@@ -279,35 +275,37 @@ def _unit_velocity_spear(r: Multivector, b: Multivector) -> Multivector:
     return join(r, 2.0 * b.commutator(r))
 
 
+def _mass_moments(particles, origin=0.0):
+    """Mass ``M``, first moment ``c = sum m x`` and second moment ``S = sum m
+    (|x|^2 1 - x x^T)`` of a body about ``origin``.  A position is a point's
+    trivector coordinates over its signed weight; a zero weight raises."""
+    masses = np.array([p.mass for p in particles], dtype=float)
+    slots = np.array([p.r.coeffs[p.r.algebra.grade_indices[3]]
+                      for p in particles]).reshape(len(masses), 4)
+    if not slots[:, 0].all():
+        raise DegenerateElementError("ideal point has no position")
+    x = slots[:, 1:] / slots[:, :1] - origin
+    mx = masses[:, None] * x
+    t = mx.T @ x                                   # sum m x x^T
+    d = np.diagonal(t)          # S_ii adds the two other squares: none cancels
+    s = np.diag(np.roll(d, 1) + np.roll(d, -1)) - (t - np.diag(d))
+    return float(masses.sum()), mx.sum(axis=0), s
+
+
 def inertia_assemble(particles) -> InertiaTensor:
     """Sum of the particle forms; encodes the body's shape once and for all.
 
-    The spear of a point ``r`` driven by the unit velocity bivector
-    ``E_i`` is quadratic in ``r``: its coefficients are
-    ``S[:, i] = r_a r_c T[a, c, i]``, with ``T[a, c, i] = join(R_a,
-    2 E_i x R_c)`` over the basis points ``R_a``, ``R_c``.  A particle's
-    energy form pairs its spears, ``-m/2 S^T P S`` with ``P[k, l] =
-    <(E_k I) ^ E_l>``, so the whole body is two contractions, not
-    products per particle.  ``T`` and ``P`` are contractions of the
-    algebra's commutator, join, geometric and outer product tables.
-
-    An empty body gives the zero tensor (applying it is fine, inverting
-    it reports the singularity).
+    Over ``(e01, e02, e03 | e12, e31, e23)`` the form has the blocks
+    ``2 M 1`` and ``2 S`` reversed on both axes on the diagonal, and
+    ``-2 [c]x`` (the matrix of ``v -> c x v``) with its columns reversed
+    above it, from :func:`_mass_moments`.  :func:`momentum_of_body` is
+    its per-particle oracle.  An empty body gives the zero tensor
+    (applying it is fine, inverting it reports the singularity).
     """
-    particles = list(particles)
-    if not particles:
-        return InertiaTensor(np.zeros((6, 6)))
-    alg = particles[0].r.algebra
-    idx = alg.grade_indices[alg.dim - 1]
-    biv, top = alg.grade_indices[2], alg.pseudoscalar_index
-    t = 2.0 * np.einsum("icm,amk->acik", alg._comm[biv][:, idx],
-                        alg._vee[idx][:, :, biv])
-    pair = alg._gp[biv, top] @ alg._op[:, biv, top]
-    r = np.array([p.r.coeffs[idx] for p in particles])
-    masses = np.array([p.mass for p in particles])
-    spears = np.einsum("pa,pc,acik->pki", r, r, t)
-    form = -0.5 * np.einsum("p,pki,kl,plj->ij", masses, spears, pair, spears)
-    return InertiaTensor(form)
+    mass, c, s = _mass_moments(list(particles))
+    cross = 2.0 * np.cross(c, np.eye(3))[:, ::-1]          # -2 [c]x reversed
+    return InertiaTensor(np.block([[2.0 * mass * np.eye(3), cross],
+                                   [cross.T, 2.0 * s[::-1, ::-1]]]))
 
 
 def momentum_of_body(particles, omega: VelocityState) -> MomentumState:
@@ -334,23 +332,20 @@ class PrincipalAxes:
 
 
 def principal_decomposition(particles) -> PrincipalAxes:
-    """Diagonalize a body: translate to the centroid, rotate to axes.
+    """Diagonalize a body: translate to the centroid ``c / M``, rotate to axes.
 
-    The rotational block of the centred inertia form, in x, y, z order,
-    is ``2 sum m (|r|^2 1 - r r^T)``: twice the classical tensor.
+    The centred form's rotational block, in x, y, z order, is ``2 S``
+    with ``S`` taken about the centroid, not reduced by the parallel-axis
+    term, which would cancel for a body far from the origin.
     """
     particles = list(particles)
     if not particles:
         raise ValueError("an empty body has no principal axes")
-    masses = np.array([p.mass for p in particles])
-    positions = np.array([point_coords(p.r) for p in particles])
-    total = masses.sum()
-    center = masses @ positions / total
-    r = positions - center
-    rot = 2.0 * ((masses @ (r * r).sum(axis=1)) * np.eye(3) - (masses * r.T) @ r)
-    vals, vecs = np.linalg.eigh(rot)
+    mass, c, _ = _mass_moments(particles)
+    center = c / mass
+    vals, vecs = np.linalg.eigh(2.0 * _mass_moments(particles, center)[2])
     order = np.argsort(vals)[::-1]
-    return PrincipalAxes(center, vecs[:, order].T, vals[order], float(total))
+    return PrincipalAxes(center, vecs[:, order].T, vals[order], mass)
 
 
 # ---------------------------------------------------------------------------

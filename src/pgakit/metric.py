@@ -182,8 +182,12 @@ def normalize(x: Multivector) -> Multivector:
 
 
 def distance(p: Multivector, q: Multivector) -> float:
-    """Distance of normalized points: the 2-norm of the euclidean part of ``P join Q``."""
-    return _norm(_euclidean_split(join(p, q), p.algebra.dim - 2)[0])
+    """Distance of normalized points: the 2-norm of the euclidean part of
+    ``P join Q``, which is ``w_p x_q - w_q x_p`` for weights ``w`` and other
+    slots ``x``; the join's ideal slots, which may overflow, are not formed."""
+    idx = p.algebra.grade_indices[p.algebra.dim - 1]
+    a, b = p.coeffs[idx], q.coeffs[idx]
+    return _norm(a[0] * b[1:] - b[0] * a[1:])
 
 
 def angle(a: Multivector, b: Multivector) -> float:

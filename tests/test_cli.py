@@ -390,15 +390,20 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
     ({"initial": {"omega_body": [1e200, 0, 0, 1e200, 0, 0]}},
      "momentum is not finite at t = 0.001"),
     ({"integrator": {"dt": 1e300, "steps": 5}}, "momentum is not finite"),
+    # x^2 of the far point overflows, so the form does too
+    ({"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
+      + [{"mass": 1.0, "position": [0.0, 0.0, 1.4e154]}]},
+     "inertia overflows"),
+    # x^2 stays finite here, and the collinear body is refused as such
     ({"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
       + [{"mass": 1.0, "position": [0.0, 0.0, 6.703903964971299e153]}]},
-     "inertia overflows"),
+     "degenerate mass distribution"),
     ({"outputs": [[1.79e308, -1.79e308, 1.79e308]]}, "x0 is not finite"),
     # 0 * inf in the sum of the closed lines must not poison earlier steps
     ({"forces": [{"point": [1e200, 0, 0], "vector": [0, 1e200, 0],
                   "t_start": 0.05, "t_end": 0.06}]}, "force 0 is not finite"),
 ], ids=["zero-rotor0", "omega-1e200", "dt-1e300", "inertia-overflow",
-        "tracked-point-overflow", "force-line-overflow"])
+        "inertia-far-collinear", "tracked-point-overflow", "force-line-overflow"])
 def test_simulate_numeric_failure_exit3(tmp_path, capsys, over, what):
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(scene_dict(**over)))

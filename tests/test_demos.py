@@ -1,4 +1,5 @@
-"""Every demo script runs to the end without a warning or an error."""
+"""Every demo script runs to the end without a warning or an error, and
+leaves no temporary file behind."""
 
 import os
 import subprocess
@@ -12,9 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs_cleanly(demo, tmp_path):
+    # a demo's temporary files go to tmp_path, which it must leave empty
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0 and run.stderr == "", run.stderr
     assert run.stdout
+    assert list(tmp_path.iterdir()) == []

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pgakit import (BODY, SPACE, ForceSchedule, ForceState, FrameError,
-                    InertiaTensor, MomentumState,
+from pgakit import (BODY, SPACE, DegenerateElementError, ForceSchedule,
+                    ForceState, FrameError, InertiaTensor, MomentumState,
                     MotionState, NumericError, Particle, SingularInertiaError,
                     VelocityState, body_energy, distance, euler_step,
-                    exp_bivector, force_line, frame_convert,
+                    exp_bivector, force_line, frame_convert, ideal_point,
                     inertia_assemble, kinetic_energy,
                     momentum_of_body, normalize, orbit_derivative, pluecker,
                     point, point_coords, power, principal_decomposition,
@@ -138,8 +138,8 @@ def test_assembled_form_matches_particle_sum_on_large_body(space_alg, rng,
         monkeypatch.undo()
         return len(calls)
 
-    # the form is contracted from fixed tables: its products do not grow
-    # with the body
+    # the form is a closed form in the body's moments: its products do
+    # not grow with the body
     assert joins_for(2) == joins_for(40)
     a = inertia_assemble(body)
     for om in np.eye(6):
@@ -204,16 +204,61 @@ def test_principal_decomposition(space_alg):
     pos = np.array([point_coords(p.r) for p in body])
     np.testing.assert_allclose(dec.center, masses @ pos / masses.sum(), rtol=1e-12)
     assert dec.moments[0] >= dec.moments[1] >= dec.moments[2] > 0
-    # axes form a rotation and diagonalize the centered rotational block
+    # axes form a rotation and diagonalize the centered rotational block,
+    # read from the per-particle spear sum: a unit rotation about axis i
+    # (e23, e31, e12) has momentum -I_i on slot e0i
     assert np.allclose(dec.axes @ dec.axes.T, np.eye(3), atol=1e-12)
     from dataclasses import replace
     centered = [replace(p, r=point(space_alg, *(x - dec.center)))
                 for p, x in zip(body, pos)]
-    rot = inertia_assemble(centered).form[np.ix_([5, 4, 3], [5, 4, 3])]
+    rot = -np.array([momentum_of_body(centered, VelocityState(om, BODY)).coeffs[:3]
+                     for om in np.eye(6)[[5, 4, 3]]]).T
     diag = dec.axes @ rot @ dec.axes.T
     np.testing.assert_allclose(diag, np.diag(dec.moments), atol=1e-10)
     with pytest.raises(ValueError, match="empty"):
         principal_decomposition([])
+
+
+def test_point_weight_does_not_change_the_form(space_alg):
+    body = four_point_body(space_alg)
+    want = inertia_assemble(body).form
+    for w in (2.0, -1.0):
+        weighted = [Particle(p.mass, w * p.r, p.rdot) for p in body]
+        np.testing.assert_allclose(inertia_assemble(weighted).form, want,
+                                   rtol=1e-15, atol=1e-15)
+        dec = principal_decomposition(weighted)
+        np.testing.assert_allclose(dec.moments, principal_decomposition(body).moments,
+                                   rtol=1e-14)
+
+
+def test_ideal_particle_has_no_inertia(space_alg):
+    body = four_point_body(space_alg)
+    body.append(Particle(1.0, ideal_point(space_alg, 1.0, 2.0, 3.0),
+                         ideal_point(space_alg, 0.0, 0.0, 0.0)))
+    for make in (inertia_assemble, principal_decomposition):
+        with pytest.raises(DegenerateElementError, match="ideal point"):
+            make(body)
+
+
+def test_far_body_keeps_its_principal_moments(space_alg):
+    # the second moment is taken about the centroid, not reduced from the
+    # one about the origin, whose parallel-axis term would swamp it
+    near = four_point_body(space_alg)
+    shift = np.array([1e8, -1e8, 1e8])
+    far = [Particle.at(space_alg, p.mass, np.array(point_coords(p.r)) + shift)
+           for p in near]
+    dec_near, dec_far = principal_decomposition(near), principal_decomposition(far)
+    np.testing.assert_allclose(dec_far.moments, dec_near.moments, rtol=1e-6)
+    np.testing.assert_allclose(dec_far.center, dec_near.center + shift, rtol=1e-15)
+
+
+def test_needle_keeps_its_smallest_principal_moment(space_alg):
+    # about the long axis S_xx = sum m (y^2 + z^2); as sum m |r|^2 - sum m
+    # x^2 it would cancel to 0, since 1 + 1e-18 rounds to 1
+    body = [Particle.at(space_alg, 1.0, (sx, sy * 1e-9, 0.0))
+            for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
+    assert principal_decomposition(body).moments[2] == pytest.approx(
+        8e-18, rel=1e-12, abs=0.0)
 
 
 def test_frame_tags_enforced(space_alg, rng):

@@ -105,6 +105,16 @@ def test_distance_matches_coordinates(space_alg, rng):
         assert d == pytest.approx(float(np.linalg.norm(a - b)), rel=1e-12)
 
 
+def test_distance_of_far_points_does_not_overflow(plane_alg, space_alg):
+    # the join of these points has ideal slots of 1e320; the distance
+    # reads only its euclidean part, which is representable
+    for alg in (plane_alg, space_alg):
+        zeros = (0.0,) * (alg.dim - 3)
+        p = point(alg, 1e160, 0.0, *zeros)
+        q = point(alg, 0.0, 1e160, *zeros)
+        assert distance(p, q) == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
+
+
 def test_angle(space_alg):
     assert angle(space_alg.blade("e1"), space_alg.blade("e2")) == pytest.approx(math.pi / 2)
     a = normalize(plane(space_alg, 1.0, 1.0, 0.0, 3.0))

@@ -70,3 +70,16 @@ def test_imports_point_down_the_layers():
                                         or layer[target] >= layer[path.stem]):
                     wrong.append(f"{path.stem}:{node.lineno} imports {target}")
     assert wrong == []
+
+
+def test_only_the_kernel_reads_the_product_tensors():
+    # the 3-index tables _gp, _op, _ip, _comm and _vee stay inside
+    # algebra.py; other modules apply the flat tables through _bilinear
+    # or read the even-subalgebra tables
+    tensor = re.compile(r"\b_(?:gp|op|ip|comm|vee)\b")
+    readers = [f"{path.name}:{n}"
+               for path in sorted((ROOT / "src" / "pgakit").glob("*.py"))
+               if path.name != "algebra.py"
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if tensor.search(line)]
+    assert readers == []
