@@ -283,8 +283,9 @@ class Algebra:
 class EvenTables:
     """Products of even elements on flat coefficient arrays.
 
-    The rigid-body integrator, rotor renormalization and sandwich
-    matrices run on these instead of on :class:`Multivector` products.
+    Rotor renormalization and sandwich matrices run on these instead of
+    on :class:`Multivector` products, and the rigid-body integrator's
+    step is generated from their nonzeros.
     Every table is a slice or contraction of the algebra's geometric
     product table, so there is one source of product signs.  Each is
     stored flat for :func:`_bilinear`, its operands in basis order.
@@ -311,6 +312,9 @@ class EvenTables:
                            * rev[None, :, None]).reshape(ne, ne * 2)
         self.times_i = gp[even, pseudo][:, even].T
         self._sandwich: dict[int, np.ndarray] = {}
+        # the rigid-body integrator's step factory, generated from these
+        # tables and compiled on its first use, never at import
+        self.rk4_factory = None
 
     def sandwich(self, k: int) -> np.ndarray:
         """Table of ``g X ~g`` on grade ``k``, quadratic in the even ``g``.

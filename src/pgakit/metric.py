@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Algebra, Multivector
+from .algebra import Algebra, Multivector, _bilinear, _wrap
 from .duality import join
 
 SIMPLE_REL_TOL = 1e-9
@@ -441,11 +441,32 @@ def common_normal(xi: Multivector, phi: Multivector) -> Multivector:
 
 
 def line3d_through(alg: Algebra, a: tuple, b: tuple) -> Multivector:
-    return join(point(alg, *a), point(alg, *b))
+    return _scaled_join(alg, (1.0, *a), (1.0, *b))
 
 
 line2d_through = line3d_through
 
 
 def line3d_point_dir(alg: Algebra, p: tuple, v: tuple) -> Multivector:
-    return join(point(alg, *p), ideal_point(alg, *v))
+    return _scaled_join(alg, (1.0, *p), (0.0, *v))
+
+
+def _scaled_join(alg: Algebra, *points: tuple) -> Multivector:
+    """The join of two points given as ``(weight, *coords)``.
+
+    Each point is first divided by ``2**e``, ``e`` the ``math.frexp``
+    exponent of its largest coordinate, and the join multiplied back by
+    both powers: far coordinates then cannot overflow in a product before
+    they cancel.  Scaling by a power of two is exact, so ordinary inputs
+    give the same bits as the plain join.
+    """
+    scaled, total = [], 0
+    for weight, *coords in points:
+        _expect_coords(alg, coords)
+        e = math.frexp(max(map(abs, coords)))[1]
+        arr = np.zeros(alg.n_blades)
+        arr[alg.grade_indices[alg.dim - 1]] = [math.ldexp(c, -e)
+                                               for c in (weight, *coords)]
+        scaled.append(arr)
+        total += e
+    return _wrap(alg, np.ldexp(_bilinear(*scaled, alg._vee_flat), total))

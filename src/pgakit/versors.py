@@ -294,8 +294,15 @@ def normalize_rotor(g: Multivector) -> Multivector:
 def normalize_even(alg: Algebra, ge: np.ndarray) -> np.ndarray:
     """:func:`normalize_rotor` on the even coefficients ``ge`` (basis order)."""
     tables = alg.even_tables
-    a, b = _bilinear(ge, ge, tables.rotor_norm)
+    q, s = _rotor_scale(*_bilinear(ge, ge, tables.rotor_norm))
+    return (ge - q * (tables.times_i @ ge)) / s
+
+
+def _rotor_scale(a: float, b: float) -> tuple[float, float]:
+    """``(b / 2a, sqrt(a))`` for ``g ~g = a + bI``: the rotor is then
+    ``(g - (b / 2a) g I) / sqrt(a)``.  Raises :class:`NumericError` unless
+    ``a`` is finite and positive and ``b`` finite."""
     if not (0.0 < a < math.inf and math.isfinite(b)):
         raise NumericError(f"cannot normalize: g ~g = {a:g} + {b:g}I is not "
                            "finite with a positive real part")
-    return (ge - b / (2.0 * a) * (tables.times_i @ ge)) / math.sqrt(a)
+    return b / (2.0 * a), math.sqrt(a)

@@ -1,6 +1,11 @@
 """Particles, inertia, Euler equations, statics, work."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,8 @@ from pgakit.metric import biv_coeffs, biv_mv, even_mv, line3d_point_dir
 from pgakit.versors import rotor_constraint
 
 from conftest import assert_rel_close, reference_rk4
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def four_point_body(alg):
@@ -431,6 +438,62 @@ def test_integrate_constant_force_is_an_always_open_window(space_alg, rng):
             integrate(st, a, 0.01, 2, force=stale)
         with pytest.raises(TypeError, match=type(stale).__name__):
             euler_step(st, a, 0.01, force=stale)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "windows"])
+def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, forced):
+    # 2000 steps of the generated step against the Multivector RK4; the
+    # windows overlap, and the last one stays open to the end
+    a = inertia_assemble(four_point_body(space_alg))
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
+                     a.apply(VelocityState(rng.normal(size=6), BODY)))
+    lines = np.array([biv_coeffs(force_line(space_alg, rng.normal(size=3),
+                                            rng.normal(size=3)))
+                      for _ in range(3)])
+    t_start, t_end = np.array([0.0, 0.4, 0.9]), np.array([1.2, 1.6, math.inf])
+
+    def force(t):
+        return sum((biv_mv(space_alg, line)
+                    for line, lo, hi in zip(lines, t_start, t_end) if lo <= t < hi),
+                   space_alg.zero())
+    want_times, want = _reference_table(reference_rk4(
+        a, st.g, biv_mv(space_alg, st.pi_body.coeffs), 1e-3, 2000,
+        force if forced else None))
+    times, got = integrate(st, a, 1e-3, 2000, force=ForceSchedule(
+        lines, t_start, t_end) if forced else None)
+    assert np.array_equal(times, want_times)
+    assert_rel_close(got, want)
+
+
+def test_the_step_is_compiled_on_first_use_and_once():
+    # a fresh interpreter: importing the CLI generates no step code, and a
+    # second body binds its own operator to the step compiled for the first
+    code = textwrap.dedent("""
+        import numpy as np
+        import pgakit.cli
+        from pgakit import (BODY, MomentumState, MotionState, Particle, dynamics,
+                            inertia_assemble, pga3d)
+        alg = pga3d()
+        assert alg.even_tables.rk4_factory is None
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return compile(*args, **kwargs)
+        dynamics.compile = counted
+        rows = []
+        for far in (1.0, 3.0):
+            corners = [(0, 0, 0), (far, 0, 0), (0, 1, 0), (0, 0, 1)]
+            body = [Particle.at(alg, 1.0, x) for x in corners]
+            state = MotionState(alg.scalar(1.0), MomentumState(np.ones(6), BODY))
+            rows.append(dynamics.integrate(state, inertia_assemble(body), 1e-2, 3)[1])
+        assert len(calls) == 1 and alg.even_tables.rk4_factory is not None, calls
+        assert not np.array_equal(rows[0], rows[1])
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_force_schedule_validates_its_input():

@@ -14,8 +14,8 @@ from pgakit import (DegenerateElementError, Multivector, Pitch, algebra,
                     noneuclidean_distance, normalize, null_plane, null_point,
                     plane, pluecker, point, point_coords, point_weight,
                     pseudo_part, sandwich, vector_norm)
-from pgakit.metric import (biv_coeffs, dual_angle, line_angle, point_nd,
-                           polar_line, project_line_to_plane,
+from pgakit.metric import (biv_coeffs, dual_angle, line2d_through, line_angle,
+                           point_nd, polar_line, project_line_to_plane,
                            project_point_to_line, perp_through_point)
 from pgakit.versors import rotator, translator
 
@@ -238,6 +238,31 @@ def test_direction_matches_two_point_line(space_alg, rng):
     want = q - p
     assert np.allclose(np.cross(got, want), 0.0, atol=1e-12)
     assert got @ want > 0
+
+
+def test_lines_through_far_points_do_not_overflow(plane_alg, space_alg, rng):
+    # each point is scaled by a power of two before the join and the join
+    # scaled back, so the moment's products cannot overflow before they
+    # cancel; a fused multiply-add in the kernel's mat-vec may leave the
+    # rounding of one product, below an ulp of |a| |b|
+    a, b = (1e160, 1e160, 0.0), (2e160, 2e160, 0.0)
+    ulps = 4 * np.finfo(float).eps * 1e160 * 2e160
+    for line in (line3d_through(space_alg, a, b), line3d_point_dir(space_alg, a, a)):
+        c = biv_coeffs(line)
+        assert np.array_equal(c[3:], [0.0, 1e160, 1e160])
+        assert np.abs(c[:3]).max() <= ulps
+    line = line2d_through(plane_alg, a[:2], b[:2])
+    assert np.array_equal(line.coeffs[plane_alg.grade_indices[1][1:]], [-1e160, 1e160])
+    assert abs(line["e0"]) <= ulps
+    # the scaling is exact: ordinary points give the plain join bit for bit
+    for _ in range(50):
+        p, q = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-5, 6, size=(2, 1))
+        assert line3d_through(space_alg, p, q) == join(point(space_alg, *p),
+                                                       point(space_alg, *q))
+        assert line3d_point_dir(space_alg, p, q) == join(point(space_alg, *p),
+                                                         ideal_point(space_alg, *q))
+        assert line2d_through(plane_alg, p[:2], q[:2]) == join(
+            point(plane_alg, *p[:2]), point(plane_alg, *q[:2]))
 
 
 def test_axis_examples(space_alg):
