@@ -186,6 +186,7 @@ class Algebra:
         self.name_to_index = {nm: i for i, nm in enumerate(self.blade_names)}
         self.pseudoscalar_index = self.n_blades - 1
         self.even_indices = np.flatnonzero(self.grades % 2 == 0)
+        self.odd_indices = np.flatnonzero(self.grades % 2 == 1)
         self.grade_indices = {
             k: np.flatnonzero(self.grades == k) for k in range(dim + 1)}
 
@@ -283,38 +284,30 @@ class Algebra:
 class EvenTables:
     """Products of even elements on flat coefficient arrays.
 
-    Rotor renormalization and sandwich matrices run on these instead of
-    on :class:`Multivector` products, and the rigid-body integrator's
-    step is generated from their nonzeros.
-    Every table is a slice or contraction of the algebra's geometric
-    product table, so there is one source of product signs.  Each is
-    stored flat for :func:`_bilinear`, its operands in basis order.
+    ``product`` is the geometric product of two even elements, from
+    which the rigid-body integrator's step is generated; rotor
+    renormalization and sandwich matrices run on the others instead of
+    on :class:`Multivector` products.  Every table is a slice or
+    contraction of the algebra's geometric product table, so there is
+    one source of product signs.  Each is stored flat for
+    :func:`_bilinear`, its operands in basis order.
     """
 
     def __init__(self, alg: Algebra):
         gp = alg._gp
-        even, biv = alg.even_indices, alg.grade_indices[2]
-        pseudo = alg.pseudoscalar_index
-        ne, nb = len(even), len(biv)
+        even, pseudo = alg.even_indices, alg.pseudoscalar_index
+        ne = len(even)
         self._alg = alg
         self.even = even
-        self.odd = np.flatnonzero(alg.grades % 2 == 1)
-        # the motion equations on the stacked state y = (g, Pi) with a
-        # bivector Omega: (y, Omega) -> (g Omega, 2 Pi x Omega)
-        motion = np.zeros((ne + nb, nb, ne + nb))
-        motion[:ne, :, :ne] = gp[np.ix_(even, biv, even)]
-        motion[ne:, :, ne:] = 2.0 * alg._comm[np.ix_(biv, biv, biv)]
-        self.motion = motion.reshape(ne + nb, nb * (ne + nb))
-        # scalar and pseudoscalar parts of g ~g, and the matrix of g -> g I
-        # (zero when the pseudoscalar is odd)
+        self.product = gp[np.ix_(even, even, even)].reshape(ne, ne * ne)
+        # scalar and pseudoscalar parts of g ~g, and the matrix of g -> g I;
+        # not read off ``product``, which lacks an odd pseudoscalar (as in
+        # Cl(2,0,1), where both are zero)
         rev = alg._rev_signs[even]
         self.rotor_norm = (gp[np.ix_(even, even, [0, pseudo])]
                            * rev[None, :, None]).reshape(ne, ne * 2)
         self.times_i = gp[even, pseudo][:, even].T
         self._sandwich: dict[int, np.ndarray] = {}
-        # the rigid-body integrator's step factory, generated from these
-        # tables and compiled on its first use, never at import
-        self.rk4_factory = None
 
     def sandwich(self, k: int) -> np.ndarray:
         """Table of ``g X ~g`` on grade ``k``, quadratic in the even ``g``.

@@ -18,17 +18,18 @@ Conventions kept throughout (factor 2 included):
 :func:`integrate` is the one RK4 loop: it runs any number of steps and
 returns the recorded states as one ``(rows, 14)`` array;
 :func:`euler_step` is that loop over one step.  A step is one call of
-straight-line Python on 14 floats, generated on first use from the
-nonzeros of :attr:`Algebra.even_tables` and compiled once per algebra
-(about 5 ms); each body binds the entries of its inverse inertia
-operator, which is inverted and condition-checked once per tensor.  The
-step covers the four stages, the force term, the momentum check and
-the closed-form rotor renormalization.  On a shared 2-vCPU Xeon it
-costs 11-14 us on the benchmark's force-free scene and 15-22 us on its
-forced one, against 42-60 and 64-80 us for the numpy route it replaced.
+straight-line Python on 14 floats, generated on first use by one
+emitter, :func:`_product`, from the nonzeros of the even product table
+(:attr:`Algebra.even_tables`), and compiled once per algebra (about
+5 ms); each body binds the entries of its inverse inertia operator,
+which is inverted and condition-checked once per tensor.  The step
+covers the four stages, the force term, the momentum check and the
+closed-form rotor renormalization.  On a shared 2-vCPU Xeon it costs
+9-13 us force-free and 14-20 us with a force line open (a 4-point
+body), against 42-60 and 64-80 us for the numpy route it replaced.
 Its one force input is a :class:`ForceSchedule`, space-frame force
 lines over time windows: at every stage the sum of the open lines
-reaches the body frame as ``~g F g``.  A rotor or momentum that stops
+reaches the body frame as ``(~g F) g``.  A rotor or momentum that stops
 being finite raises :class:`~pgakit.versors.NumericError` instead of
 carrying NaN on.
 :func:`frame_convert` moves a tagged state by one 6x6 matrix; a
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -381,12 +382,13 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     ``steps // stride + 1`` of them and row 0 is ``state`` itself.
     ``force`` is a :class:`ForceSchedule`; the open windows at each stage
     time select the sum of their lines, which reaches the body frame as
-    ``~g F g``.  None runs the empty schedule.  Any other ``force`` raises
-    :class:`TypeError`.  Each step is one call of straight-line code on
-    floats, generated from the nonzeros of the even tables (see
-    :func:`_rk4_source`): the four stages, the force term, the momentum
-    check and the closed-form rotor renormalization; no numpy call,
-    :class:`Multivector` or state object is made per step.  Raises
+    ``(~g F) g``.  None runs the empty schedule.  Any other ``force``
+    raises :class:`TypeError`.  Each step is one call of straight-line
+    code on floats, every product in it written by one emitter from the
+    nonzeros of an even table (see :func:`_rk4_source`): the four stages,
+    the force term, the momentum check and the closed-form rotor
+    renormalization; no numpy call, :class:`Multivector` or state object
+    is made per step.  Raises
     :class:`~pgakit.versors.NumericError` when ``dt`` is not finite, a
     rotor cannot be normalized or a momentum is not finite.
     """
@@ -403,7 +405,8 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         raise TypeError("force must be a ForceSchedule or None, not "
                         f"{type(force).__name__}")
     alg = state.g.algebra
-    step = _rk4_step(alg, inertia._inverse_operator)
+    inv = inertia._inverse_operator.ravel().tolist()     # raises if singular
+    step = _rk4_factory(alg)(*inv)
 
     # the set of open windows changes only at an edge, so the sum of the
     # open lines is tabulated once per interval between edges; row i is
@@ -429,20 +432,15 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     return times, states
 
 
-def _rk4_step(alg: Algebra, inv_op: np.ndarray):
-    """The generated RK4 step with the entries of ``A^-1`` bound.
-
-    The source is compiled once per algebra, on first use, and its
-    factory cached on the even tables, so another body only binds its
-    own operator.
-    """
-    tables = alg.even_tables
-    if tables.rk4_factory is None:
-        scope = {"bisect_right": bisect_right, "isfinite": math.isfinite,
-                 "NumericError": NumericError, "_rotor_scale": _rotor_scale}
-        exec(compile(_rk4_source(alg), "<generated rk4 step>", "exec"), scope)
-        tables.rk4_factory = scope["factory"]
-    return tables.rk4_factory(*inv_op.ravel().tolist())
+@cache
+def _rk4_factory(alg: Algebra):
+    """The compiled ``factory`` of :func:`_rk4_source`: made once per
+    algebra on first use, never at import; each body binds its own
+    ``A^-1`` to it."""
+    scope = {"bisect_right": bisect_right, "isfinite": math.isfinite,
+             "NumericError": NumericError, "_rotor_scale": _rotor_scale}
+    exec(compile(_rk4_source(alg), "<generated rk4 step>", "exec"), scope)
+    return scope["factory"]
 
 
 def _sum(terms) -> str:
@@ -462,13 +460,12 @@ def _sum(terms) -> str:
     return out if m == 1.0 else f"{m!r} * ({out})"
 
 
-def _pairs(q: np.ndarray) -> list:
-    """The quadratic form ``sum q[a, b] x_a x_b`` (extra axes kept) as
-    ``(a, b, coefficients)`` over ``a <= b``, the two orders added up and
-    pairs with no nonzero coefficient left out."""
-    pairs = [(a, b, q[a, a] if a == b else q[a, b] + q[b, a])
-             for a in range(len(q)) for b in range(a, len(q))]
-    return [(a, b, c) for a, b, c in pairs if c.any()]
+def _product(table: np.ndarray, a: list, b: list) -> list:
+    """Source of each slot ``m`` of ``sum table[i, j, m] a_i b_j`` for the
+    named operands ``a`` and ``b``: one :func:`_sum` over the nonzeros."""
+    return [_sum((table[i, j, m], f"{x} * {y}")
+                 for i, x in enumerate(a) for j, y in enumerate(b))
+            for m in range(table.shape[2])]
 
 
 def _rk4_source(alg: Algebra) -> str:
@@ -476,86 +473,73 @@ def _rk4_source(alg: Algebra) -> str:
     edges, totals)`` is one RK4 step of :func:`integrate` on a tuple of
     floats, returning the next one.
 
-    Every term is a nonzero of the even tables: ``(g Omega, 2 Pi x
-    Omega)`` from ``motion``, with ``Omega = A^-1 Pi`` from the bound
-    entries; the force ``~g F g`` from ``sandwich(2)`` at the reversed
-    rotor, with ``F = totals[bisect_right(edges, s)]`` at stage time
-    ``s`` (None: no force); ``g ~g = a + bI`` from ``rotor_norm`` and
-    ``g I`` from ``times_i``.  Generating product code per signature is
-    the idea of kingdon (Roelfs) and ganja.js (De Keninck).
+    Every product is written by :func:`_product` from the nonzeros of a
+    slice of the even product table: per stage ``g Omega`` and ``Pi
+    Omega - Omega Pi = 2 Pi x Omega``, with ``Omega = A^-1 Pi`` from the
+    bound entries, and the force as ``q = ~g F`` then the bivector part
+    of ``q g``, with ``F = totals[bisect_right(edges, s)]`` at stage time
+    ``s`` (None: no force); per step ``g ~g = a + bI`` from
+    ``rotor_norm`` and ``g I`` from ``times_i``, which the even product
+    cannot give when the pseudoscalar is odd.  Generating product code
+    per signature is the idea of kingdon (Roelfs) and ganja.js (De
+    Keninck).
     """
     tables = alg.even_tables
-    n, ne = tables.motion.shape[0], len(tables.even)
-    nb = n - ne
-    motion = tables.motion.reshape(n, nb, n)
-    rev = alg._rev_signs[tables.even]
-    # ~g F g, the sandwich of the reversed rotor, as sums of the pair
-    # products p = c x_a x_b, with c the pair's smallest coefficient, so
-    # that most terms are a bare + or -
-    load = []
-    for a, b, c in _pairs(tables.sandwich(2).reshape(ne, ne, nb, nb)
-                          * np.multiply.outer(rev, rev)[:, :, None, None]):
-        m = np.abs(c[c != 0]).min()
-        load.append((f"p{a}_{b}", _sum([(m, f"{{x}}{a} * {{x}}{b}")]),
-                     (c / m).tolist()))
-    # its matrix entries, each distinct sum named once (the rotation block
-    # acts on both halves of F)
-    grid = [[_sum((c[i][j], p) for p, _, c in load) for j in range(nb)]
-            for i in range(nb)]
-    entries = {}
-    for entry in sum(grid, []):
-        if entry != "0.0":
-            entries.setdefault(entry, f"m{len(entries)}")
+    ne = len(tables.even)
+    product = tables.product.reshape(ne, ne, ne)
+    biv = np.flatnonzero(alg.grades[tables.even] == 2)   # in an even element
+    nb, n = len(biv), ne + len(biv)
+    commute = product[np.ix_(biv, biv, biv)]
+    commute = commute - commute.transpose(1, 0, 2)
+    reverse = product[:, biv] * alg._rev_signs[tables.even][:, None, None]
 
-    # the slope {k} at the stage state {x} under the force {f}: a template
-    # written once, filled in per stage
-    rhs = [f"w{j} = " + _sum((1.0, f"inv{j}_{i} * {{x}}{ne + i}")
-                             for i in range(nb)) for j in range(nb)]
-    slope = [[] for _ in range(n)]
-    for i, j, m in np.argwhere(motion).tolist():
-        slope[m].append((motion[i, j, m], f"{{x}}{i} * w{j}"))
-    rhs += [f"{{k}}{m} = " + _sum(terms) for m, terms in enumerate(slope)]
-    rhs += ["if {f} is not None:",
-            "    " + ", ".join(f"f{j}" for j in range(nb)) + " = {f}"]
-    rhs += [f"    {p} = {product}" for p, product, _ in load]
-    rhs += [f"    {name} = {entry}" for entry, name in entries.items()]
-    rhs += [f"    {{k}}{ne + i} += " + _sum((1.0, f"{entries[entry]} * f{j}")
-                                          for j, entry in enumerate(row)
-                                          if entry != "0.0")
-            for i, row in enumerate(grid)]
-    rhs = "\n".join(rhs)
+    def names(x, stop, start=0):
+        return [f"{x}{i}" for i in range(start, stop)]
+    w, f, q = names("w", nb), names("f", nb), names("q", ne)
 
-    body = [", ".join(f"y{i}" for i in range(n)) + " = y",
+    def stage(x, k, force):
+        """The slope ``k0, k1, ...`` at the state ``x0, x1, ...``."""
+        g, pi = names(x, ne), names(x, n, ne)
+        lines = [f"{w[j]} = " + _sum((1.0, f"inv{j}_{i} * {p}")
+                                     for i, p in enumerate(pi)) for j in range(nb)]
+        slope = _product(product[:, biv], g, w) + _product(commute, pi, w)
+        lines += [f"{k}{m} = {s}" for m, s in enumerate(slope)]
+        lines += [f"if {force} is not None:", f"    {', '.join(f)} = {force}"]
+        lines += [f"    {qm} = {s}" for qm, s in zip(q, _product(reverse, g, f))]
+        lines += [f"    {k}{ne + i} += {s}"
+                  for i, s in enumerate(_product(product[:, :, biv], q, g))]
+        return lines
+
+    body = [", ".join(names("y", n)) + " = y",
             "h2 = h / 2", "t2 = t + h2", "t4 = t + h",
             "force1 = totals[bisect_right(edges, t)]",
             "force2 = totals[bisect_right(edges, t2)]",
             "force4 = totals[bisect_right(edges, t4)]",
-            rhs.format(x="y", k="k1_", f="force1")]
-    for s, (f, scale) in enumerate((("force2", "h2"), ("force2", "h2"),
-                                    ("force4", "h")), 2):
+            *stage("y", "k1_", "force1")]
+    for s, (force, scale) in enumerate((("force2", "h2"), ("force2", "h2"),
+                                        ("force4", "h")), 2):
         body += [f"u{i} = y{i} + {scale} * k{s - 1}_{i}" for i in range(n)]
-        body += [rhs.format(x="u", k=f"k{s}_", f=f)]
+        body += stage("u", f"k{s}_", force)
     body += ["h6 = h / 6"]
     body += [f"n{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
              for i in range(n)]
-    finite = " and ".join(f"isfinite(n{i})" for i in range(ne, n))
+    finite = " and ".join(f"isfinite({x})" for x in names("n", n, ne))
     body += [f"if not ({finite}):",
              "    raise NumericError(f'momentum is not finite at t = {t4!r}')"]
-    norm = _pairs(tables.rotor_norm.reshape(ne, ne, 2))
-    body += [f"z{k} = " + _sum((c[k], f"n{a} * n{b}") for a, b, c in norm)
-             for k in range(2)]
-    # (g - (b / 2a) g I) / sqrt(a)
-    rotor = [_sum([(1.0, f"n{i}"), *((-c, f"zq * n{j}")
-                                     for j, c in enumerate(tables.times_i[i]))])
-             for i in range(ne)]
-    rotor = [(f"({g})" if " " in g else g) + " / zs" for g in rotor]
-    body += ["zq, zs = _rotor_scale(z0, z1)",
-             "return (" + ", ".join(rotor + [f"n{i}" for i in range(ne, n)]) + ")"]
+    g = names("n", ne)
+    norm = _product(tables.rotor_norm.reshape(ne, ne, 2), g, g)
+    body += [f"z{k} = {s}" for k, s in enumerate(norm)]
+    # (g - q g I) / s
+    body += ["zq, zs = _rotor_scale(z0, z1)"]
+    times_i = _product(tables.times_i.T[None], ["zq"], g)
+    body += [f"p{i} = {s}" for i, s in enumerate(times_i) if s != "0.0"]
+    rotor = [f"n{i} / zs" if s == "0.0" else f"(n{i} - p{i}) / zs"
+             for i, s in enumerate(times_i)]
+    body += ["return (" + ", ".join(rotor + names("n", n, ne)) + ")"]
     inv = ", ".join(f"inv{i}_{j}" for i in range(nb) for j in range(nb))
     return "\n".join([f"def factory({inv}):",
                       "    def step(y, t, h, edges, totals):",
-                      *("        " + line for chunk in body
-                        for line in chunk.split("\n")),
+                      *("        " + line for line in body),
                       "    return step", ""])
 
 

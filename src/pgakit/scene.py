@@ -49,7 +49,7 @@ from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
 
 # run_simulation keeps every row in memory until the CSV is written
 MAX_ROWS = 10**6
-# and integrates every step whatever the stride: 3 to 6 h at 11 to 22 us a step
+# and integrates every step whatever the stride (2.5-6 h at 9-20 us a step)
 MAX_STEPS = 10**9
 # rows recorded, and formatted by write_csv, in one array operation
 _BLOCK_ROWS = 1024

@@ -39,7 +39,7 @@ def require_pga(alg: Algebra) -> Algebra:
 
 def _even_coeffs(g: Multivector) -> np.ndarray:
     """The even coefficients of ``g`` (basis order); ``ValueError`` on any odd one."""
-    if np.count_nonzero(g.coeffs[g.algebra.even_tables.odd]):
+    if np.count_nonzero(g.coeffs[g.algebra.odd_indices]):
         raise ValueError("expected an even element (a rotor or a multiple of one)")
     return g.coeffs[g.algebra.even_indices]
 
@@ -271,7 +271,7 @@ def rotor_constraint(g: Multivector) -> DualParts:
 def is_rotor(g: Multivector) -> bool:
     """Whether ``g`` is even and ``g ~g = 1``, each to within ``1e-9``."""
     z = rotor_constraint(g)
-    odd = np.abs(g.coeffs[g.algebra.even_tables.odd])
+    odd = np.abs(g.coeffs[g.algebra.odd_indices])
     return bool(np.max([abs(z.re - 1.0), abs(z.du), *odd]) <= 1e-9)
 
 
@@ -285,23 +285,19 @@ def normalize_rotor(g: Multivector) -> Multivector:
     and positive, ``b`` finite and the rotor found finite.
     """
     alg = g.algebra
-    ge = normalize_even(alg, _even_coeffs(g))
+    ge, tables = _even_coeffs(g), alg.even_tables
+    q, s = _rotor_scale(*_bilinear(ge, ge, tables.rotor_norm))
+    ge = (ge - q * (tables.times_i @ ge)) / s
     if not np.isfinite(ge).all():
         raise NumericError("cannot normalize: the rotor overflows")
     return even_mv(alg, ge)
 
 
-def normalize_even(alg: Algebra, ge: np.ndarray) -> np.ndarray:
-    """:func:`normalize_rotor` on the even coefficients ``ge`` (basis order)."""
-    tables = alg.even_tables
-    q, s = _rotor_scale(*_bilinear(ge, ge, tables.rotor_norm))
-    return (ge - q * (tables.times_i @ ge)) / s
-
-
 def _rotor_scale(a: float, b: float) -> tuple[float, float]:
-    """``(b / 2a, sqrt(a))`` for ``g ~g = a + bI``: the rotor is then
-    ``(g - (b / 2a) g I) / sqrt(a)``.  Raises :class:`NumericError` unless
-    ``a`` is finite and positive and ``b`` finite."""
+    """``(q, s) = (b / 2a, sqrt(a))`` for ``g ~g = a + bI``, so that the
+    rotor is ``(g - q g I) / s``; the one check of :func:`normalize_rotor`
+    and of the integrator's generated step.  Raises :class:`NumericError`
+    unless ``a`` is finite and positive and ``b`` finite."""
     if not (0.0 < a < math.inf and math.isfinite(b)):
         raise NumericError(f"cannot normalize: g ~g = {a:g} + {b:g}I is not "
                            "finite with a positive real part")

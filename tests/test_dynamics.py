@@ -474,7 +474,7 @@ def test_the_step_is_compiled_on_first_use_and_once():
         from pgakit import (BODY, MomentumState, MotionState, Particle, dynamics,
                             inertia_assemble, pga3d)
         alg = pga3d()
-        assert alg.even_tables.rk4_factory is None
+        assert dynamics._rk4_factory.cache_info().currsize == 0
         calls = []
 
         def counted(*args, **kwargs):
@@ -487,7 +487,8 @@ def test_the_step_is_compiled_on_first_use_and_once():
             body = [Particle.at(alg, 1.0, x) for x in corners]
             state = MotionState(alg.scalar(1.0), MomentumState(np.ones(6), BODY))
             rows.append(dynamics.integrate(state, inertia_assemble(body), 1e-2, 3)[1])
-        assert len(calls) == 1 and alg.even_tables.rk4_factory is not None, calls
+        assert len(calls) == 1, calls
+        assert dynamics._rk4_factory.cache_info().currsize == 1
         assert not np.array_equal(rows[0], rows[1])
     """)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

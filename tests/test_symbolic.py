@@ -1,0 +1,112 @@
+"""Exact proofs, in sympy, of the integrator's generated code and of the
+rotor closed form.
+
+The package's own tables act on sympy symbols as object arrays, and the
+generated source runs on them as it is, so each identity holds for every
+input, not only for sampled ones.
+"""
+
+import textwrap
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+import sympy
+
+from pgakit import dynamics, pga3d
+from pgakit.algebra import _bilinear
+from pgakit.metric import even_mv
+from pgakit.versors import normalize_rotor, sandwich_matrix_even
+
+ALG = pga3d()
+EVEN, BIV = ALG.even_indices, ALG.grade_indices[2]
+NE, NB = len(EVEN), len(BIV)
+
+
+def exact(values, simplify=sympy.expand):
+    """Each value with its floats made the rationals they are, simplified."""
+    out = []
+    for v in map(sympy.sympify, values):
+        out.append(simplify(v.xreplace({f: sympy.Rational(f)
+                                        for f in v.atoms(sympy.Float)})))
+    return out
+
+
+def full(slots, coeffs):
+    """A multivector's coefficients as an object array, zero off ``slots``."""
+    arr = np.array([sympy.Integer(0)] * ALG.n_blades, dtype=object)
+    arr[slots] = coeffs
+    return arr
+
+
+def step_body(start: str, end: str) -> str:
+    """The generated step's lines from the one starting ``start`` up to the
+    one starting ``end``, dedented."""
+    src = dynamics._rk4_source(ALG)
+    lines = src.split("\n")
+    first = next(i for i, x in enumerate(lines) if x.strip().startswith(start))
+    last = next(i for i, x in enumerate(lines) if i > first and x.strip().startswith(end))
+    return textwrap.dedent("\n".join(lines[first:last]))
+
+
+def first_slope(g, pi, inv, force):
+    """The slope of the generated step's first stage at ``(g, Pi)``."""
+    scope = {"y": (*g, *pi), "t": 0, "h": 1, "edges": [], "totals": [force],
+             "bisect_right": bisect_right,
+             **{f"inv{i}_{j}": inv[i, j] for i in range(NB) for j in range(NB)}}
+    exec(step_body("y0, y1", "u0 ="), scope)
+    return [scope[f"k1_{i}"] for i in range(NE + NB)]
+
+
+G = sympy.symbols(f"g:{NE}")
+PI = sympy.symbols(f"p:{NB}")
+F = sympy.symbols(f"f:{NB}")
+INV = np.array(sympy.symbols(f"a:{NB * NB}"), dtype=object).reshape(NB, NB)
+
+
+def test_the_emitted_force_is_the_sandwich_of_the_reversed_rotor():
+    # with no momentum the momentum slope is the force term (~g F) g alone
+    got = first_slope(G, [0] * NB, INV, F)[NE:]
+    reverse = np.array(G, dtype=object) * ALG._rev_signs[EVEN]
+    want = sandwich_matrix_even(ALG, reverse, 2) @ np.array(F, dtype=object)
+    assert exact(got) == exact(want)
+
+
+def test_the_emitted_slope_is_the_motion_equations():
+    # (g Omega, 2 Pi x Omega) with Omega = A^-1 Pi, from the full tables
+    got = first_slope(G, PI, INV, None)
+    omega = full(BIV, INV @ np.array(PI, dtype=object))
+    g_omega = _bilinear(full(EVEN, G), omega, ALG._gp_flat)[EVEN]
+    torque = 2 * _bilinear(full(BIV, PI), omega, ALG._comm_flat)[BIV]
+    assert exact(got) == exact([*g_omega, *torque])
+
+
+def _normalize_rotor(ge):
+    # normalize_rotor's closed form on the even coefficients
+    tables = ALG.even_tables
+    a, b = _bilinear(ge, ge, tables.rotor_norm)
+    return (ge - b / (2 * a) * (tables.times_i @ ge)) / sympy.sqrt(a)
+
+
+def _renormalize_step(ge):
+    # the generated step's renormalization, run as it is
+    names = ", ".join(f"n{i}" for i in range(NE + NB))
+    code = f"def tail({names}):\n" + textwrap.indent(
+        step_body("z0 =", "return step"), "    ")
+    scope = {"_rotor_scale": lambda a, b: (b / (2 * a), sympy.sqrt(a))}
+    exec(code, scope)
+    return np.array(scope["tail"](*ge, *[0] * NB)[:NE], dtype=object)
+
+
+@pytest.mark.parametrize("route", [_normalize_rotor, _renormalize_step],
+                         ids=["normalize_rotor", "step"])
+def test_the_closed_form_lands_on_the_rotor_manifold(route, rng):
+    # g ~g = 1 exactly, from the full geometric product table
+    r = route(np.array(G, dtype=object))
+    rr = _bilinear(full(EVEN, r), full(EVEN, r * ALG._rev_signs[EVEN]), ALG._gp_flat)
+    assert exact(rr, sympy.simplify) == [1] + [0] * (ALG.n_blades - 1)
+    # and it is what normalize_rotor computes
+    ge = rng.normal(size=NE)
+    want = normalize_rotor(even_mv(ALG, ge)).coeffs[EVEN]
+    got = np.array([float(x.subs(dict(zip(G, ge)))) for x in r])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
