@@ -56,10 +56,12 @@ scene = parse_scene({
     "integrator": {"dt": 1e-3, "steps": 2000},
     "outputs": [[0.1, 0.2, 0.3]],
 })
-header, rows = run_simulation(scene, stride=500)
+# the runner yields the table in blocks of rows; this run is one block
+header, blocks = run_simulation(scene, stride=500)
+rows = np.concatenate(list(blocks))
 with tempfile.TemporaryDirectory() as folder:
     path = os.path.join(folder, "top.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, [rows])
     print("wrote", len(rows), "rows to", path)
 print("columns:", ", ".join(header))
 energies = [row[15] for row in rows]

@@ -10,14 +10,24 @@ path, a CSV write that fails, exp/log outside PGA),
 ``ValueError``, the numeric failures (singular inertia, a rotor that
 cannot be normalized, a value that stops being finite).  Any other
 exception is a bug and propagates.
+
+``simulate`` streams the runner's blocks of rows to the CSV.  A run of
+more than one block, where ``os.fork`` exists and a second CPU is free,
+is written by a forked writer process that formats one block while this
+process integrates the next; every other run is written here by the
+same :func:`~pgakit.scene.write_csv`, and no process is started.  Either
+way a run that fails after rows went out leaves ``--out`` empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -100,14 +110,101 @@ def _write_or_refuse(path: str, write) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _spare_cpu() -> bool:
+    """Whether this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _received(pipe, size: int, chunk: int):
+    """``size`` bytes read from ``pipe``, ``chunk`` at a time; raises
+    ``EOFError`` if the pipe closes before they are all in."""
+    while size:
+        want = min(size, chunk)
+        data = pipe.read(want)
+        if len(data) < want:
+            raise EOFError("the run stopped before its last row")
+        size -= want
+        yield data
+
+
+def _write_forked(path: str, header, first, blocks, rows: int) -> None:
+    """:func:`write_csv` of ``rows`` rows, ``first`` then ``blocks``, in
+    a forked writer process, so that formatting one block overlaps
+    integrating the next.
+
+    The writer formats ``first``, which it inherits, then the rows this
+    process sends down a pipe as raw float64 bytes; it runs no numpy and
+    always ends in ``os._exit``.  A write error comes back as its exit
+    status, the errno, and is raised here as ``OSError``.  If a block
+    raises here, the pipe closes early and the writer, seeing fewer than
+    ``rows`` rows, empties the file; the same happens if this process is
+    killed, so no writer outlives it.  The writer is reaped on every path.
+    """
+    head = first.tobytes()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with more threads
+        # (numpy's BLAS pool) may deadlock the child; the writer calls
+        # no BLAS and takes none of their locks
+        warnings.filterwarnings("ignore", ".*multi-threaded.*fork",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 255                # unless it ends as planned: a bug
+        try:
+            os.close(write)
+            width = 8 * len(header)
+            with open(read, "rb") as pipe:
+                write_csv(path, header, itertools.chain([head], _received(
+                    pipe, (rows - len(first)) * width, len(first) * width)))
+            code = 0
+        except OSError as exc:
+            code = exc.errno or code
+        except EOFError:
+            pass                  # the run failed; write_csv emptied the file
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
+    try:
+        os.close(read)
+        for block in blocks:
+            view = memoryview(block).cast("B")
+            while view:
+                view = view[os.write(write, view):]
+    except BrokenPipeError:
+        pass                      # the writer stopped; its status says why
+    finally:
+        os.close(write)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise OSError(0, f"the writer process was killed by signal {-code}")
+    if code == 255:
+        raise RuntimeError("the CSV writer process failed")
+    if code:
+        raise OSError(code, os.strerror(code))
+
+
 def cmd_simulate(args) -> int:
     cfg = load_scene(args.scene)
     # fail on an unwritable output before integrating, not after; a write
     # that fails later (a full disk) is reported the same way
     _write_or_refuse(args.out, lambda path: open(path, "a").close())
-    header, table = run_simulation(cfg, stride=args.stride)
-    _write_or_refuse(args.out, lambda path: write_csv(path, header, table))
-    print(f"wrote {len(table)} rows to {args.out}")
+    header, blocks = run_simulation(cfg, stride=args.stride)
+    rows = cfg.steps // args.stride + 1
+    # a run that fails in its first block writes nothing, and a run of
+    # one block is written here: a writer process pays only when it can
+    # format a block while this one integrates the next
+    first = next(blocks)
+    if len(first) < rows and hasattr(os, "fork") and _spare_cpu():
+        _write_or_refuse(args.out, lambda path: _write_forked(
+            path, header, first, blocks, rows))
+    else:
+        _write_or_refuse(args.out, lambda path: write_csv(
+            path, header, itertools.chain([first], blocks)))
+    print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
 

@@ -21,15 +21,20 @@ The trajectory is CSV: one row per recorded step with the rotor, the
 body momentum, the kinetic energy and the dehomogenized space-frame
 position of every tracked point.  :func:`run_simulation` hands the
 force lines to :func:`~pgakit.dynamics.integrate` as one
-:class:`~pgakit.dynamics.ForceSchedule`, integrates once, then computes
-the energy and tracked-point columns as array operations over blocks of
-rows and returns one float table, refused with
+:class:`~pgakit.dynamics.ForceSchedule` and yields the float table in
+blocks of :data:`_BLOCK_ROWS` rows.  Each block resumes ``integrate``
+from the last row of the block before, so its rows are bit for bit
+those of one ``integrate`` call, then gets its energy and tracked-point
+columns as array operations and is refused with
 :class:`~pgakit.versors.NumericError` if any value in it is not finite.
-:func:`write_csv` formats the table a block of rows at a time.
+Memory therefore stays that of one block however long the run.
+:func:`write_csv` formats the blocks as they come and leaves an empty
+file if the run fails part-way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,11 +52,11 @@ from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
                       sandwich_matrix_even)
 
 
-# run_simulation keeps every row in memory until the CSV is written
-MAX_ROWS = 10**6
-# and integrates every step whatever the stride (2.5-6 h at 9-20 us a step)
+# run_simulation integrates every step whatever the stride (2.5-6 h at
+# 9-20 us a step)
 MAX_STEPS = 10**9
-# rows recorded, and formatted by write_csv, in one array operation
+# rows recorded, and formatted by write_csv, in one array operation: the
+# runner yields its table this many rows at a time
 _BLOCK_ROWS = 1024
 
 
@@ -199,23 +204,23 @@ def load_scene(path: str) -> SceneConfig:
 # runner
 
 
-# an overflow surfaces as NumericError or SingularInertiaError, not as warnings
+# an overflow surfaces as NumericError or SingularInertiaError, not as
+# warnings, in set-up here and in each block's columns in ``record``
 @np.errstate(over="ignore", invalid="ignore")
 def run_simulation(cfg: SceneConfig, stride: int = 1):
-    """Integrate the scene; returns (header, table).
+    """Integrate the scene; returns ``(header, blocks)``.
 
-    The table is one float array with a row per recorded step, at steps
-    0, stride, 2*stride, ... so there are ``steps // stride + 1`` rows,
-    at most :data:`MAX_ROWS`, of at most :data:`MAX_STEPS` steps.  The
-    integrator runs once; energies and tracked points are then computed
-    in bulk, not row by row.  Raises :class:`~pgakit.versors.NumericError`
-    naming the first column and time at which a value is not finite.
+    ``blocks`` yields the trajectory table as float arrays of at most
+    :data:`_BLOCK_ROWS` rows, a row per recorded step at steps 0, stride,
+    2*stride, ... so there are ``steps // stride + 1`` rows in all, of at
+    most :data:`MAX_STEPS` steps.  Set-up errors (a bad stride, singular
+    inertia, a rotor that cannot be normalized) are raised here; a block
+    is integrated only when it is asked for, and raises
+    :class:`~pgakit.versors.NumericError` naming the first column and
+    time at which a value is not finite.
     """
     if stride < 1:
         raise SceneError("stride must be at least 1")
-    if cfg.steps // stride + 1 > MAX_ROWS:
-        raise SceneError(f"the run would record more than {MAX_ROWS} rows; "
-                         "use a larger stride")
     if cfg.steps > MAX_STEPS:
         raise SceneError(f"the run has more than {MAX_STEPS} steps")
     alg = pga3d()
@@ -242,37 +247,68 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
               + ["energy"])
     for i in range(len(tracked)):
         header += [f"x{i}", f"y{i}", f"z{i}"]
+    ne = len(alg.even_indices)
 
-    times, states = integrate(MotionState(g, pi, 0.0), inertia, cfg.dt,
-                              cfg.steps, stride, force=schedule)
-    ne, width = len(alg.even_indices), states.shape[1]
-    table = np.empty((len(times), len(header)))
-    table[:, 0] = times
-    table[:, 1:width + 1] = states
-    table[:, width + 1] = _momentum_energy(inertia, states[:, ne:])
-    if len(tracked):
-        # one sandwich matrix per row moves every tracked point;
-        # dehomogenize as point_coords does.  Blocks of rows bound the
-        # temporaries, (rows, 128) floats inside sandwich_matrix_even.
-        for start in range(0, len(times), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            mats = sandwich_matrix_even(alg, states[rows, :ne], 3)
+    @np.errstate(over="ignore", invalid="ignore")
+    def record(times, states):
+        """The table rows of recorded times and states, checked finite."""
+        width = states.shape[1]
+        table = np.empty((len(times), len(header)))
+        table[:, 0] = times
+        table[:, 1:width + 1] = states
+        table[:, width + 1] = _momentum_energy(inertia, states[:, ne:])
+        if len(tracked):
+            # one sandwich matrix per row moves every tracked point;
+            # dehomogenize as point_coords does
+            mats = sandwich_matrix_even(alg, states[:, :ne], 3)
             moved = tracked @ mats.transpose(0, 2, 1)
-            table[rows, width + 2:] = (moved[:, :, 1:] / moved[:, :, :1]).reshape(
+            table[:, width + 2:] = (moved[:, :, 1:] / moved[:, :, :1]).reshape(
                 len(mats), -1)
-    bad = np.argwhere(~np.isfinite(table))
-    if len(bad):
-        row, col = bad[0]
-        raise NumericError(f"{header[col]} is not finite at t = {float(table[row, 0])!r}")
-    return header, table
+        bad = np.argwhere(~np.isfinite(table))
+        if len(bad):
+            row, col = bad[0]
+            raise NumericError(
+                f"{header[col]} is not finite at t = {float(table[row, 0])!r}")
+        return table
+
+    def blocks():
+        # the first block keeps row 0, the initial state; a later one
+        # resumes from the last row of the block before and drops it
+        state, done, skip = MotionState(g, pi, 0.0), 0, 0
+        while done < cfg.steps:
+            steps = cfg.steps - done
+            if steps // stride > _BLOCK_ROWS - 1 + skip:
+                steps = stride * (_BLOCK_ROWS - 1 + skip)
+            times, states = integrate(state, inertia, cfg.dt, steps, stride,
+                                      force=schedule)
+            yield record(times[skip:], states[skip:])
+            done, skip = done + steps, 1
+            state = MotionState(even_mv(alg, states[-1, :ne]),
+                                MomentumState(states[-1, ne:], BODY), times[-1])
+
+    return header, blocks()
 
 
-def write_csv(path: str, header, table):
-    """Write the header and the rows of a float table, each value as
-    ``f"{v:.17g}"``: 17 significant digits read back exactly."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            chunk = table[start:start + _BLOCK_ROWS]
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+def write_csv(path: str, header, blocks):
+    """Write the header, then the rows of each block as they come.
+
+    A block is a C-contiguous float64 table, or the raw bytes of one;
+    each value is written as ``f"{v:.17g}"``: 17 significant digits read
+    back exactly.  If ``blocks`` or a write raises, the file is left
+    empty, not holding the rows of a run that failed part-way.
+    """
+    width = len(header)
+    line = ",".join(["%.17g"] * width) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for block in blocks:
+                view = memoryview(block)
+                if view.format not in ("d", "B"):
+                    raise TypeError(f"a block holds float64 values, not {view.format!r}")
+                values = view.cast("B").cast("d").tolist() if view.nbytes else []
+                fh.write((line * (len(values) // width)) % tuple(values))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            open(path, "w").close()
+        raise

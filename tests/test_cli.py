@@ -7,15 +7,23 @@ import io
 import json
 import math
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from pgakit import (BODY, MomentumState, Particle, VelocityState, algebra,
-                    force_line, inertia_assemble, pga2d, pga3d, point,
+from pgakit import (BODY, MomentumState, NumericError, Particle, VelocityState,
+                    algebra, force_line, inertia_assemble, pga2d, pga3d, point,
                     point_coords, sandwich)
+import pgakit.cli as cli
 from pgakit.cli import main
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
@@ -411,12 +419,13 @@ def test_simulate_numeric_failure_exit3(tmp_path, capsys, over, what):
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
     assert rc == 3 and _one_error_line(err) and what in err
     assert out.read_text() == ""                 # no rows, in particular no NaN rows
+    # the runner raises the same error, not an overflow warning, outside the CLI
+    with pytest.raises(ValueError, match=re.escape(what)):
+        _table(load_scene(str(scene)))
 
 
 def test_simulate_unwritable_out_fails_before_integrating(tmp_path, capsys,
                                                           monkeypatch):
-    import pgakit.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("integrated before checking --out")
 
@@ -439,31 +448,231 @@ def test_simulate_failed_csv_write_is_a_usage_error(tmp_path, capsys):
     assert "cannot write /dev/full: No space left on device" in err
 
 
+# Streaming: a run of more than one block is written by a forked writer
+# process when a second CPU is free, and by the same formatter in this
+# process otherwise.  The fixture runs a test on both paths.
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def writer(request, monkeypatch):
+    """The path under test, and the list of processes it started."""
+    started = []
+    if request.param == "forked":
+        if not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        real_fork = os.fork
+
+        def fork():
+            started.append(os.getpid())
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: request.param == "forked")
+    return request.param, started
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_C8_OMEGA = [0.2, -0.4, 0.3, 0.8, -0.5, 0.6]     # criterion 8's spin
+
+
+def _one_call_csv(tmp_path, doc, stride):
+    """The CSV text that the formatter writes for one integrate call's table."""
+    saved = scene_mod._BLOCK_ROWS
+    scene_mod._BLOCK_ROWS = 10**9
+    try:
+        header, blocks = run_simulation(parse_scene(doc), stride=stride)
+        (table,) = blocks
+    finally:
+        scene_mod._BLOCK_ROWS = saved
+    path = tmp_path / "one-call.csv"
+    scene_mod.write_csv(str(path), header, [table])
+    return path.read_text()
+
+
+@pytest.mark.parametrize("steps, stride", [(3 * 1024 + 6, 1), (3 * 2500 + 2, 3)],
+                         ids=["3x1024+7-rows", "stride-3"])
+def test_simulate_streamed_csv_matches_one_integrate_call(tmp_path, capsys, writer,
+                                                          steps, stride):
+    # a force window open across the first block boundary, and a stride
+    # that does not divide the block, with steps left over after the last row
+    mode, started = writer
+    doc = scene_dict(
+        initial={"omega_body": _C8_OMEGA},
+        integrator={"dt": 1e-3, "steps": steps},
+        forces=[{"point": [0.2, 0.0, -0.1], "vector": [0.0, 3.0, -1.0],
+                 "t_start": 0.9, "t_end": 1.2}],
+        outputs=[[0.1, 0.2, 0.3], [1.0, -0.5, 0.2]])
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(doc))
+    rc, stdout, err = run_cli(capsys, "simulate", str(scene), "--out", str(out),
+                              "--stride", str(stride))
+    assert (rc, err) == (0, "")
+    assert stdout == f"wrote {steps // stride + 1} rows to {out}\n"
+    assert out.read_text() == _one_call_csv(tmp_path, doc, stride)
+    assert len(started) == (mode == "forked")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("steps, stride", [(1, 1), (50, 1), (1023, 1), (6000, 600)])
+def test_simulate_of_one_block_starts_no_process(tmp_path, capsys, writer,
+                                                 steps, stride):
+    _, started = writer
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(scene_dict(integrator={"dt": 1e-4, "steps": steps})))
+    rc, stdout, _ = run_cli(capsys, "simulate", str(scene), "--out", str(out),
+                            "--stride", str(stride))
+    assert rc == 0 and stdout == f"wrote {steps // stride + 1} rows to {out}\n"
+    assert started == []
+
+
+def test_simulate_failure_after_streaming_leaves_out_empty(tmp_path, capsys, writer):
+    # the force reaches the body at t = 2, in the second block, after the
+    # first block's rows have gone to the file
+    mode, started = writer
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(scene_dict(
+        initial={"omega_body": _C8_OMEGA},
+        integrator={"dt": 1e-3, "steps": 3000},
+        forces=[{"point": [0, 0, 0], "vector": [0, 1e300, 0], "t_start": 2.0}])))
+    out.write_text("rows of an earlier run\n")
+    rc, stdout, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
+    assert rc == 3 and stdout == "" and _one_error_line(err)
+    assert "momentum is not finite at t = 2.00" in err
+    assert out.read_text() == ""
+    assert len(started) == (mode == "forked")
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_full_disk_with_streamed_rows(tmp_path, capsys, writer):
+    mode, started = writer
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(scene_dict(integrator={"dt": 1e-3, "steps": 2000})))
+    rc, out, err = run_cli(capsys, "simulate", str(scene), "--out", "/dev/full")
+    assert rc == 2 and out == "" and _one_error_line(err)
+    assert "cannot write /dev/full: No space left on device" in err
+    assert len(started) == (mode == "forked")
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_simulate_reports_a_writer_that_dies(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(scene_dict(integrator={"dt": 1e-3, "steps": 2000})))
+    argv = ["simulate", str(scene), "--out", str(out)]
+
+    def killed(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(cli, "write_csv", killed)
+    rc, stdout, err = run_cli(capsys, *argv)
+    assert rc == 2 and stdout == "" and _one_error_line(err)
+    assert f"cannot write {out}: the writer process was killed by signal 9" in err
+    _no_child_left()
+
+    # a bug in the writer is a bug here too
+    def broken(*args):
+        raise ZeroDivisionError
+    monkeypatch.setattr(cli, "write_csv", broken)
+    with pytest.raises(RuntimeError, match="CSV writer"):
+        main(argv)
+    _no_child_left()
+
+
+_FORKS = pytest.mark.skipif(not (hasattr(os, "fork") and cli._spare_cpu()),
+                            reason="the writer process needs os.fork and a second CPU")
+
+
+def _start(scene, out):
+    """``python -m pgakit simulate`` in a fresh interpreter, on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.Popen([sys.executable, "-m", "pgakit", "simulate", str(scene),
+                             "--out", str(out)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+@_FORKS
+def test_simulate_forks_its_writer_in_a_fresh_interpreter(tmp_path):
+    doc = scene_dict(initial={"omega_body": _C8_OMEGA},
+                     integrator={"dt": 1e-3, "steps": 2500})
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(doc))
+    stdout, stderr = _start(scene, out).communicate(timeout=120)
+    assert (stdout, stderr) == (f"wrote 2501 rows to {out}\n", "")
+    assert out.read_text() == _one_call_csv(tmp_path, doc, 1)
+
+
+@_FORKS
+def test_simulate_killed_mid_run_leaves_out_empty(tmp_path):
+    # the writer sees the pipe close before the last row, empties the
+    # file and exits, so it does not outlive the run
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(scene_dict(integrator={"dt": 1e-4, "steps": 300_000})))
+    out.write_text("")
+    proc = _start(scene, out)
+    deadline = time.monotonic() + 60
+    try:
+        while out.stat().st_size < 1000:        # the first block is going out
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.communicate()
+    while out.stat().st_size:
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+def test_run_simulation_memory_does_not_grow_with_the_run(monkeypatch):
+    # tracemalloc slows the generated step a hundredfold, so a motion that
+    # stands still replaces integrate: arrays of the same shapes, every
+    # row the first state
+    def frozen(state, inertia, dt, steps, stride=1, force=None):
+        rows = steps // stride + 1
+        y = [*state.g.coeffs[state.g.algebra.even_indices], *state.pi_body.coeffs]
+        return state.t + dt * stride * np.arange(rows), np.tile(y, (rows, 1))
+    monkeypatch.setattr(scene_mod, "integrate", frozen)
+
+    def peak(blocks):
+        cfg = parse_scene(scene_dict(integrator={
+            "dt": 1e-3, "steps": blocks * scene_mod._BLOCK_ROWS - 1}))
+        tracemalloc.start()
+        try:
+            header, rows = run_simulation(cfg)
+            for _ in rows:
+                pass
+            return tracemalloc.get_traced_memory()[1], len(header)
+        finally:
+            tracemalloc.stop()
+    peak(1)                                     # first-use caches
+    (two, width), (eight, _) = peak(2), peak(8)
+    assert abs(eight - two) < scene_mod._BLOCK_ROWS * width * 8
+
+
 def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):
-    # rows stay in memory until the CSV is written, so the run is refused
-    # before integrating, not killed when memory runs out
+    # every step is integrated whatever the stride, so a run of more than
+    # MAX_STEPS steps is refused before integrating, not left to run for hours
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(scene_dict(integrator={"dt": 1e-3, "steps": 10**300})))
     out = tmp_path / "t.csv"
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
-    assert rc == 2 and _one_error_line(err) and "rows" in err
+    assert rc == 2 and _one_error_line(err) and "steps" in err
     assert out.read_text() == ""
     # a stride that records two rows does not let the steps through
     rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out),
                          "--stride", str(10**300))
     assert rc == 2 and _one_error_line(err) and "steps" in err
     assert out.read_text() == ""
-    # the cap counts recorded rows, steps // stride + 1
-    monkeypatch.setattr(scene_mod, "MAX_ROWS", 11)
 
     def rows(steps, stride=1):
         cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": steps}))
-        return len(run_simulation(cfg, stride=stride)[1])
-    assert rows(10) == 11 and rows(21, stride=2) == 11
-    with pytest.raises(SceneError, match="rows"):
-        rows(11)
-    # and the steps themselves are capped, at any stride
-    monkeypatch.setattr(scene_mod, "MAX_ROWS", 10**6)
+        return len(_table(cfg, stride))
+    # the cap counts steps, at any stride
     monkeypatch.setattr(scene_mod, "MAX_STEPS", 20)
     assert rows(20) == 21
     for stride in (1, 2, 21, 10**300):
@@ -474,12 +683,12 @@ def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):
 # The scene fuzz: well-formed documents, their numbers either tame or
 # any finite float (the runner then sees 1e308 masses and a dt of
 # 1e-300), 0-2 fields damaged by junk or removed, and now and then no
-# object at all.  "steps" is small, fractional, or so huge that it
-# exceeds MAX_ROWS at every stride drawn, so no example runs long.
+# object at all.  "steps" is small, fractional, or more than MAX_STEPS,
+# so no example runs long.
 _junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
                   st.just(10**300), st.sampled_from([math.nan, math.inf, -math.inf]),
                   st.lists(st.one_of(st.floats(), st.integers(), st.none()), max_size=9))
-_bad_steps = st.one_of(st.integers(-2, 0), st.integers(10**7, 10**400),
+_bad_steps = st.one_of(st.integers(-2, 0), st.integers(10**9 + 1, 10**400),
                        st.floats(0, 30).filter(lambda x: not x.is_integer()))
 
 
@@ -538,6 +747,11 @@ def test_simulate_fuzz_exits_0_2_or_3(tmp_path, doc, stride):
     assert rc == 0 or _one_error_line(err.getvalue())
 
 
+def _table(cfg, stride=1):
+    """The whole table of a run: its blocks, one after the other."""
+    return np.concatenate(list(run_simulation(cfg, stride=stride)[1]))
+
+
 def _reference_rows(cfg):
     """run_simulation at stride 1 rebuilt from the public Multivector API:
     the conftest RK4 with the open force lines summed per stage, and one
@@ -576,7 +790,7 @@ def test_run_simulation_matches_reference_loop():
                 {"point": [-0.3, 0.4, 0.1], "vector": [2.0, 0.0, 1.0],
                  "t_start": 0.02}],
         outputs=[[0.1, 0.2, 0.3], [1.0, -0.5, 0.2], [-2.0, 0.0, 1.0]]))
-    _, rows = run_simulation(cfg)
+    rows = _table(cfg)
     want = _reference_rows(cfg)
     got = np.array(rows)
     assert got.shape == want.shape == (51, 25)
@@ -591,8 +805,7 @@ def test_run_simulation_factors_inertia_once(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": 100}))
-    _, rows = run_simulation(cfg)
-    assert len(rows) == 101
+    assert len(_table(cfg)) == 101
     assert calls == {"cond": 1, "inv": 1}
 
 
@@ -623,7 +836,7 @@ def test_run_simulation_allocates_nothing_per_step(monkeypatch):
         made.clear()
         cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": steps},
                                      forces=forces))
-        assert len(run_simulation(cfg)[1]) == steps + 1
+        assert len(_table(cfg)) == steps + 1
         return len(made)
     forced = [{"point": [0.2, 0.0, -0.1], "vector": [0.0, 3.0, -1.0],
                "t_start": 0.005},
@@ -638,17 +851,36 @@ def test_write_csv_matches_per_value_format(tmp_path):
                       [1.7976931348623157e308, 2.2250738585072014e-308, 123456789.0,
                        -2.5, 1e-300]])
     path = tmp_path / "t.csv"
-    scene_mod.write_csv(str(path), ["a", "b", "c", "d", "e"], table)
+    scene_mod.write_csv(str(path), ["a", "b", "c", "d", "e"], [table])
     want = "a,b,c,d,e\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                    for row in table.tolist())
     assert path.read_text() == want
-    # more rows than one formatting block, and an empty table
+    # blocks of any size, as arrays or as their raw bytes, and no rows
     big = np.random.default_rng(5).normal(size=(2 * scene_mod._BLOCK_ROWS + 3, 2))
-    scene_mod.write_csv(str(path), ["x", "y"], big)
+    scene_mod.write_csv(str(path), ["x", "y"],
+                        [big[:5], big[5:1000].tobytes(), big[1000:]])
     assert path.read_text() == "x,y\n" + "".join(
         f"{x:.17g},{y:.17g}\n" for x, y in big.tolist())
-    scene_mod.write_csv(str(path), ["x"], np.empty((0, 1)))
+    scene_mod.write_csv(str(path), ["x"], [np.empty((0, 1))])
     assert path.read_text() == "x\n"
+    scene_mod.write_csv(str(path), ["x"], [])
+    assert path.read_text() == "x\n"
+    # a block of other values is refused, not read as float64 bytes
+    with pytest.raises(TypeError, match="float64"):
+        scene_mod.write_csv(str(path), ["x"], [np.arange(3).reshape(3, 1)])
+    assert path.read_text() == ""
+
+
+def test_write_csv_leaves_an_empty_file_when_the_blocks_fail(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("rows of an earlier run\n")
+
+    def blocks():
+        yield np.ones((scene_mod._BLOCK_ROWS, 2))
+        raise NumericError("x is not finite at t = 1.0")
+    with pytest.raises(NumericError):
+        scene_mod.write_csv(str(path), ["x", "y"], blocks())
+    assert path.read_text() == ""
 
 
 def test_usage_exit_codes(capsys):
