@@ -28,6 +28,7 @@ so they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -139,13 +140,15 @@ def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     result ``sum_ij a_i b_j T[i, j, k]`` has ``m`` entries.  Every product
     table in the package is applied through here.
 
+    One-dimensional operands take ``np.dot``, which gives the bits of
+    ``b @ (a @ table).reshape(len(b), -1)`` in less call overhead.
     Two-dimensional operands are stacks, ``(rows, len)`` each, and give
     ``(rows, m)``: row ``r`` equals the product of row ``r`` of each, bit
     for bit.  (A column-major stack would take another BLAS kernel, whose
     sums round differently, so the stacks are made row-major first.)
     """
     if a.ndim == 1:
-        return b @ (a @ table).reshape(len(b), -1)
+        return np.dot(b, np.dot(a, table).reshape(len(b), -1))
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     ab = (a @ table).reshape(len(a), b.shape[1], -1)
     return np.matmul(b[:, None, :], ab)[:, 0]
@@ -189,6 +192,10 @@ class Algebra:
         self.odd_indices = np.flatnonzero(self.grades % 2 == 1)
         self.grade_indices = {
             k: np.flatnonzero(self.grades == k) for k in range(dim + 1)}
+        # the basis is graded: grade k is the run of slots _grade_runs[k]
+        self._grade_runs = [slice(int(s[0]), int(s[-1]) + 1)
+                            for s in self.grade_indices.values()]
+        self._slot_grades = self.grades.tolist()
 
     def _product_tensor(self, squares) -> np.ndarray:
         n = self.n_blades
@@ -204,18 +211,21 @@ class Algebra:
 
     def _build_tables(self):
         self._gp = self._product_tensor(self.signature.squares)
-        # per grade, the slots of the blades that square to non-zero (in
-        # PGA, those without e0) and of those that square to zero: the
-        # diagonal of the scalar slice says which
-        nonnull = np.diagonal(self._gp[:, :, 0]) != 0.0
-        self._nonnull_slots = {k: s[nonnull[s]] for k, s in self.grade_indices.items()}
-        self._null_slots = {k: s[~nonnull[s]] for k, s in self.grade_indices.items()}
         # the outer and inner products are grade masks of the geometric
         # product: grade k+l of a k- and an l-blade, and grade |k-l|
         g = self.grades
         g_i, g_j, g_k = g[:, None, None], g[None, :, None], g[None, None, :]
         self._op = np.where(g_k == g_i + g_j, self._gp, 0.0)
         self._ip = np.where(g_k == abs(g_i - g_j), self._gp, 0.0)
+        # only a blade times itself is a scalar: (x | y)_0 = sum_i d_i x_i y_i
+        # for the diagonal d of the scalar slice, whose non-zero entries
+        # mark the blades that square to non-zero (in PGA, those without e0)
+        d = np.diagonal(self._ip[:, :, 0])
+        self._scalar_ip, nonnull = d.tolist(), d != 0.0
+        self._nonnull_slots = {k: s[nonnull[s]].tolist()
+                               for k, s in self.grade_indices.items()}
+        self._null_slots = {k: s[~nonnull[s]].tolist()
+                            for k, s in self.grade_indices.items()}
         self._comm = 0.5 * (self._gp - self._gp.transpose(1, 0, 2))
         rev = np.where(g * (g - 1) // 2 % 2 == 1, -1.0, 1.0)
         self._rev_signs = rev
@@ -469,11 +479,11 @@ class Multivector:
         With a ``rel_tol``, grades whose largest coefficient falls below
         ``rel_tol * max|coeffs|``, if finite, are treated as numerical dust.
         """
-        mag = np.abs(self.coeffs)
-        cutoff = rel_tol * float(mag.max(initial=0.0))
-        live = mag > cutoff if 0.0 < cutoff < np.inf else self.coeffs != 0.0
-        alg = self.algebra
-        return np.bincount(alg.grades[live], minlength=alg.dim + 1).nonzero()[0].tolist()
+        c, grade = self.coeffs.tolist(), self.algebra._slot_grades
+        cutoff = rel_tol * _peak(c)
+        if 0.0 < cutoff < math.inf:
+            return sorted({k for k, v in zip(grade, c) if abs(v) > cutoff})
+        return sorted({k for k, v in zip(grade, c) if v})
 
     @property
     def scalar_part(self) -> float:
@@ -544,6 +554,14 @@ def _wrap(alg: Algebra, coeffs: np.ndarray) -> Multivector:
     _set_algebra(x, alg)
     _set_coeffs(x, coeffs)
     return x
+
+
+def _peak(c) -> float:
+    """The largest magnitude among the floats ``c``, 0.0 if there are none;
+    NaN if one is NaN, as ``np.max`` gives (``max`` skips a NaN after the first)."""
+    if math.isnan(sum(c)) and any(map(math.isnan, c)):
+        return math.nan
+    return max(map(abs, c)) if c else 0.0
 
 
 def _format_coeff(c: float) -> str:

@@ -189,9 +189,10 @@ def _write_forked(path: str, header, first, blocks, rows: int) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_scene(args.scene)
-    # fail on an unwritable output before integrating, not after; a write
-    # that fails later (a full disk) is reported the same way
-    _write_or_refuse(args.out, lambda path: open(path, "a").close())
+    # fail on an unwritable output before integrating, not after, and
+    # empty it, so that a run failing from here on leaves no earlier
+    # run's rows; a write that fails later (a full disk) is reported the same way
+    _write_or_refuse(args.out, lambda path: open(path, "w").close())
     header, blocks = run_simulation(cfg, stride=args.stride)
     rows = cfg.steps // args.stride + 1
     # a run that fails in its first block writes nothing, and a run of

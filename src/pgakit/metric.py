@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, _bilinear, _wrap
+from .algebra import Algebra, Multivector, _bilinear, _peak, _wrap
 from .duality import join
 
 SIMPLE_REL_TOL = 1e-9
@@ -48,7 +49,7 @@ class DegenerateElementError(ValueError):
 def point(alg: Algebra, *coords: float) -> Multivector:
     """Embed a position as a unit-weight point."""
     _expect_coords(alg, coords)
-    return alg.embed(alg.grade_indices[alg.dim - 1], (1.0, *coords))
+    return alg.embed(alg._grade_runs[alg.dim - 1], (1.0, *coords))
 
 
 def ideal_point(alg: Algebra, *coords: float) -> Multivector:
@@ -61,32 +62,37 @@ def line2d(alg: Algebra, a: float, b: float, c: float) -> Multivector:
     """The line a x + b y + c = 0 as a 1-vector of Cl(2,0,1)."""
     if alg.dim != 3:
         raise ValueError("line2d needs the planar algebra")
-    return alg.multivector({"e0": c, "e1": a, "e2": b})
+    return alg.embed(alg._grade_runs[1], (c, a, b))
 
 
 def plane(alg: Algebra, a: float, b: float, c: float, d: float) -> Multivector:
     """The plane a x + b y + c z + d = 0 as a 1-vector of Cl(3,0,1)."""
     if alg.dim != 4:
         raise ValueError("plane needs the spatial algebra")
-    return alg.multivector({"e0": d, "e1": a, "e2": b, "e3": c})
+    return alg.embed(alg._grade_runs[1], (d, a, b, c))
 
 
 def _negligible(part, whole) -> bool:
-    """Whether ``part``'s largest magnitude is at most ``_EPS`` times ``whole``'s."""
-    return bool(np.abs(part).max(initial=0.0)
-                <= _EPS * np.abs(whole).max(initial=0.0))
+    """Whether ``part``'s largest magnitude is at most ``_EPS`` times
+    ``whole``'s; never when either holds a NaN."""
+    return _peak(part) <= _EPS * _peak(whole)
 
 
-def _euclidean_split(x: Multivector, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grade ``k`` of ``x`` split into its euclidean part (the coefficients on
-    blades that square to non-zero; in PGA, those without ``e0``) and its ideal part."""
-    alg = x.algebra
-    return x.coeffs[alg._nonnull_slots[k]], x.coeffs[alg._null_slots[k]]
+def _euclidean_split(x: Multivector, k: int) -> tuple[list, list]:
+    """Grade ``k`` of ``x`` split into its euclidean part (the floats on blades
+    that square to non-zero; in PGA, those without ``e0``) and its ideal part."""
+    alg, c = x.algebra, x.coeffs.tolist()
+    return [c[i] for i in alg._nonnull_slots[k]], [c[i] for i in alg._null_slots[k]]
 
 
-def _norm(c: np.ndarray) -> float:
-    """The 2-norm of the coefficients ``c``, scaled before it is squared."""
-    return math.hypot(*c.tolist())
+def _norm(c) -> float:
+    """The 2-norm of the floats ``c``, scaled before it is squared."""
+    return math.hypot(*c)
+
+
+def _dot(a, b) -> float:
+    """The sum of the products of the floats ``a`` and ``b``, in order."""
+    return sum(map(mul, a, b))
 
 
 def _clamp(c: float, lo: float, hi: float = math.inf) -> float:
@@ -113,11 +119,10 @@ def point_coords(x: Multivector) -> tuple[float, ...]:
     Divides by the signed weight, so an odd sandwich's orientation flip
     disappears here; read the raw trivector coefficients to keep it.
     """
-    if _negligible(*_euclidean_split(x, x.algebra.dim - 1)):
+    w, *coords = x.coeffs[x.algebra._grade_runs[x.algebra.dim - 1]].tolist()
+    if _negligible((w,), coords):
         raise DegenerateElementError("ideal point has no position")
-    w = point_weight(x)
-    idx = x.algebra.grade_indices[x.algebra.dim - 1][1:]
-    return tuple(float(c) / w for c in x.coeffs[idx])
+    return tuple(c / w for c in coords)
 
 
 def pseudo_part(x: Multivector) -> float:
@@ -170,8 +175,8 @@ def normalize(x: Multivector) -> Multivector:
         if ideal:
             raise DegenerateElementError("ideal line/plane cannot be normalized")
         return x / _norm(part)
-    if k == x.algebra.dim - 1:
-        return x / _norm(ideal_part) if ideal else x / point_weight(x)
+    if k == x.algebra.dim - 1:       # the euclidean part of a point is its weight
+        return x / (_norm(ideal_part) if ideal else part[0])
     if k == 2 and x.algebra.dim == 4:
         return x / _norm(ideal_part if ideal else part)
     raise ValueError(f"no normalization convention for grade {k}")
@@ -185,9 +190,10 @@ def distance(p: Multivector, q: Multivector) -> float:
     """Distance of normalized points: the 2-norm of the euclidean part of
     ``P join Q``, which is ``w_p x_q - w_q x_p`` for weights ``w`` and other
     slots ``x``; the join's ideal slots, which may overflow, are not formed."""
-    idx = p.algebra.grade_indices[p.algebra.dim - 1]
-    a, b = p.coeffs[idx], q.coeffs[idx]
-    return _norm(a[0] * b[1:] - b[0] * a[1:])
+    run = p.algebra._grade_runs[p.algebra.dim - 1]
+    w_p, *x_p = p.coeffs[run].tolist()
+    w_q, *x_q = q.coeffs[run].tolist()
+    return _norm([w_p * b - w_q * a for a, b in zip(x_p, x_q)])
 
 
 def angle(a: Multivector, b: Multivector) -> float:
@@ -204,7 +210,7 @@ def point_nd(alg: Algebra, *coords: float) -> Multivector:
     """A point of a non-degenerate model as a 1-vector (x0, x1, ...)."""
     if len(coords) != alg.dim:
         raise ValueError(f"expected {alg.dim} homogeneous coordinates")
-    return alg.embed(alg.grade_indices[1], coords)
+    return alg.embed(alg._grade_runs[1], coords)
 
 
 def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
@@ -213,13 +219,15 @@ def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
     Arguments are points given as 1-vectors of the respective algebra.
     Null arguments (on the metric quadric) have no defined distance.  Both
     are scaled to a largest coefficient of 1 first, so no scale matters.
+    Each ``(x | y)_0`` is ``sum_i d_i x_i y_i`` for the signs ``d`` of the
+    blade squares, read off the inner-product table.
     """
-    sig = x.algebra.signature
-    x, y = (v / (np.abs(v.coeffs).max() or 1.0) for v in (x, y))
-    xx = (x | x).scalar_part
-    yy = (y | y).scalar_part
-    xy = (x | y).scalar_part
-    scale = max(x.norm2(), y.norm2())
+    sig, d = x.algebra.signature, x.algebra._scalar_ip
+    x, y = x.coeffs.tolist(), y.coeffs.tolist()
+    top_x, top_y = _peak(x) or 1.0, _peak(y) or 1.0
+    x, y = [a / top_x for a in x], [a / top_y for a in y]
+    xx, yy, xy = _dot(d, map(mul, x, x)), _dot(d, map(mul, y, y)), _dot(d, map(mul, x, y))
+    scale = max(_dot(x, x), _dot(y, y))
     if abs(xx) <= _EPS * scale or abs(yy) <= _EPS * scale:
         raise DegenerateElementError("null vector has no distance")
     if (sig.p, sig.n, sig.z) == (4, 0, 0):
@@ -242,7 +250,7 @@ def biv_coeffs(x: Multivector) -> np.ndarray:
 
 def biv_mv(alg: Algebra, coeffs) -> Multivector:
     """The grade-2 element with the given coefficients, in basis order."""
-    return alg.embed(alg.grade_indices[2], coeffs)
+    return alg.embed(alg._grade_runs[2], coeffs)
 
 
 def even_mv(alg: Algebra, coeffs) -> Multivector:
@@ -311,18 +319,20 @@ def bivector_axis(xi: Multivector) -> Multivector:
     squares to -1 and keeps the orientation of the euclidean part.  A
     translator's bivector is ideal and has no axis.
     """
-    if _negligible(*_euclidean_split(xi, 2)):
+    c = xi.coeffs[xi.algebra._grade_runs[2]].tolist()
+    if not any(c[3:]) or _negligible(c[3:], c[:3]):
         raise DegenerateElementError("ideal bivector has no axis")
-    return biv_mv(xi.algebra, _axis_coeffs(biv_coeffs(xi)))
+    return biv_mv(xi.algebra, _axis_coeffs(c))
 
 
-def _axis_coeffs(c: np.ndarray) -> np.ndarray:
+def _axis_coeffs(c: list) -> list:
     """:func:`bivector_axis` on Pluecker coordinates whose ``e`` is not zero."""
     i, e = c[:3], c[3:]
     n = _norm(e)
-    f = e / n
+    f = [x / n for x in e]
     rev_f = f[::-1]
-    return np.concatenate([(i - float(i @ rev_f) * rev_f) / n, f])
+    d = _dot(i, rev_f)
+    return [(a - d * r) / n for a, r in zip(i, rev_f)] + f
 
 
 @dataclass(frozen=True)
@@ -340,13 +350,15 @@ def bivector_pitch(xi: Multivector) -> Pitch:
     For the screw generator ``(t + u I) Phi`` the value is ``2u/t``; on the
     Pluecker coordinates ``(i, e)``, ``-2 (i . rev(e / |e|)) / |e|``.
     """
+    if xi.algebra.dim != 4:
+        raise ValueError("bivector_pitch needs the spatial algebra")
     e, i = _euclidean_split(xi, 2)
-    if not (e.any() or i.any()):
+    if not (any(e) or any(i)):
         raise DegenerateElementError("zero bivector has no pitch")
     if _negligible(e, i):
         return Pitch(False)
     n = _norm(e)
-    return Pitch(True, -2.0 * float(i @ (e / n)[::-1]) / n)
+    return Pitch(True, -2.0 * _dot(i, [x / n for x in e[::-1]]) / n)
 
 
 class DualParts(NamedTuple):
@@ -465,8 +477,7 @@ def _scaled_join(alg: Algebra, *points: tuple) -> Multivector:
         _expect_coords(alg, coords)
         e = math.frexp(max(map(abs, coords)))[1]
         arr = np.zeros(alg.n_blades)
-        arr[alg.grade_indices[alg.dim - 1]] = [math.ldexp(c, -e)
-                                               for c in (weight, *coords)]
+        arr[alg._grade_runs[alg.dim - 1]] = [math.ldexp(c, -e) for c in (weight, *coords)]
         scaled.append(arr)
         total += e
     return _wrap(alg, np.ldexp(_bilinear(*scaled, alg._vee_flat), total))

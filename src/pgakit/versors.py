@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Multivector, Signature, _bilinear
-from .metric import (_DUST, DegenerateElementError, DualParts, _axis_coeffs,
+from .metric import (_DUST, DegenerateElementError, DualParts, _axis_coeffs, _dot,
                      _euclidean_split, _expect_coords, _negligible, _norm,
-                     biv_coeffs, biv_mv, even_mv, is_simple, normalize)
+                     biv_mv, even_mv, is_simple, normalize)
 
 _PGA = (Signature(2, 0, 1), Signature(3, 0, 1))
 
@@ -141,25 +141,26 @@ def exp_bivector(b: Multivector) -> Multivector:
     _require_finite(b, "bivector")
     if set(b.grades(rel_tol=_DUST)) - {2}:
         raise ValueError("exp_bivector takes a bivector (a grade-2 element)")
-    b = b.grade(2)
     if alg.dim == 3:
+        b = b.grade(2)
         m0 = b["E0"]
         if m0 == 0.0:
             return alg.scalar(1.0) + b
         return math.cos(m0) + math.sin(m0) / m0 * b
-    c = biv_coeffs(b)
+    c = b.coeffs[alg._grade_runs[2]].tolist()
     i, e = c[:3], c[3:]
-    l, cc = float(e @ e), float(c @ c)
+    l, cc = _dot(e, e), _dot(c, c)
     if not (math.isfinite(l) and math.isfinite(cc)):
         raise NumericError("bivector too large: its norm overflows")
     if l == 0.0:
-        return alg.scalar(1.0) + b
+        return alg.scalar(1.0) + b.grade(2)
     t = math.sqrt(l)
     rev_e = e[::-1]
-    m = float(i @ rev_e)
+    m = _dot(i, rev_e)
     cos_t, s = math.cos(t), math.sin(t) / t
     k = m * (cos_t - s) / l
-    return even_mv(alg, [cos_t, *(s * i + k * rev_e), *(s * e), m * s])
+    return even_mv(alg, [cos_t, *(s * a + k * r for a, r in zip(i, rev_e)),
+                         *(s * x for x in e), m * s])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,12 @@ class ScrewLog:
     u: float
 
     def bivector(self) -> Multivector:
-        return self.t * self.axis + self.u * (self.axis * self.axis.algebra.blade("I"))
+        """``(t + u I) axis``; ``axis I`` is ``(-rev(e), 0)`` for the axis ``(i, e)``."""
+        alg, t, u = self.axis.algebra, self.t, self.u
+        c = self.axis.coeffs[alg._grade_runs[2]].tolist()
+        i, e = c[:3], c[3:]
+        return biv_mv(alg, [*(t * a - u * r for a, r in zip(i, e[::-1])),
+                            *(t * x for x in e)])
 
     def exp(self) -> Multivector:
         return exp_screw(self.axis, self.t, self.u)
@@ -211,21 +217,22 @@ def screw_log(g: Multivector) -> ScrewLog:
     if alg.signature != Signature(3, 0, 1):
         raise ValueError(f"screw_log needs Cl(3,0,1), not Cl{alg.signature}")
     _require_finite(g, "rotor")
-    s_r = g.scalar_part
-    c6 = biv_coeffs(g)
-    if _negligible(c6, g.coeffs):
+    c = g.coeffs.tolist()
+    s_r, c6 = c[0], c[alg._grade_runs[2]]
+    if _negligible(c6, c):
         return ScrewLog(alg.blade("e12"), 0.0, 0.0)
-    e = c6[3:]
+    i, e = c6[:3], c6[3:]
     if _negligible(e, (s_r, *e)):
         # translator: map -g to g (the scalar part must be +1), then pick
         # the axis through the origin along -m (its e is the direction
         # reversed); the log of a translator is not unique
-        m = c6[:3] if s_r >= 0.0 else -c6[:3]
+        m = i if s_r >= 0.0 else [-x for x in i]
         length = _norm(m)
-        return ScrewLog(biv_mv(alg, [0.0, 0.0, 0.0, *(-m[::-1] / length)]), 0.0, length)
+        return ScrewLog(biv_mv(alg, [0.0, 0.0, 0.0, *(-x / length for x in m[::-1])]),
+                        0.0, length)
     e_norm = _norm(e)
     axis = _axis_coeffs(c6)
-    u = -(s_r * float(c6[:3] @ axis[3:][::-1]) + e_norm * g.pseudo_part)
+    u = -(s_r * _dot(i, axis[3:][::-1]) + e_norm * c[-1])
     return ScrewLog(biv_mv(alg, axis), math.atan2(e_norm, s_r), u)
 
 
@@ -242,7 +249,7 @@ def rotor_log(g: Multivector) -> Multivector:
     s = g.scalar_part
     m = g.grade(2)
     m0 = m["E0"]
-    if _negligible(m0, (s, m0)):   # no rotation next to the euclidean part
+    if _negligible((m0,), (s, m0)):   # no rotation next to the euclidean part
         return m
     theta = math.atan2(m0, s)
     return theta / m0 * m

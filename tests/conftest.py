@@ -1,7 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+# A failing hypothesis test makes its pytest plugin import this module,
+# which pulls in libcst, whose import warns about mypy_extensions.TypedDict;
+# under the suite's error::DeprecationWarning filter that warning would end
+# the whole session, so the module is imported here with only it ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from pgakit import BODY, MomentumState, algebra, pga2d, pga3d, sandwich
 from pgakit.metric import biv_coeffs
@@ -50,6 +60,24 @@ PLANAR_TABLE = {
 def oracle_alg(request):
     """The algebras the product kernel is checked on against dense einsum."""
     return algebra(*request.param)
+
+
+# magnitudes that a float-by-float reading must treat as numpy does
+AWKWARD = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+           1e308, -1e308)
+
+
+def awkward_coeffs(rng, n, dust=1e-9):
+    """``n`` seeded coefficients at scales 1e-5..1e5, about half of them
+    zero; some replaced by an ``AWKWARD`` value or by dust just below, at or
+    just above ``dust`` times the largest."""
+    c = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5, size=n)
+    c[rng.random(n) < 0.5] = 0.0
+    top = np.abs(c).max()
+    for i in rng.choice(n, size=rng.integers(0, 3), replace=False):
+        c[i] = rng.choice([*AWKWARD, top * dust * (1 - 1e-3), top * dust,
+                           -top * dust * (1 + 1e-3)])
+    return c
 
 
 def count_einsum(monkeypatch):

@@ -13,7 +13,8 @@ from pgakit.algebra import _bilinear
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
 from pgakit.versors import sandwich_matrix, sandwich_matrix_even
 
-from conftest import PLANAR_TABLE, assert_rel_close, count_einsum, random_mv
+from conftest import (PLANAR_TABLE, assert_rel_close, awkward_coeffs, count_einsum,
+                      random_mv)
 
 
 def test_planar_cayley_table(plane_alg):
@@ -285,3 +286,49 @@ def test_products_match_dense_tables(oracle_alg, rng, monkeypatch):
         assert stack.shape == (len(pairs), *2 * [len(alg.grade_indices[k])])
         assert np.array_equal(stack, [sandwich_matrix(even_mv(alg, ge), k)
                                       for ge in even])
+
+
+def _sparse_operands(rng, n, count):
+    """Seeded operands at scales 1e-5..1e5, a share of each set to zero."""
+    x = rng.normal(size=(count, n)) * 10.0 ** rng.uniform(-5, 5, size=(count, n))
+    x[rng.random((count, n)) < rng.uniform(0.0, 0.9, size=(count, 1))] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("sig", [(2, 0, 1), (3, 0, 1), (4, 0, 0), (3, 1, 0)],
+                         ids=lambda sig: "%d,%d,%d" % sig)
+def test_the_dot_kernel_rounds_as_matmul_does(sig):
+    # one operand pair takes np.dot; it must give the bits of two `@`
+    # mat-vecs, and each row of a stack the bits of its own product
+    alg = algebra(*sig)
+    ev = alg.even_tables
+    tables = [alg._gp_flat, alg._op_flat, alg._ip_flat, alg._comm_flat, alg._vee_flat,
+              ev.product, ev.rotor_norm, *(ev.sandwich(k) for k in range(alg.dim + 1))]
+    rng = np.random.default_rng(sum(sig))
+    for table in tables:
+        n = table.shape[0]              # every table here pairs operands of one length
+        rows_a, rows_b = _sparse_operands(rng, n, 150), _sparse_operands(rng, n, 150)
+        got = [_bilinear(a, b, table) for a, b in zip(rows_a, rows_b)]
+        for a, b, row in zip(rows_a, rows_b, got):
+            assert row.tobytes() == (b @ (a @ table).reshape(n, -1)).tobytes()
+        assert _bilinear(rows_a, rows_b, table).tobytes() == np.array(got).tobytes()
+
+
+def _grades_oracle(x, rel_tol):
+    # the numpy route that Multivector.grades replaced
+    mag = np.abs(x.coeffs)
+    cutoff = rel_tol * float(mag.max(initial=0.0))
+    live = mag > cutoff if 0.0 < cutoff < np.inf else x.coeffs != 0.0
+    alg = x.algebra
+    return np.bincount(alg.grades[live], minlength=alg.dim + 1).nonzero()[0].tolist()
+
+
+@pytest.mark.parametrize("sig", [(2, 0, 1), (3, 0, 1), (4, 0, 0)],
+                         ids=lambda sig: "%d,%d,%d" % sig)
+def test_grades_with_a_tolerance_match_the_numpy_route(sig):
+    alg = algebra(*sig)
+    rng = np.random.default_rng(7 * sum(sig))
+    for _ in range(400):
+        x = Multivector(alg, awkward_coeffs(rng, alg.n_blades))
+        for rel_tol in (0.0, 1e-12, 1e-9, 0.5, 2.0):
+            assert x.grades(rel_tol) == _grades_oracle(x, rel_tol), (x.coeffs, rel_tol)

@@ -424,6 +424,21 @@ def test_simulate_numeric_failure_exit3(tmp_path, capsys, over, what):
         _table(load_scene(str(scene)))
 
 
+@pytest.mark.parametrize("over, code", [
+    ({"initial": {"omega_body": [1e200, 0, 0, 1e200, 0, 0]}}, 3),
+    ({"integrator": {"dt": -1.0, "steps": 5}}, 2),
+], ids=["fails-in-first-block", "scene-error"])
+def test_simulate_leaves_no_rows_of_an_earlier_run(tmp_path, capsys, over, code):
+    # a run that fails after --out was checked empties it; a scene refused
+    # before the check leaves it as it was
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(scene_dict(**over)))
+    out.write_text("old\n")
+    rc, stdout, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
+    assert rc == code and stdout == "" and _one_error_line(err)
+    assert out.read_text() == ("" if code == 3 else "old\n")
+
+
 def test_simulate_unwritable_out_fails_before_integrating(tmp_path, capsys,
                                                           monkeypatch):
     def never(*args, **kwargs):

@@ -14,12 +14,12 @@ from pgakit import (DegenerateElementError, Multivector, Pitch, algebra,
                     noneuclidean_distance, normalize, null_plane, null_point,
                     plane, pluecker, point, point_coords, point_weight,
                     pseudo_part, sandwich, vector_norm)
-from pgakit.metric import (biv_coeffs, dual_angle, line2d_through, line_angle,
-                           point_nd, polar_line, project_line_to_plane,
+from pgakit.metric import (_negligible, biv_coeffs, biv_mv, dual_angle, line2d_through,
+                           line_angle, point_nd, polar_line, project_line_to_plane,
                            project_point_to_line, perp_through_point)
 from pgakit.versors import rotator, translator
 
-from conftest import random_mv
+from conftest import awkward_coeffs, random_mv
 
 
 def rand_line(alg, rng, scale=2.0):
@@ -306,6 +306,11 @@ def test_pitch_classes(space_alg, rng):
     assert p.finite and p.value == pytest.approx(2 * u / t, rel=1e-9)
     with pytest.raises(DegenerateElementError):
         bivector_pitch(space_alg.zero())
+    with pytest.raises(ValueError, match="spatial algebra"):
+        bivector_pitch(algebra(2, 0, 1).blade("E0"))
+    # no euclidean part at all is ideal, also next to a NaN
+    with pytest.raises(DegenerateElementError, match="no axis"):
+        bivector_axis(biv_mv(space_alg, [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_pitch_is_a_rigid_invariant(space_alg, rng):
@@ -709,3 +714,14 @@ def test_triangle_centers_against_coordinate_oracles(plane_alg, rng):
         third = bisector(pc, pa, pb)
         scale = math.sqrt(third.norm2()) * math.sqrt(inc.norm2())
         assert abs((third ^ inc).pseudo_part) < 1e-10 * scale
+
+
+def test_negligible_on_floats_matches_the_numpy_route():
+    # a NaN anywhere answers False, as np.max's NaN does
+    rng = np.random.default_rng(1012)
+    for _ in range(2000):
+        c = awkward_coeffs(rng, 8, dust=1e-12)
+        cut = rng.integers(0, 9)
+        part, whole = c[:cut], c[rng.integers(0, 2) * cut:]
+        want = bool(np.abs(part).max(initial=0.0) <= 1e-12 * np.abs(whole).max(initial=0.0))
+        assert _negligible(part.tolist(), whole.tolist()) is want, (part, whole)

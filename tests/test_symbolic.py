@@ -1,5 +1,5 @@
 """Exact proofs, in sympy, of the integrator's generated code and of the
-rotor closed form.
+closed forms of the rotor, the pitch and the scalar inner product.
 
 The package's own tables act on sympy symbols as object arrays, and the
 generated source runs on them as it is, so each identity holds for every
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import sympy
 
-from pgakit import dynamics, pga3d
-from pgakit.algebra import _bilinear
-from pgakit.metric import even_mv
+from pgakit import algebra, dynamics, metric, pga3d
+from pgakit.algebra import _bilinear, _wrap
+from pgakit.metric import biv_mv, even_mv, polar_line
 from pgakit.versors import normalize_rotor, sandwich_matrix_even
 
 ALG = pga3d()
@@ -110,3 +110,33 @@ def test_the_closed_form_lands_on_the_rotor_manifold(route, rng):
     want = normalize_rotor(even_mv(ALG, ge)).coeffs[EVEN]
     got = np.array([float(x.subs(dict(zip(G, ge)))) for x in r])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
+def _pluecker(a, b):
+    # pluecker(a, b): the pseudoscalar part of a ^ b, from the outer table
+    return _bilinear(a, b, ALG._op_flat)[ALG.pseudoscalar_index]
+
+
+def test_the_pitch_is_a_ratio_of_pluecker_pairings(monkeypatch, rng):
+    # bivector_pitch's -2 (i . rev(e / |e|)) / |e|, run as it is on symbols,
+    # is -pluecker(xi, xi) / pluecker(xi, polar_line(xi)), polar_line(xi)
+    # being -(xi I)
+    xi = full(BIV, sympy.symbols(f"p:{NB}", real=True))
+    monkeypatch.setattr(metric, "_norm", lambda c: sympy.sqrt(sum(x * x for x in c)))
+    monkeypatch.setattr(metric, "_negligible", lambda part, whole: False)
+    got = metric.bivector_pitch(_wrap(ALG, xi)).value
+    polar = -_bilinear(xi, full([ALG.pseudoscalar_index], [1]), ALG._gp_flat)
+    assert exact([got + _pluecker(xi, xi) / _pluecker(xi, polar)], sympy.simplify) == [0]
+    monkeypatch.undo()
+    c = rng.normal(size=NB)
+    assert np.array_equal(polar_line(biv_mv(ALG, c)).coeffs,
+                          -(biv_mv(ALG, c) * ALG.blade("I")).coeffs)
+
+
+@pytest.mark.parametrize("sig", [(4, 0, 0), (3, 1, 0)], ids=["elliptic", "hyperbolic"])
+def test_the_scalar_inner_product_is_a_signed_dot(sig):
+    # noneuclidean_distance's (x | y)_0 = sum_i d_i x_i y_i, for all x, y
+    alg = algebra(*sig)
+    x, y = (np.array(sympy.symbols(f"{v}:{alg.n_blades}"), dtype=object) for v in "xy")
+    want = _bilinear(x, y, alg._ip_flat)[0]
+    assert exact([metric._dot(alg._scalar_ip, x * y) - want]) == [0]
