@@ -33,10 +33,9 @@ import numpy as np
 
 from .algebra import Algebra, format_multivector
 from .expr import ExprError, evaluate
-from .metric import biv_mv, even_mv
+from .metric import _require_pga, biv_mv, even_mv
 from .scene import SceneError, load_scene, run_simulation, write_csv
-from .versors import (NumericError, exp_bivector, normalize_rotor,
-                      require_pga, rotor_log)
+from .versors import NumericError, exp_bivector, normalize_rotor, rotor_log
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,10 +56,10 @@ def _parse_signature(text: str) -> Algebra:
         raise UsageError(f"invalid signature {text!r}; expected P,N,Z") from None
 
 
-def _parse_pga_signature(text: str) -> Algebra:
+def _parse_pga_signature(text: str, command: str) -> Algebra:
     alg = _parse_signature(text)
     try:
-        return require_pga(alg)
+        return _require_pga(alg, command)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -210,14 +209,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    alg = _parse_pga_signature(args.signature)
+    alg = _parse_pga_signature(args.signature, args.command)
     coeffs = _parse_coeffs(args, alg, len(alg.grade_indices[2]), "bivector")
     print(exp_bivector(biv_mv(alg, coeffs)))
     return EXIT_OK
 
 
 def cmd_log(args) -> int:
-    alg = _parse_pga_signature(args.signature)
+    alg = _parse_pga_signature(args.signature, args.command)
     coeffs = _parse_coeffs(args, alg, len(alg.even_indices), "even")
     g = normalize_rotor(even_mv(alg, coeffs))
     b = rotor_log(g)

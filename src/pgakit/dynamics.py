@@ -51,8 +51,8 @@ import numpy as np
 
 from .algebra import Algebra, Multivector
 from .duality import join
-from .metric import (DegenerateElementError, biv_coeffs, biv_mv, even_mv,
-                     ideal_norm, ideal_point, pluecker, point, pseudo_part)
+from .metric import (DegenerateElementError, _require_pga, biv_coeffs, biv_mv,
+                     even_mv, ideal_norm, ideal_point, pluecker, point, pseudo_part)
 # sandwich is not called here; the benchmark's tracing tests use dynamics.sandwich
 from .versors import (NumericError, _even_coeffs, _rotor_scale, sandwich,  # noqa: F401
                       sandwich_matrix)
@@ -117,11 +117,13 @@ def frame_convert(x: _BivectorState, g: Multivector, to: str) -> _BivectorState:
     """Move a tagged state between frames: body -> space is ``g X ~g``.
 
     A multivector moves by :func:`~pgakit.versors.sandwich` of ``g`` or
-    ``~g``; anything but a tagged state raises :class:`TypeError`.
+    ``~g``; anything but a tagged state raises :class:`TypeError`, a rotor
+    outside Cl(3,0,1) ``ValueError``.
     """
     if not isinstance(x, _BivectorState):
         raise TypeError("frame_convert moves a tagged state, not "
                         f"{type(x).__name__}; sandwich moves a multivector")
+    _require_pga(g.algebra, "frame_convert", (4,))
     if x.frame == to:
         return x
     m = sandwich_matrix(g if to == SPACE else ~g, 2)
@@ -368,6 +370,7 @@ class MotionState:
 
     def __post_init__(self):
         _body_coeffs(self.pi_body)
+        _require_pga(self.g.algebra, "MotionState", (4,))
         _even_coeffs(self.g)                  # raises on an odd part
 
 

@@ -42,33 +42,45 @@ class DegenerateElementError(ValueError):
     """An ideal or null element where a euclidean one is required."""
 
 
+_PGA_NAMES = {3: "the planar algebra Cl(2,0,1)", 4: "the spatial algebra Cl(3,0,1)"}
+
+
+def _require_pga(alg: Algebra, what: str, dims: tuple = (3, 4)) -> Algebra:
+    """``alg`` itself if it is Cl(2,0,1) or Cl(3,0,1) with a dimension in
+    ``dims``; otherwise ``ValueError`` naming ``what`` and ``alg``'s signature.
+    The one test of which algebra a euclidean function takes."""
+    s = alg.signature
+    if s.z != 1 or s.n or alg.dim not in dims:
+        names = " or ".join(_PGA_NAMES[d] for d in dims)
+        raise ValueError(f"{what} needs {names}, not Cl{s}")
+    return alg
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
 
 def point(alg: Algebra, *coords: float) -> Multivector:
     """Embed a position as a unit-weight point."""
-    _expect_coords(alg, coords)
+    _expect_coords(alg, coords, "point")
     return alg.embed(alg._grade_runs[alg.dim - 1], (1.0, *coords))
 
 
 def ideal_point(alg: Algebra, *coords: float) -> Multivector:
     """Embed a free vector as a point on the ideal line/plane."""
-    _expect_coords(alg, coords)
+    _expect_coords(alg, coords, "ideal_point")
     return alg.embed(alg.grade_indices[alg.dim - 1][1:], coords)
 
 
 def line2d(alg: Algebra, a: float, b: float, c: float) -> Multivector:
     """The line a x + b y + c = 0 as a 1-vector of Cl(2,0,1)."""
-    if alg.dim != 3:
-        raise ValueError("line2d needs the planar algebra")
+    _require_pga(alg, "line2d", (3,))
     return alg.embed(alg._grade_runs[1], (c, a, b))
 
 
 def plane(alg: Algebra, a: float, b: float, c: float, d: float) -> Multivector:
     """The plane a x + b y + c z + d = 0 as a 1-vector of Cl(3,0,1)."""
-    if alg.dim != 4:
-        raise ValueError("plane needs the spatial algebra")
+    _require_pga(alg, "plane", (4,))
     return alg.embed(alg._grade_runs[1], (d, a, b, c))
 
 
@@ -100,16 +112,15 @@ def _clamp(c: float, lo: float, hi: float = math.inf) -> float:
     return c if math.isnan(c) else max(lo, min(hi, c))
 
 
-def _expect_coords(alg, coords):
-    if alg.dim not in (3, 4):
-        raise ValueError("the euclidean layer supports the planar and "
-                         "spatial algebras only")
+def _expect_coords(alg, coords, what):
+    _require_pga(alg, what)
     if len(coords) != alg.dim - 1:
         raise ValueError(f"expected {alg.dim - 1} coordinates, got {len(coords)}")
 
 
 def point_weight(x: Multivector) -> float:
     """Signed weight: the coefficient of E0."""
+    _require_pga(x.algebra, "point_weight")
     return x[f"E0"]
 
 
@@ -119,6 +130,7 @@ def point_coords(x: Multivector) -> tuple[float, ...]:
     Divides by the signed weight, so an odd sandwich's orientation flip
     disappears here; read the raw trivector coefficients to keep it.
     """
+    _require_pga(x.algebra, "point_coords")
     w, *coords = x.coeffs[x.algebra._grade_runs[x.algebra.dim - 1]].tolist()
     if _negligible((w,), coords):
         raise DegenerateElementError("ideal point has no position")
@@ -141,12 +153,14 @@ def vector_norm(a: Multivector) -> float:
 
 def killing_norm(xi: Multivector) -> float:
     """Norm sqrt(-xi . xi) of a 3D bivector: the 2-norm of its euclidean part."""
+    _require_pga(xi.algebra, "killing_norm", (4,))
     return _norm(_euclidean_split(xi, 2)[0])
 
 
 def ideal_norm(v: Multivector) -> float:
     """Length of an ideal point or line: the 2-norm of its ideal part, which
     is ``|| v join P ||`` for each and every unit euclidean point ``P``."""
+    _require_pga(v.algebra, "ideal_norm")
     ks = v.grades(rel_tol=_DUST)
     if not ks:
         return 0.0
@@ -163,6 +177,7 @@ def normalize(x: Multivector) -> Multivector:
     points and ideal lines unit length.  Fully degenerate input (an
     ideal 1-vector such as e0) raises.
     """
+    _require_pga(x.algebra, "normalize")
     ks = x.grades(rel_tol=_DUST)
     if not ks:
         raise DegenerateElementError("cannot normalize the zero element")
@@ -190,6 +205,7 @@ def distance(p: Multivector, q: Multivector) -> float:
     """Distance of normalized points: the 2-norm of the euclidean part of
     ``P join Q``, which is ``w_p x_q - w_q x_p`` for weights ``w`` and other
     slots ``x``; the join's ideal slots, which may overflow, are not formed."""
+    _require_pga(p.algebra, "distance")
     run = p.algebra._grade_runs[p.algebra.dim - 1]
     w_p, *x_p = p.coeffs[run].tolist()
     w_q, *x_q = q.coeffs[run].tolist()
@@ -216,14 +232,17 @@ def point_nd(alg: Algebra, *coords: float) -> Multivector:
 def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
     """Distance in the elliptic (4,0,0) or hyperbolic (3,1,0) metric.
 
-    Arguments are points given as 1-vectors of the respective algebra.
+    Arguments are points given as 1-vectors of the respective algebra;
+    a part of another grade raises ``ValueError``.
     Null arguments (on the metric quadric) have no defined distance.  Both
     are scaled to a largest coefficient of 1 first, so no scale matters.
     Each ``(x | y)_0`` is ``sum_i d_i x_i y_i`` for the signs ``d`` of the
     blade squares, read off the inner-product table.
     """
-    sig, d = x.algebra.signature, x.algebra._scalar_ip
+    sig, d, run = x.algebra.signature, x.algebra._scalar_ip, x.algebra._grade_runs[1]
     x, y = x.coeffs.tolist(), y.coeffs.tolist()
+    if any(x[:run.start] + x[run.stop:] + y[:run.start] + y[run.stop:]):
+        raise ValueError("noneuclidean_distance takes points as 1-vectors")
     top_x, top_y = _peak(x) or 1.0, _peak(y) or 1.0
     x, y = [a / top_x for a in x], [a / top_y for a in y]
     xx, yy, xy = _dot(d, map(mul, x, x)), _dot(d, map(mul, y, y)), _dot(d, map(mul, x, y))
@@ -280,6 +299,7 @@ def is_simple(xi: Multivector) -> bool:
 
 def bivector_split(xi: Multivector) -> tuple[Multivector, Multivector]:
     """Unique decomposition into an ideal line plus a line through the origin."""
+    _require_pga(xi.algebra, "bivector_split", (4,))
     c = biv_coeffs(xi)
     alg = xi.algebra
     return (biv_mv(alg, [c[0], c[1], c[2], 0, 0, 0]),
@@ -292,6 +312,7 @@ def direction(xi: Multivector) -> Multivector:
     Coordinate rule: the euclidean part (p12, p31, p23) read as the
     vector (p23, p31, p12).  Invariant under adding ideal lines.
     """
+    _require_pga(xi.algebra, "direction", (4,))
     c = biv_coeffs(xi)
     return ideal_point(xi.algebra, c[5], c[4], c[3])
 
@@ -302,6 +323,7 @@ def polar_line(xi: Multivector) -> Multivector:
     Coordinate form of the euclidean polarity on lines; the raw product
     ``xi * I`` gives the oppositely oriented representative.
     """
+    _require_pga(xi.algebra, "polar_line", (4,))
     c = biv_coeffs(xi)
     return biv_mv(xi.algebra, [c[5], c[4], c[3], 0.0, 0.0, 0.0])
 
@@ -319,6 +341,7 @@ def bivector_axis(xi: Multivector) -> Multivector:
     squares to -1 and keeps the orientation of the euclidean part.  A
     translator's bivector is ideal and has no axis.
     """
+    _require_pga(xi.algebra, "bivector_axis", (4,))
     c = xi.coeffs[xi.algebra._grade_runs[2]].tolist()
     if not any(c[3:]) or _negligible(c[3:], c[:3]):
         raise DegenerateElementError("ideal bivector has no axis")
@@ -350,8 +373,7 @@ def bivector_pitch(xi: Multivector) -> Pitch:
     For the screw generator ``(t + u I) Phi`` the value is ``2u/t``; on the
     Pluecker coordinates ``(i, e)``, ``-2 (i . rev(e / |e|)) / |e|``.
     """
-    if xi.algebra.dim != 4:
-        raise ValueError("bivector_pitch needs the spatial algebra")
+    _require_pga(xi.algebra, "bivector_pitch", (4,))
     e, i = _euclidean_split(xi, 2)
     if not (any(e) or any(i)):
         raise DegenerateElementError("zero bivector has no pitch")
@@ -415,6 +437,8 @@ def _inverse(x: Multivector, k: int) -> Multivector:
     if _negligible(part, ideal_part):
         raise DegenerateElementError(f"ideal grade-{k} element has no inverse")
     n, alg = _norm(part), x.algebra
+    if _peak(x.coeffs.tolist()) / n / n == math.inf:
+        raise DegenerateElementError(f"grade-{k} element too small to invert")
     return x / (alg._rev_signs[alg.grade_indices[k][0]] * n) / n
 
 
@@ -440,6 +464,7 @@ def common_normal(xi: Multivector, phi: Multivector) -> Multivector:
     axis meets both at right angles.  Parallel or identical lines leave
     the commutator without a euclidean part.
     """
+    _require_pga(xi.algebra, "common_normal", (4,))
     theta = xi.commutator(phi)
     try:
         return bivector_axis(theta)
@@ -453,18 +478,18 @@ def common_normal(xi: Multivector, phi: Multivector) -> Multivector:
 
 
 def line3d_through(alg: Algebra, a: tuple, b: tuple) -> Multivector:
-    return _scaled_join(alg, (1.0, *a), (1.0, *b))
+    return _scaled_join(alg, "line3d_through", (1.0, *a), (1.0, *b))
 
 
 line2d_through = line3d_through
 
 
 def line3d_point_dir(alg: Algebra, p: tuple, v: tuple) -> Multivector:
-    return _scaled_join(alg, (1.0, *p), (0.0, *v))
+    return _scaled_join(alg, "line3d_point_dir", (1.0, *p), (0.0, *v))
 
 
-def _scaled_join(alg: Algebra, *points: tuple) -> Multivector:
-    """The join of two points given as ``(weight, *coords)``.
+def _scaled_join(alg: Algebra, what: str, *points: tuple) -> Multivector:
+    """The join of two points given as ``(weight, *coords)``, for ``what``.
 
     Each point is first divided by ``2**e``, ``e`` the ``math.frexp``
     exponent of its largest coordinate, and the join multiplied back by
@@ -474,7 +499,7 @@ def _scaled_join(alg: Algebra, *points: tuple) -> Multivector:
     """
     scaled, total = [], 0
     for weight, *coords in points:
-        _expect_coords(alg, coords)
+        _expect_coords(alg, coords, what)
         e = math.frexp(max(map(abs, coords)))[1]
         arr = np.zeros(alg.n_blades)
         arr[alg._grade_runs[alg.dim - 1]] = [math.ldexp(c, -e) for c in (weight, *coords)]

@@ -18,23 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, Signature, _bilinear
+from .algebra import Algebra, Multivector, _bilinear
 from .metric import (_DUST, DegenerateElementError, DualParts, _axis_coeffs, _dot,
                      _euclidean_split, _expect_coords, _negligible, _norm,
-                     biv_mv, even_mv, is_simple, normalize)
-
-_PGA = (Signature(2, 0, 1), Signature(3, 0, 1))
+                     _require_pga, biv_mv, even_mv, is_simple, normalize)
 
 
 class NumericError(ValueError):
     """A non-finite or non-normalizable value where a rotor or state is needed."""
-
-
-def require_pga(alg: Algebra) -> Algebra:
-    """``alg`` itself; raises ``ValueError`` unless it is Cl(2,0,1) or Cl(3,0,1)."""
-    if alg.signature not in _PGA:
-        raise ValueError(f"exp and log take Cl(2,0,1) or Cl(3,0,1), not Cl{alg.signature}")
-    return alg
 
 
 def _even_coeffs(g: Multivector) -> np.ndarray:
@@ -78,7 +69,7 @@ def sandwich_matrix_even(alg: Algebra, ge: np.ndarray, k: int) -> np.ndarray:
 def translator(alg: Algebra, v) -> Multivector:
     """The rotor translating every finite point by the vector ``v`` (finite)."""
     v = tuple(float(c) for c in v)
-    _expect_coords(alg, v)
+    _expect_coords(alg, v, "translator")
     _require_finite(v, "translation")
     if alg.dim == 3:
         (vx, vy) = v
@@ -95,7 +86,7 @@ def rotator(center: Multivector, theta: float) -> Multivector:
     half-angle convention ``cos(theta/2) + sin(theta/2) N`` (``theta`` finite).
     """
     _require_finite(theta, "angle")
-    alg = center.algebra
+    alg = _require_pga(center.algebra, "rotator")
     ks = center.grades(rel_tol=_DUST)
     axis = ks == [2] and alg.dim == 4
     if axis and not is_simple(center):
@@ -115,10 +106,12 @@ def rotator(center: Multivector, theta: float) -> Multivector:
 def exp_screw(axis: Multivector, t: float, u: float = 0.0) -> Multivector:
     """``exp((t + u I) axis)`` for a normalized simple euclidean axis.
 
-    Closed form: cos(t) - u sin(t) I + (sin(t) + u cos(t) I) axis (finite t, u).
+    Closed form: cos(t) - u sin(t) I + (sin(t) + u cos(t) I) axis (finite
+    axis, t and u).
     """
+    alg = _require_pga(axis.algebra, "exp_screw", (4,))
     _require_finite((t, u), "dual angle")
-    alg = axis.algebra
+    _require_finite(axis, "axis")
     c, s = math.cos(t), math.sin(t)
     return (alg.multivector({"1": c, "I": -u * s}) + s * axis
             + (u * c) * (axis * alg.blade("I")))
@@ -136,8 +129,7 @@ def exp_bivector(b: Multivector) -> Multivector:
     coefficient (dust below it is dropped), :class:`NumericError` on a
     non-finite coefficient or when ``e . e`` or the squared norm overflows.
     """
-    alg = b.algebra
-    require_pga(alg)
+    alg = _require_pga(b.algebra, "exp_bivector")
     _require_finite(b, "bivector")
     if set(b.grades(rel_tol=_DUST)) - {2}:
         raise ValueError("exp_bivector takes a bivector (a grade-2 element)")
@@ -211,11 +203,10 @@ def screw_log(g: Multivector) -> ScrewLog:
     is not unique, so the one through the origin is returned, and a
     negated translator is mapped to the translator first.  The identity
     and -1 get a zero log on an arbitrary axis.  :class:`NumericError` on
-    a coefficient that is not finite.
+    a coefficient that is not finite, and on an axis that overflows (a
+    rotation part too small for ``g`` to be a unit rotor).
     """
-    alg = g.algebra
-    if alg.signature != Signature(3, 0, 1):
-        raise ValueError(f"screw_log needs Cl(3,0,1), not Cl{alg.signature}")
+    alg = _require_pga(g.algebra, "screw_log", (4,))
     _require_finite(g, "rotor")
     c = g.coeffs.tolist()
     s_r, c6 = c[0], c[alg._grade_runs[2]]
@@ -232,17 +223,20 @@ def screw_log(g: Multivector) -> ScrewLog:
                         0.0, length)
     e_norm = _norm(e)
     axis = _axis_coeffs(c6)
+    _require_finite(axis, "screw axis")
     u = -(s_r * _dot(i, axis[3:][::-1]) + e_norm * c[-1])
     return ScrewLog(biv_mv(alg, axis), math.atan2(e_norm, s_r), u)
 
 
 def rotor_log(g: Multivector) -> Multivector:
     """Logarithm of a rotor as a bivector, in Cl(2,0,1) or Cl(3,0,1);
-    :class:`NumericError` on a coefficient that is not finite."""
-    alg = g.algebra
-    require_pga(alg)
+    :class:`NumericError` on a coefficient, of ``g`` or of the log, that is
+    not finite."""
+    alg = _require_pga(g.algebra, "rotor_log")
     if alg.dim == 4:
-        return screw_log(g).bivector()
+        log = screw_log(g).bivector()
+        _require_finite(log, "logarithm")
+        return log
     _require_finite(g, "rotor")
     if g.scalar_part < 0.0:
         g = -g
@@ -252,7 +246,9 @@ def rotor_log(g: Multivector) -> Multivector:
     if _negligible((m0,), (s, m0)):   # no rotation next to the euclidean part
         return m
     theta = math.atan2(m0, s)
-    return theta / m0 * m
+    log = [theta / m0 * c for c in m.coeffs[alg._grade_runs[2]].tolist()]
+    _require_finite(log, "logarithm")
+    return biv_mv(alg, log)
 
 
 def screw_decompose(g: Multivector) -> tuple[Multivector, Multivector]:
@@ -291,7 +287,7 @@ def normalize_rotor(g: Multivector) -> Multivector:
     back unchanged.  Raises :class:`NumericError` unless ``a`` is finite
     and positive, ``b`` finite and the rotor found finite.
     """
-    alg = g.algebra
+    alg = _require_pga(g.algebra, "normalize_rotor")
     ge, tables = _even_coeffs(g), alg.even_tables
     q, s = _rotor_scale(*_bilinear(ge, ge, tables.rotor_norm))
     ge = (ge - q * (tables.times_i @ ge)) / s

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ import pytest
 from pgakit import (BODY, SPACE, DegenerateElementError, ForceSchedule,
                     ForceState, FrameError, InertiaTensor, MomentumState,
                     MotionState, NumericError, Particle, SingularInertiaError,
-                    VelocityState, body_energy, distance, euler_step,
+                    VelocityState, algebra, body_energy, distance, euler_step,
                     exp_bivector, force_line, frame_convert, ideal_point,
                     inertia_assemble, kinetic_energy,
                     momentum_of_body, normalize, orbit_derivative, pluecker,
@@ -314,6 +315,19 @@ def test_motion_state_refuses_an_odd_rotor(space_alg):
     with pytest.raises(ValueError, match="even"):
         MotionState(1.0 + space_alg.blade("e1"), pi)
     MotionState(1.0 + space_alg.blade("e12"), pi)
+
+
+@pytest.mark.parametrize("sig", [(4, 0, 0), (3, 1, 0), (2, 0, 1)])
+def test_the_dynamics_take_only_cl301(sig):
+    # a rotor of another algebra ran silently (Cl(4,0,0), Cl(3,1,0)) or
+    # failed in the generated step or numpy's matmul (Cl(2,0,1))
+    alg = algebra(*sig)
+    named = rf"needs the spatial algebra Cl\(3,0,1\), not {re.escape(f'Cl{alg.signature}')}$"
+    pi = MomentumState(np.ones(6), BODY)
+    with pytest.raises(ValueError, match=named):
+        MotionState(alg.scalar(1.0), pi)
+    with pytest.raises(ValueError, match=named):
+        frame_convert(pi, alg.scalar(1.0), SPACE)
 
 
 # ---------------------------------------------------------------------------

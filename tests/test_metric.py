@@ -2,6 +2,7 @@
 plain coordinate-geometry oracles wherever one exists."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from pgakit import (DegenerateElementError, Multivector, Pitch, algebra,
                     angle, bivector_axis, bivector_pitch, bivector_split,
                     common_normal, direction, distance, ideal_norm,
                     ideal_point, is_simple, join,
-                    killing_norm, line3d_point_dir, line3d_through,
+                    killing_norm, line2d, line3d_point_dir, line3d_through,
                     noneuclidean_distance, normalize, null_plane, null_point,
                     plane, pluecker, point, point_coords, point_weight,
                     pseudo_part, sandwich, vector_norm)
-from pgakit.metric import (_negligible, biv_coeffs, biv_mv, dual_angle, line2d_through,
-                           line_angle, point_nd, polar_line, project_line_to_plane,
-                           project_point_to_line, perp_through_point)
+from pgakit.metric import (_negligible, _require_pga, biv_coeffs, biv_mv, dual_angle,
+                           line2d_through, line_angle, point_nd, polar_line,
+                           project_line_to_plane, project_point_to_line, perp_through_point)
 from pgakit.versors import rotator, translator
 
 from conftest import awkward_coeffs, random_mv
@@ -179,6 +180,18 @@ def test_null_argument_rejected():
         noneuclidean_distance(on_quadric, inside)
 
 
+def test_noneuclidean_distance_takes_points_as_1_vectors():
+    # a bivector of Cl(4,0,0) squares to a negative number: math's domain
+    # error before, and a scalar gave a distance
+    ell = algebra(4, 0, 0)
+    x = point_nd(ell, 1.0, 0.0, 0.0, 0.0)
+    for y in (ell.blade("e12"), ell.scalar(1.0), x + ell.blade("I")):
+        with pytest.raises(ValueError, match="takes points as 1-vectors"):
+            noneuclidean_distance(x, y)
+        with pytest.raises(ValueError, match="takes points as 1-vectors"):
+            noneuclidean_distance(y, x)
+
+
 # ---------------------------------------------------------------------------
 # Pluecker product and bivector anatomy
 
@@ -293,6 +306,67 @@ def test_axis_postconditions(space_alg, rng):
     _, residual, _, _ = np.linalg.lstsq(basis, biv_coeffs(ax), rcond=None)
     if len(residual):
         assert float(residual[0]) == pytest.approx(0.0, abs=1e-16)
+
+
+# ---------------------------------------------------------------------------
+# which algebra each function takes
+
+
+def test_require_pga_takes_exactly_cl201_and_cl301():
+    for dim in (2, 3, 4):
+        for z in range(dim + 1):
+            for n in range(dim - z + 1):
+                alg = algebra(dim - z - n, n, z)
+                pga = (n, z) == (0, 1) and dim in (3, 4)
+                for dims in ((3, 4), (3,), (4,)):
+                    if pga and dim in dims:
+                        assert _require_pga(alg, "f", dims) is alg
+                    else:
+                        with pytest.raises(ValueError, match=re.escape(f"Cl{alg.signature}")):
+                            _require_pga(alg, "f", dims)
+    with pytest.raises(ValueError) as both:
+        _require_pga(algebra(3, 0, 0), "f")
+    assert str(both.value) == ("f needs the planar algebra Cl(2,0,1) or the "
+                               "spatial algebra Cl(3,0,1), not Cl(3,0,0)")
+    with pytest.raises(ValueError) as spatial:
+        _require_pga(algebra(2, 0, 1), "f", (4,))
+    assert str(spatial.value) == "f needs the spatial algebra Cl(3,0,1), not Cl(2,0,1)"
+
+
+# a call of the euclidean layer in an algebra it does not take; each
+# gave an answer, an IndexError, numpy's broadcast error or a misleading
+# DegenerateElementError before
+_WRONG_ALGEBRA = {
+    # a point of Cl(2,0,1)
+    "polar_line": ((2, 0, 1), lambda a: polar_line(a.blade("E0"))),
+    "direction": ((2, 0, 1), lambda a: direction(a.blade("E0"))),
+    "bivector_split": ((2, 0, 1), lambda a: bivector_split(a.blade("E0"))),
+    "bivector_axis": ((2, 0, 1), lambda a: bivector_axis(a.blade("E0"))),
+    "common_normal": ((2, 0, 1), lambda a: common_normal(a.blade("E0"), a.blade("E1"))),
+    "killing_norm": ((2, 0, 1), lambda a: killing_norm(a.blade("E0"))),
+    # the non-degenerate algebras of the same dimensions
+    "bivector_pitch": ((4, 0, 0), lambda a: bivector_pitch(a.blade("e12"))),
+    "point": ((3, 1, 0), lambda a: point(a, 1.0, 2.0, 3.0)),
+    "ideal_point": ((4, 0, 0), lambda a: ideal_point(a, 1.0, 2.0, 3.0)),
+    "line3d_through": ((3, 0, 0), lambda a: line3d_through(a, (0.0, 1.0), (1.0, 0.0))),
+    "line3d_point_dir": ((4, 0, 0), lambda a: line3d_point_dir(a, (0, 0, 0), (0, 0, 1))),
+    "line2d": ((3, 0, 0), lambda a: line2d(a, 1.0, 2.0, 3.0)),
+    "plane": ((4, 0, 0), lambda a: plane(a, 1.0, 2.0, 3.0, 4.0)),
+    "point_weight": ((4, 0, 0), lambda a: point_weight(a.blade("E0"))),
+    "point_coords": ((4, 0, 0), lambda a: point_coords(a.blade("E0"))),
+    "distance": ((3, 1, 0), lambda a: distance(a.blade("E0"), a.blade("E1"))),
+    "ideal_norm": ((4, 0, 0), lambda a: ideal_norm(a.blade("E1"))),
+    "normalize": ((3, 1, 0), lambda a: normalize(a.blade("E0"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_ALGEBRA))
+def test_the_euclidean_layer_takes_only_the_pga_signatures(name):
+    sig, call = _WRONG_ALGEBRA[name]
+    alg = algebra(*sig)
+    named = rf"^{name} needs the .*, not {re.escape(f'Cl{alg.signature}')}$"
+    with pytest.raises(ValueError, match=named):
+        call(alg)
 
 
 def test_pitch_classes(space_alg, rng):
@@ -533,6 +607,19 @@ def test_project_line_to_plane_oracle(space_alg, rng):
     r = normalize(proj)
     w = normalize(want)
     assert r.isclose(w, rel=1e-8) or r.isclose(-w, rel=1e-8)
+
+
+def test_projections_refuse_an_element_too_small_to_invert(space_alg):
+    # x / |x|^2 overflows for a subnormal |x|: an overflow warning and
+    # infinite slots before
+    p = point(space_alg, 1.0, 2.0, 3.0)
+    with pytest.raises(DegenerateElementError, match="too small to invert"):
+        project_point_to_line(p, 1e-310 * space_alg.blade("e12"))
+    with pytest.raises(DegenerateElementError, match="too small to invert"):
+        project_line_to_plane(space_alg.blade("e12"), plane(space_alg, 1e-310, 0.0, 0.0, 0.0))
+    # inside the range the inverse, and so the projection, is finite
+    foot = project_point_to_line(p, 1e-300 * space_alg.blade("e12"))
+    assert point_coords(foot) == pytest.approx((0.0, 0.0, 3.0))
 
 
 def test_project_line_to_a_plane_far_from_the_origin(space_alg, rng):

@@ -1,15 +1,24 @@
 """Package hygiene: every module-level helper and constant, public or
-private, has a caller, and every import within the package points down
-its layers."""
+private, has a caller, every import within the package points down
+its layers, and every public function of the geometry layers fails only
+with the package's own errors."""
 
 import ast
 import importlib
 import inspect
+import linecache
 import pkgutil
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import pgakit
+from pgakit import Multivector, algebra, duality, metric, versors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +92,113 @@ def test_only_the_kernel_reads_the_product_tensors():
                for n, line in enumerate(path.read_text().splitlines(), 1)
                if tensor.search(line)]
     assert readers == []
+
+
+def test_only_metric_decides_which_algebra_a_function_takes():
+    # one helper in metric.py refuses a wrong algebra; elsewhere no
+    # comparison reads an algebra's signature and no refusal compares its
+    # dim (a dim test that dispatches, as in rotator, raises nothing)
+    def attr(node, *names):
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    deciders = []
+    for path in sorted((ROOT / "src" / "pgakit").glob("*.py")):
+        if path.name in ("algebra.py", "metric.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(attr(x, "signature") for x in operands):
+                    deciders.append(f"{path.name}:{node.lineno}")
+            elif (attr(node, "p", "n", "z") and attr(node.value, "signature")
+                  or isinstance(node, ast.Name) and node.id == "Signature"):
+                deciders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+                if any(isinstance(c, ast.Compare) and any(attr(x, "dim") for x in
+                                                          [c.left, *c.comparators])
+                       for c in ast.walk(node.test)):
+                    deciders.append(f"{path.name}:{node.lineno}")
+    assert deciders == []
+
+
+# ---------------------------------------------------------------------------
+# the public API on every algebra
+
+
+def _multivector_functions():
+    """Every public function of duality, metric and versors whose
+    parameters are one or two multivectors."""
+    found = []
+    for module in (duality, metric, versors):
+        for name, fn in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if 0 < len(params) < 3 and all(p.annotation in ("Multivector", Multivector)
+                                           for p in params):
+                found.append(fn)
+    return found
+
+
+_FUNCTIONS = _multivector_functions()
+_ALGEBRAS = [algebra(2, 0, 1), algebra(3, 0, 1), algebra(4, 0, 0), algebra(3, 1, 0)]
+_SRC = ROOT / "src" / "pgakit"
+
+
+def _the_package_raised(exc: BaseException) -> bool:
+    """Whether ``exc`` is one of the package's errors: a class of its own,
+    or raised by a ``raise`` statement in its source.  An ``IndexError``, a
+    warning, or an error that numpy or Python raised inside the package's
+    code (its innermost frame is not a ``raise``) is not."""
+    if isinstance(exc, (IndexError, Warning)):
+        return False
+    if type(exc).__module__.startswith("pgakit."):
+        return True
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    path = Path(tb.tb_frame.f_code.co_filename)
+    return (_SRC in path.parents
+            and linecache.getline(str(path), tb.tb_lineno).lstrip().startswith("raise"))
+
+
+def test_the_property_test_covers_the_euclidean_and_versor_functions():
+    names = {fn.__name__ for fn in _FUNCTIONS}
+    assert {"join", "polar_line", "direction", "bivector_split", "bivector_axis",
+            "common_normal", "killing_norm", "exp_bivector", "screw_log"} <= names
+
+
+# finite, bounded coefficients with exact zeros; non-finite ones are
+# another question (see ROADMAP item 12)
+_COEFF = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+def _elements(alg, c):
+    """Zero, then the grade-k part of the coefficients ``c`` for each k."""
+    return [alg.zero(), *(Multivector(alg, np.where(alg.grades == k, c, 0.0))
+                          for k in range(alg.dim + 1))]
+
+
+@pytest.mark.parametrize("alg", _ALGEBRAS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_public_functions_return_or_raise_the_package_errors(alg, data):
+    # zero and an element of each grade, as the first and the second
+    # argument, in the two PGA algebras and two others
+    c = np.array(data.draw(st.lists(_COEFF, min_size=2 * alg.n_blades,
+                                    max_size=2 * alg.n_blades)))
+    firsts, seconds = _elements(alg, c[:alg.n_blades]), _elements(alg, c[alg.n_blades:])
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in _FUNCTIONS:
+            one = len(inspect.signature(fn).parameters) == 1
+            for args in ([(x,) for x in firsts] if one
+                         else [(x, y) for x in firsts for y in seconds]):
+                try:
+                    fn(*args)
+                except Exception as exc:
+                    if not _the_package_raised(exc):
+                        failures.append(f"{fn.__name__}{args}: {type(exc).__name__}: {exc}")
+    assert failures == []

@@ -239,8 +239,20 @@ def test_exp_and_log_take_only_the_pga_signatures():
             rotor_log(alg.scalar(1.0))
         with pytest.raises(ValueError, match=named):
             screw_log(alg.scalar(1.0))
+        # the other versor functions gave an answer here (the dual-number
+        # normalization is wrong where I squares to 1)
+        with pytest.raises(ValueError, match=named):
+            translator(alg, (1.0,) * (alg.dim - 1))
+        with pytest.raises(ValueError, match=named):
+            rotator(alg.scalar(1.0), 0.3)
+        with pytest.raises(ValueError, match=named):
+            exp_screw(alg.scalar(1.0), 0.3)
+        with pytest.raises(ValueError, match=named):
+            normalize_rotor(alg.scalar(2.0))
     with pytest.raises(ValueError, match=re.escape("Cl(2,0,1)")):
         screw_log(pga2d().scalar(1.0))
+    with pytest.raises(ValueError, match=re.escape("Cl(2,0,1)")):
+        exp_screw(pga2d().blade("E0"), 0.3)
 
 
 def test_exp_refuses_parts_of_other_grades(plane_alg, space_alg):
@@ -277,9 +289,22 @@ def test_exp_and_log_refuse_non_finite_coefficients(plane_alg, space_alg, case):
             run()
 
 
+def test_logs_refuse_an_infinite_result(plane_alg, space_alg):
+    # not rotors: a subnormal rotation part made the 2D log's scale, and
+    # the 3D axis, infinite; the 2D log and screw_decompose then warned on
+    # inf * 0, and screw_log and the 3D rotor_log returned an infinite slot
+    for m0 in (-5e-324, 2.2250738585072014e-308):
+        with pytest.raises(NumericError, match="logarithm"):
+            rotor_log(plane_alg.multivector({"E0": m0, "E2": 3.0}))
+    g = space_alg.multivector({"e03": 3.7, "e31": 3.3e-315})
+    for log in (screw_log, rotor_log, screw_decompose):
+        with pytest.raises(NumericError, match="axis"):
+            log(g)
+
+
 @pytest.mark.parametrize("case", [
     "translator 2d nan", "translator 3d inf", "rotator 2d nan", "rotator 3d inf",
-    "exp_screw t nan", "exp_screw u inf"])
+    "exp_screw t nan", "exp_screw u inf", "exp_screw axis inf"])
 def test_versor_constructors_refuse_non_finite_input(plane_alg, space_alg, case):
     # these used to give NaN rotors (odd slots included), a bare math
     # domain error or an overflow warning
@@ -292,6 +317,7 @@ def test_versor_constructors_refuse_non_finite_input(plane_alg, space_alg, case)
         "rotator 3d inf": lambda: rotator(axis, inf),
         "exp_screw t nan": lambda: exp_screw(axis, nan),
         "exp_screw u inf": lambda: exp_screw(axis, 0.3, inf),
+        "exp_screw axis inf": lambda: exp_screw(biv_mv(space_alg, [0, 0, 0, inf, 0, 0]), 0.3),
     }[case]
     with pytest.raises(NumericError, match="not finite"):
         run()
