@@ -146,6 +146,12 @@ def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     ``(rows, m)``: row ``r`` equals the product of row ``r`` of each, bit
     for bit.  (A column-major stack would take another BLAS kernel, whose
     sums round differently, so the stacks are made row-major first.)
+
+    BLAS may fuse a multiply and an add, so a slot whose terms cancel
+    exactly can keep one term's rounding error, its value depending on
+    the BLAS build: the join of points (0.1, 0.1, 0) and (0.3, 0.3, 0)
+    has e03 = -1.67e-18 on one build, not 0.  The closed forms on Python
+    floats (``metric.distance`` and the others) cancel exactly.
     """
     if a.ndim == 1:
         return np.dot(b, np.dot(a, table).reshape(len(b), -1))

@@ -16,7 +16,7 @@ Conventions kept throughout (factor 2 included):
   14-coefficient state with rotor renormalization after each step.
 
 :func:`integrate` is the one RK4 loop: it runs any number of steps and
-returns the recorded states as one ``(rows, 14)`` array;
+yields the recorded states in ``(rows, 14)`` blocks of :data:`_BLOCK_ROWS`;
 :func:`euler_step` is that loop over one step.  A step is one call of
 straight-line Python on 14 floats, generated on first use by one
 emitter, :func:`_product`, from the nonzeros of the even product table
@@ -26,7 +26,7 @@ which is inverted and condition-checked once per tensor.  The step
 covers the four stages, the force term, the momentum check and the
 closed-form rotor renormalization.  On a shared 2-vCPU Xeon it costs
 9-13 us force-free and 14-20 us with a force line open (a 4-point
-body), against 42-60 and 64-80 us for the numpy route it replaced.
+body).
 Its one force input is a :class:`ForceSchedule`, space-frame force
 lines over time windows: at every stage the sum of the open lines
 reaches the body frame as ``(~g F) g``.  A rotor or momentum that stops
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -61,6 +62,7 @@ BODY = "body"
 SPACE = "space"
 
 _COND_LIMIT = 1e12
+_BLOCK_ROWS = 1024        # rows in a block of integrate, one array operation
 
 
 class FrameError(ValueError):
@@ -376,10 +378,11 @@ class MotionState:
 
 def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
               steps: int, stride: int = 1, force: ForceSchedule | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``steps`` RK4 steps of the motion equations on the flat state.
 
-    Returns the recorded times and a ``(rows, 14)`` array of states, each
+    Yields blocks of :data:`_BLOCK_ROWS` rows, the last of at most that
+    many: the recorded times and a ``(rows, 14)`` array of states, each
     row the even rotor coefficients (basis order) then the body momentum.
     Rows are taken at steps 0, stride, 2*stride, ..., so there are
     ``steps // stride + 1`` of them and row 0 is ``state`` itself.
@@ -393,7 +396,9 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     renormalization; no numpy call, :class:`Multivector` or state object
     is made per step.  Raises
     :class:`~pgakit.versors.NumericError` when ``dt`` is not finite, a
-    rotor cannot be normalized or a momentum is not finite.
+    rotor cannot be normalized or a momentum is not finite.  Arguments,
+    inertia and step are checked and made at the call, a block's steps
+    (the unrecorded ones after the last row too) when it is asked for.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a whole number >= 0, not {steps!r}")
@@ -423,16 +428,24 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     y = (*state.g.coeffs[alg.even_indices].tolist(), *state.pi_body.coeffs.tolist())
-    t, h = float(state.t), float(dt)
-    times = np.empty(steps // stride + 1)
-    states = np.empty((len(times), len(y)))
-    times[0], states[0] = t, y
+    return _blocks(step, y, float(state.t), float(dt), steps, stride, edges, totals)
+
+
+def _blocks(step, y, t, h, steps, stride, edges, totals):
+    """The blocks of :func:`integrate`; the last one follows every step."""
+    size = min(steps // stride + 1, _BLOCK_ROWS)
+    times, states = np.empty(size), np.empty((size, len(y)))
+    times[0], states[0], row = t, y, 1
     for k in range(1, steps + 1):
         y = step(y, t, h, edges, totals)
         t = t + h
         if k % stride == 0:
-            times[k // stride], states[k // stride] = t, y
-    return times, states
+            if row == size:
+                yield times, states
+                times, states, row = np.empty(size), np.empty((size, len(y))), 0
+            times[row], states[row] = t, y
+            row += 1
+    yield times[:row], states[:row]
 
 
 @cache
@@ -555,7 +568,7 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
     Raises :class:`~pgakit.versors.NumericError` when the new rotor
     cannot be normalized or the new momentum is not finite.
     """
-    times, states = integrate(state, inertia, dt, 1, force=force)
+    ((times, states),) = integrate(state, inertia, dt, 1, force=force)
     alg = state.g.algebra
     ne = len(alg.even_indices)
     return MotionState(even_mv(alg, states[1, :ne]),

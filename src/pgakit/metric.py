@@ -121,7 +121,7 @@ def _expect_coords(alg, coords, what):
 def point_weight(x: Multivector) -> float:
     """Signed weight: the coefficient of E0."""
     _require_pga(x.algebra, "point_weight")
-    return x[f"E0"]
+    return x["E0"]
 
 
 def point_coords(x: Multivector) -> tuple[float, ...]:

@@ -21,11 +21,9 @@ The trajectory is CSV: one row per recorded step with the rotor, the
 body momentum, the kinetic energy and the dehomogenized space-frame
 position of every tracked point.  :func:`run_simulation` hands the
 force lines to :func:`~pgakit.dynamics.integrate` as one
-:class:`~pgakit.dynamics.ForceSchedule` and yields the float table in
-blocks of :data:`_BLOCK_ROWS` rows.  Each block resumes ``integrate``
-from the last row of the block before, so its rows are bit for bit
-those of one ``integrate`` call, then gets its energy and tracked-point
-columns as array operations and is refused with
+:class:`~pgakit.dynamics.ForceSchedule` and turns each block of states
+it yields into a block of the float table: its energy and tracked-point
+columns are array operations, and it is refused with
 :class:`~pgakit.versors.NumericError` if any value in it is not finite.
 Memory therefore stays that of one block however long the run.
 :func:`write_csv` formats the blocks as they come and leaves an empty
@@ -35,6 +33,7 @@ file if the run fails part-way.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,9 +54,6 @@ from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
 # run_simulation integrates every step whatever the stride (2.5-6 h at
 # 9-20 us a step)
 MAX_STEPS = 10**9
-# rows recorded, and formatted by write_csv, in one array operation: the
-# runner yields its table this many rows at a time
-_BLOCK_ROWS = 1024
 
 
 class SceneError(ValueError):
@@ -210,8 +206,8 @@ def load_scene(path: str) -> SceneConfig:
 def run_simulation(cfg: SceneConfig, stride: int = 1):
     """Integrate the scene; returns ``(header, blocks)``.
 
-    ``blocks`` yields the trajectory table as float arrays of at most
-    :data:`_BLOCK_ROWS` rows, a row per recorded step at steps 0, stride,
+    ``blocks`` yields the trajectory table, one float array per block of
+    ``integrate``, a row per recorded step at steps 0, stride,
     2*stride, ... so there are ``steps // stride + 1`` rows in all, of at
     most :data:`MAX_STEPS` steps.  Set-up errors (a bad stride, singular
     inertia, a rotor that cannot be normalized) are raised here; a block
@@ -271,22 +267,8 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
                 f"{header[col]} is not finite at t = {float(table[row, 0])!r}")
         return table
 
-    def blocks():
-        # the first block keeps row 0, the initial state; a later one
-        # resumes from the last row of the block before and drops it
-        state, done, skip = MotionState(g, pi, 0.0), 0, 0
-        while done < cfg.steps:
-            steps = cfg.steps - done
-            if steps // stride > _BLOCK_ROWS - 1 + skip:
-                steps = stride * (_BLOCK_ROWS - 1 + skip)
-            times, states = integrate(state, inertia, cfg.dt, steps, stride,
-                                      force=schedule)
-            yield record(times[skip:], states[skip:])
-            done, skip = done + steps, 1
-            state = MotionState(even_mv(alg, states[-1, :ne]),
-                                MomentumState(states[-1, ne:], BODY), times[-1])
-
-    return header, blocks()
+    return header, itertools.starmap(record, integrate(
+        MotionState(g, pi), inertia, cfg.dt, cfg.steps, stride, force=schedule))
 
 
 def write_csv(path: str, header, blocks):

@@ -24,6 +24,7 @@ from pgakit import (BODY, MomentumState, NumericError, Particle, VelocityState,
                     algebra, force_line, inertia_assemble, pga2d, pga3d, point,
                     point_coords, sandwich)
 import pgakit.cli as cli
+import pgakit.dynamics as dynamics
 from pgakit.cli import main
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
@@ -494,14 +495,14 @@ _C8_OMEGA = [0.2, -0.4, 0.3, 0.8, -0.5, 0.6]     # criterion 8's spin
 
 
 def _one_call_csv(tmp_path, doc, stride):
-    """The CSV text that the formatter writes for one integrate call's table."""
-    saved = scene_mod._BLOCK_ROWS
-    scene_mod._BLOCK_ROWS = 10**9
+    """The CSV text that the formatter writes for the run's table as one block."""
+    saved = dynamics._BLOCK_ROWS
+    dynamics._BLOCK_ROWS = 10**9
     try:
         header, blocks = run_simulation(parse_scene(doc), stride=stride)
         (table,) = blocks
     finally:
-        scene_mod._BLOCK_ROWS = saved
+        dynamics._BLOCK_ROWS = saved
     path = tmp_path / "one-call.csv"
     scene_mod.write_csv(str(path), header, [table])
     return path.read_text()
@@ -645,17 +646,19 @@ def test_simulate_killed_mid_run_leaves_out_empty(tmp_path):
 
 def test_run_simulation_memory_does_not_grow_with_the_run(monkeypatch):
     # tracemalloc slows the generated step a hundredfold, so a motion that
-    # stands still replaces integrate: arrays of the same shapes, every
+    # stands still replaces integrate: blocks of the same shapes, every
     # row the first state
     def frozen(state, inertia, dt, steps, stride=1, force=None):
-        rows = steps // stride + 1
+        rows, size = steps // stride + 1, dynamics._BLOCK_ROWS
         y = [*state.g.coeffs[state.g.algebra.even_indices], *state.pi_body.coeffs]
-        return state.t + dt * stride * np.arange(rows), np.tile(y, (rows, 1))
+        for start in range(0, rows, size):
+            n = min(size, rows - start)
+            yield state.t + dt * stride * np.arange(start, start + n), np.tile(y, (n, 1))
     monkeypatch.setattr(scene_mod, "integrate", frozen)
 
     def peak(blocks):
         cfg = parse_scene(scene_dict(integrator={
-            "dt": 1e-3, "steps": blocks * scene_mod._BLOCK_ROWS - 1}))
+            "dt": 1e-3, "steps": blocks * dynamics._BLOCK_ROWS - 1}))
         tracemalloc.start()
         try:
             header, rows = run_simulation(cfg)
@@ -666,7 +669,7 @@ def test_run_simulation_memory_does_not_grow_with_the_run(monkeypatch):
             tracemalloc.stop()
     peak(1)                                     # first-use caches
     (two, width), (eight, _) = peak(2), peak(8)
-    assert abs(eight - two) < scene_mod._BLOCK_ROWS * width * 8
+    assert abs(eight - two) < dynamics._BLOCK_ROWS * width * 8
 
 
 def test_simulate_caps_recorded_rows(tmp_path, capsys, monkeypatch):
@@ -871,7 +874,7 @@ def test_write_csv_matches_per_value_format(tmp_path):
                                    for row in table.tolist())
     assert path.read_text() == want
     # blocks of any size, as arrays or as their raw bytes, and no rows
-    big = np.random.default_rng(5).normal(size=(2 * scene_mod._BLOCK_ROWS + 3, 2))
+    big = np.random.default_rng(5).normal(size=(2 * dynamics._BLOCK_ROWS + 3, 2))
     scene_mod.write_csv(str(path), ["x", "y"],
                         [big[:5], big[5:1000].tobytes(), big[1000:]])
     assert path.read_text() == "x,y\n" + "".join(
@@ -891,7 +894,7 @@ def test_write_csv_leaves_an_empty_file_when_the_blocks_fail(tmp_path):
     path.write_text("rows of an earlier run\n")
 
     def blocks():
-        yield np.ones((scene_mod._BLOCK_ROWS, 2))
+        yield np.ones((dynamics._BLOCK_ROWS, 2))
         raise NumericError("x is not finite at t = 1.0")
     with pytest.raises(NumericError):
         scene_mod.write_csv(str(path), ["x", "y"], blocks())

@@ -20,6 +20,7 @@ from pgakit import (BODY, SPACE, DegenerateElementError, ForceSchedule,
                     momentum_of_body, normalize, orbit_derivative, pluecker,
                     point, point_coords, power, principal_decomposition,
                     resultant, sandwich, space_momentum, work)
+import pgakit.dynamics as dynamics
 from pgakit.dynamics import (force_moment_2d, force_state, force_vector_2d,
                              integrate, kinetic_energy_pairing,
                              kinetic_energy_speed)
@@ -355,13 +356,19 @@ def test_non_finite_step_raises(space_alg):
                 VelocityState(1e200 * spin.coeffs, BODY))), a, 1e-3)
 
 
+def _trajectory(*args, **kwargs):
+    """The times and states of one integrate call: its blocks joined."""
+    times, states = zip(*integrate(*args, **kwargs))
+    return np.concatenate(times), np.concatenate(states)
+
+
 def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
     # coarse steps of a brisk tumble: without renormalization RK4 leaves
     # the rotor manifold by ~1e-6 per step
     a = inertia_assemble(four_point_body(space_alg))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(5.0 * rng.normal(size=6), BODY)), 0.25)
-    times, states = integrate(st, a, 0.05, 41, stride=4)
+    times, states = _trajectory(st, a, 0.05, 41, stride=4)
     assert times.shape == (11,) and states.shape == (11, 14)
     for row in range(11):
         g = even_mv(space_alg, states[row, :8])
@@ -382,7 +389,7 @@ def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
         for steps in (0, 4):
             with pytest.raises(ValueError, match="dt"):
                 integrate(st, a, dt, steps)
-    assert len(integrate(st, a, 0.05, np.int64(3))[0]) == 4
+    assert len(_trajectory(st, a, 0.05, np.int64(3))[0]) == 4
 
 
 def _reference_table(states):
@@ -421,16 +428,16 @@ def test_integrate_space_schedule_matches_the_reference_rk4(space_alg, rng):
         return _reference_table(reference_rk4(
             a, st.g, biv_mv(space_alg, st.pi_body.coeffs), h, 30, force))
 
-    times, got = integrate(st, a, h, 30,
-                           force=ForceSchedule(lines, t_start, t_end))
+    times, got = _trajectory(st, a, h, 30,
+                             force=ForceSchedule(lines, t_start, t_end))
     want_times, want = reference(t_end)
     assert np.array_equal(times, want_times)
     assert_rel_close(got, want)
     # the edge is live: one ulp later, line 0 is still open at that stage
     late = t_end.copy()
     late[0] = np.nextafter(half, 1.0)
-    _, moved = integrate(st, a, h, 30,
-                         force=ForceSchedule(lines, t_start, late))
+    _, moved = _trajectory(st, a, h, 30,
+                           force=ForceSchedule(lines, t_start, late))
     assert np.array_equal(moved[:8], got[:8]) and not np.array_equal(moved, got)
     assert_rel_close(moved, reference(late)[1])
 
@@ -441,7 +448,7 @@ def test_integrate_constant_force_is_an_always_open_window(space_alg, rng):
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
     f = rng.normal(size=6)
     always = ForceSchedule([f], [-math.inf], [math.inf])
-    _, got = integrate(st, a, 0.01, 20, force=always)
+    _, got = _trajectory(st, a, 0.01, 20, force=always)
     _, want = _reference_table(reference_rk4(
         a, st.g, biv_mv(space_alg, st.pi_body.coeffs), 0.01, 20,
         lambda t: biv_mv(space_alg, f)))
@@ -473,10 +480,45 @@ def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, for
     want_times, want = _reference_table(reference_rk4(
         a, st.g, biv_mv(space_alg, st.pi_body.coeffs), 1e-3, 2000,
         force if forced else None))
-    times, got = integrate(st, a, 1e-3, 2000, force=ForceSchedule(
+    times, got = _trajectory(st, a, 1e-3, 2000, force=ForceSchedule(
         lines, t_start, t_end) if forced else None)
     assert np.array_equal(times, want_times)
     assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("steps, stride", [(20, 1), (23, 3), (6, 7)])
+def test_integrate_yields_bounded_blocks_of_one_run(space_alg, rng, monkeypatch,
+                                                    steps, stride):
+    # blocks of 7 rows; the force window is open across the block edges at
+    # t = 0.07 (stride 1) and t = 0.21 (stride 3), and stride 7 records
+    # row 0 only, then runs 6 unrecorded steps
+    a = inertia_assemble(four_point_body(space_alg))
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
+                     a.apply(VelocityState(rng.normal(size=6), BODY)))
+    line = biv_coeffs(force_line(space_alg, (0.2, 0.0, -0.1), (0.0, 3.0, -1.0)))
+    force = ForceSchedule([line], [0.05], [0.25])
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 10**9)
+    ((want_times, want),) = integrate(st, a, 0.01, steps, stride, force=force)
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 7)
+    blocks = list(integrate(st, a, 0.01, steps, stride, force=force))
+    sizes = [len(times) for times, _ in blocks]
+    assert [len(states) for _, states in blocks] == sizes
+    assert sizes[:-1] == [7] * (len(sizes) - 1) and 1 <= sizes[-1] <= 7
+    times, states = (np.concatenate(part) for part in zip(*blocks))
+    assert np.array_equal(times, want_times) and np.array_equal(states, want)
+    # set-up is checked at the call, before any block is asked for
+    args = dict(state=st, inertia=a, dt=0.01, steps=steps, stride=stride)
+    for bad in ({"stride": 0}, {"steps": -1}, {"dt": math.nan}, {"dt": 0.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            integrate(**(args | bad))
+    line_body = [Particle.at(space_alg, 1.0, (t, 2 * t, -t)) for t in (-1, 0.5, 2)]
+    with pytest.raises(SingularInertiaError):
+        integrate(st, inertia_assemble(line_body), 0.01, steps, stride)
+    # a step that fails raises from the blocks, the unrecorded steps too
+    spin = VelocityState(1e200 * np.array([0.2, -0.4, 0.3, 0.8, -0.5, 0.6]), BODY)
+    blocks = integrate(MotionState(st.g, a.apply(spin)), a, 0.01, steps, stride)
+    with pytest.raises(NumericError):
+        list(blocks)
 
 
 def test_the_step_is_compiled_on_first_use_and_once():
@@ -500,7 +542,8 @@ def test_the_step_is_compiled_on_first_use_and_once():
             corners = [(0, 0, 0), (far, 0, 0), (0, 1, 0), (0, 0, 1)]
             body = [Particle.at(alg, 1.0, x) for x in corners]
             state = MotionState(alg.scalar(1.0), MomentumState(np.ones(6), BODY))
-            rows.append(dynamics.integrate(state, inertia_assemble(body), 1e-2, 3)[1])
+            rows.append(next(dynamics.integrate(state, inertia_assemble(body),
+                                                1e-2, 3))[1])
         assert len(calls) == 1, calls
         assert dynamics._rk4_factory.cache_info().currsize == 1
         assert not np.array_equal(rows[0], rows[1])

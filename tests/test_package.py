@@ -10,6 +10,7 @@ import linecache
 import pkgutil
 import re
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,18 @@ def _defined_here(module, name, obj) -> bool:
             is not None)
 
 
+def _sources():
+    return [path for folder in ("src", "tests", "demos")
+            for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
 def test_every_module_level_name_is_referenced():
     # a name that occurs once in src/, tests/ and demos/ occurs only in
     # its own definition: nothing calls, imports or tests it.  Private
-    # helpers count too, so removing a caller cannot strand one
-    text = "\n".join(path.read_text()
-                     for folder in ("src", "tests", "demos")
-                     for path in sorted((ROOT / folder).rglob("*.py")))
+    # helpers count too, so removing a caller cannot strand one.  A name
+    # occurs where a maximal word run equals it, so the runs are counted once
+    words = Counter(re.findall(r"\w+", "\n".join(path.read_text()
+                                                 for path in _sources())))
     unused = []
     for info in pkgutil.iter_modules(pgakit.__path__):
         if info.name.startswith("_"):
@@ -48,9 +54,24 @@ def test_every_module_level_name_is_referenced():
         for name, obj in vars(module).items():
             if name.startswith("__") or not _defined_here(module, name, obj):
                 continue
-            if len(re.findall(rf"\b{name}\b", text)) <= 1:
+            if words[name] <= 1:
                 unused.append(f"{info.name}.{name}")
     assert unused == []
+
+
+def test_every_f_string_has_a_placeholder():
+    # an f-string with nothing to format is a plain string; the format
+    # spec of a placeholder, the ``.3e`` of ``f"{x:.3e}"``, is an f-string
+    # node of its own and is not one
+    found = []
+    for path in _sources():
+        tree = ast.parse(path.read_text())
+        specs = {id(node.format_spec) for node in ast.walk(tree)
+                 if isinstance(node, ast.FormattedValue) and node.format_spec}
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.JoinedStr) and id(node) not in specs
+                  and not any(isinstance(v, ast.FormattedValue) for v in node.values)]
+    assert found == []
 
 
 # the modules of the package, lowest layer first: a module imports only
