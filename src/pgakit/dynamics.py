@@ -21,11 +21,12 @@ yields the recorded states in ``(rows, 14)`` blocks of :data:`_BLOCK_ROWS`;
 straight-line Python on 14 floats, generated on first use by one
 emitter, :func:`_product`, from the nonzeros of the even product table
 (:attr:`Algebra.even_tables`), and compiled once per algebra (about
-5 ms); each body binds the entries of its inverse inertia operator,
-which is inverted and condition-checked once per tensor.  The step
-covers the four stages, the force term, the momentum check and the
+4 ms).  Each body binds the blocks of its inertia form, which is
+inverted and condition-checked once per tensor, and each stage solves
+``Omega = A^-1(Pi)`` by those blocks in 24 multiplies.  The step covers
+the four stages, the force term, the momentum check and the
 closed-form rotor renormalization.  On a shared 2-vCPU Xeon it costs
-9-13 us force-free and 14-20 us with a force line open (a 4-point
+7-8 us force-free and 10-11 us with a force line open (a 4-point
 body).
 Its one force input is a :class:`ForceSchedule`, space-frame force
 lines over time windows: at every stage the sum of the open lines
@@ -42,7 +43,6 @@ Body-frame and space-frame quantities are tagged and may not be mixed.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -138,9 +138,11 @@ class ForceSchedule:
 
     Row ``i`` of ``lines`` holds the six bivector coordinates of a
     space-frame force line; it acts while ``t_start[i] <= t <
-    t_end[i]``, and lines whose windows overlap add up.  A line that is
-    not finite raises :class:`~pgakit.versors.NumericError` naming its
-    index, so it cannot turn the sum of the lines that are off into NaN.
+    t_end[i]``, and lines whose windows overlap add up.  A window that
+    never opens, ``t_end[i] <= t_start[i]``, raises ``ValueError``, and
+    a line that is not finite :class:`~pgakit.versors.NumericError`,
+    each naming its index, so a line that is off cannot turn the sum
+    into NaN.
     """
 
     lines: np.ndarray
@@ -158,6 +160,9 @@ class ForceSchedule:
                 raise ValueError(f"{name} needs one time per line, not NaN")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        for i, (lo, hi) in enumerate(zip(self.t_start.tolist(), self.t_end.tolist())):
+            if hi <= lo:
+                raise ValueError(f"force {i} needs t_end > t_start, not [{lo!r}, {hi!r})")
         bad = np.flatnonzero(~np.isfinite(lines).all(axis=1))
         if len(bad):
             raise NumericError(f"force {bad[0]} is not finite")
@@ -396,7 +401,9 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     renormalization; no numpy call, :class:`Multivector` or state object
     is made per step.  Raises
     :class:`~pgakit.versors.NumericError` when ``dt`` is not finite, a
-    rotor cannot be normalized or a momentum is not finite.  Arguments,
+    rotor cannot be normalized or a momentum is not finite, and
+    ``ValueError`` for an inertia form whose blocks are not those
+    :func:`inertia_assemble` writes for a rigid body.  Arguments,
     inertia and step are checked and made at the call, a block's steps
     (the unrecorded ones after the last row too) when it is asked for.
     """
@@ -413,18 +420,29 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         raise TypeError("force must be a ForceSchedule or None, not "
                         f"{type(force).__name__}")
     alg = state.g.algebra
-    inv = inertia._inverse_operator.ravel().tolist()     # raises if singular
-    step = _rk4_factory(alg)(*inv)
+    inv = inertia._inverse_operator                     # raises if singular
+    form = inertia.form
+    a, x, y = float(form[0, 0]), form[:3, 3:], form[3:, :3]
+    if ((form[:3, :3] != a * np.eye(3)).any() or x[~_COUPLING].any()
+            or y[~_COUPLING].any()):
+        raise ValueError("not a rigid body's inertia form: the step needs a mass "
+                         "block a multiple of 1 and coupling blocks zero on "
+                         "their antidiagonals")
+    # C^-1 is the bottom-right block of form^-1 = -A^-1 J, J reversing rows
+    step = _rk4_factory(alg)(-1.0 / a, *(-x[_COUPLING] / a).tolist(),
+                             *(y[_COUPLING] / a).tolist(),
+                             *(-inv[3:, 2::-1]).ravel().tolist())
 
     # the set of open windows changes only at an edge, so the sum of the
     # open lines is tabulated once per interval between edges; row i is
-    # ``open @ lines`` at the interval's first time, bit for bit the sum
-    # at any stage time t with bisect_right(edges, t) == i, and None
-    # where no line acts
+    # half of ``open @ lines`` at the interval's first time (the step
+    # takes half the momentum slope), bit for bit half the sum at any
+    # stage time t with bisect_right(edges, t) == i, and None where no
+    # line acts
     edges = sorted({*force.t_start.tolist(), *force.t_end.tolist()})
     sums = [((force.t_start <= at) & (at < force.t_end)) @ force.lines
             for at in [-np.inf, *edges]]
-    totals = [tuple(total.tolist()) if total.any() else None for total in sums]
+    totals = [tuple((0.5 * total).tolist()) if total.any() else None for total in sums]
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     y = (*state.g.coeffs[alg.even_indices].tolist(), *state.pi_body.coeffs.tolist())
@@ -452,28 +470,23 @@ def _blocks(step, y, t, h, steps, stride, edges, totals):
 def _rk4_factory(alg: Algebra):
     """The compiled ``factory`` of :func:`_rk4_source`: made once per
     algebra on first use, never at import; each body binds its own
-    ``A^-1`` to it."""
-    scope = {"bisect_right": bisect_right, "isfinite": math.isfinite,
-             "NumericError": NumericError, "_rotor_scale": _rotor_scale}
+    inertia blocks to it."""
+    scope = {"bisect_right": bisect_right, "NumericError": NumericError,
+             "_rotor_scale": _rotor_scale}
     exec(compile(_rk4_source(alg), "<generated rk4 step>", "exec"), scope)
     return scope["factory"]
 
 
 def _sum(terms) -> str:
-    """Source of ``c0 * x0 + c1 * x1 + ...``: zero terms dropped and a
-    magnitude that all coefficients share taken out once, as
-    ``repr(float(m)) * (...)`` unless it is 1."""
-    terms = [(float(c), x) for c, x in terms if c]
-    if not terms:
-        return "0.0"
-    mags = {abs(c) for c, _ in terms}
-    m = mags.pop() if len(mags) == 1 else 1.0
+    """Source of ``c0 * x0 + c1 * x1 + ...``: zero terms dropped, and a
+    coefficient of magnitude 1 written as its sign."""
     out = ""
     for c, x in terms:
-        term = x if abs(c) == m else f"{abs(c)!r} * {x}"
-        out += (" - " if c < 0 else " + ") + term if out else \
-            ("-" if c < 0 else "") + term
-    return out if m == 1.0 else f"{m!r} * ({out})"
+        if c:
+            term = x if abs(c) == 1.0 else f"{abs(float(c))!r} * {x}"
+            out += (" - " if c < 0 else " + ") + term if out else \
+                ("-" if c < 0 else "") + term
+    return out or "0.0"
 
 
 def _product(table: np.ndarray, a: list, b: list) -> list:
@@ -484,21 +497,38 @@ def _product(table: np.ndarray, a: list, b: list) -> list:
             for m in range(table.shape[2])]
 
 
+# where a coupling block of a rigid body's inertia form, ``-2 [c]x`` with
+# its columns reversed or its transpose, may be nonzero: off the antidiagonal
+_COUPLING = ~np.eye(3, dtype=bool)[::-1]
+
+
 def _rk4_source(alg: Algebra) -> str:
-    """Source of ``factory(inv0_0, ..., inv5_5)``, whose ``step(y, t, h,
-    edges, totals)`` is one RK4 step of :func:`integrate` on a tuple of
-    floats, returning the next one.
+    """Source of ``factory(ia, xa0_0, ..., ya0_0, ..., ci0_0, ..., ci2_2)``,
+    whose ``step(y, t, h, edges, totals)`` is one RK4 step of
+    :func:`integrate` on a tuple of floats, returning the next one.
+
+    ``Omega = A^-1 Pi`` is solved by the blocks of the inertia form
+    ``[[a 1, X], [Y, D]]`` on ``(e01, e02, e03 | e12, e31, e23)``: with
+    ``v`` the reversed ``Pi``, ``Omega_e = C^-1 (Y v_1 / a - v_2)`` and
+    ``Omega_i = -(v_1 + X Omega_e) / a``, where ``C^-1`` is the inverse
+    of the Schur complement ``D - Y X / a``.  The factory binds ``ia =
+    -1/a``, ``xa = -X/a`` and ``ya = Y/a`` on :data:`_COUPLING`, and
+    ``ci = C^-1``.
 
     Every product is written by :func:`_product` from the nonzeros of a
-    slice of the even product table: per stage ``g Omega`` and ``Pi
-    Omega - Omega Pi = 2 Pi x Omega``, with ``Omega = A^-1 Pi`` from the
-    bound entries, and the force as ``q = ~g F`` then the bivector part
-    of ``q g``, with ``F = totals[bisect_right(edges, s)]`` at stage time
-    ``s`` (None: no force); per step ``g ~g = a + bI`` from
-    ``rotor_norm`` and ``g I`` from ``times_i``, which the even product
-    cannot give when the pseudoscalar is odd.  Generating product code
-    per signature is the idea of kingdon (Roelfs) and ganja.js (De
-    Keninck).
+    slice of the even product table: per stage ``g Omega`` and ``Pi x
+    Omega``, half the momentum slope ``2 Pi x Omega + ~g F g``, whose
+    factor 2 is folded into the momentum slots' step sizes (h, 2h and
+    h/3 where the rotor slots take h/2, h and h/6); and the body-frame
+    force, tabulated halved as ``F = totals[bisect_right(edges, s)]`` at
+    stage time ``s`` (None: no force), as the bivector part of ``q (r +
+    2d)`` with ``q = ~r F``, r and d the euclidean and ideal parts of
+    ``g``: ``~d F d``, ``~r F_i d`` and ``~d F_i r`` vanish, and the
+    bivector parts of ``~d F_e r`` and ``~r F_e d`` agree.  Per step
+    ``g ~g = a + bI`` comes from ``rotor_norm`` and ``g I`` from
+    ``times_i``, which the even product cannot give when the
+    pseudoscalar is odd.  Generating product code per signature is the
+    idea of kingdon (Roelfs) and ganja.js (De Keninck).
     """
     tables = alg.even_tables
     ne = len(tables.even)
@@ -506,8 +536,10 @@ def _rk4_source(alg: Algebra) -> str:
     biv = np.flatnonzero(alg.grades[tables.even] == 2)   # in an even element
     nb, n = len(biv), ne + len(biv)
     commute = product[np.ix_(biv, biv, biv)]
-    commute = commute - commute.transpose(1, 0, 2)
+    commute = 0.5 * (commute - commute.transpose(1, 0, 2))
+    euclid = np.array(alg._scalar_ip)[tables.even] != 0.0   # the slots of r
     reverse = product[:, biv] * alg._rev_signs[tables.even][:, None, None]
+    coupling = list(zip(*np.nonzero(_COUPLING)))
 
     def names(x, stop, start=0):
         return [f"{x}{i}" for i in range(start, stop)]
@@ -516,31 +548,42 @@ def _rk4_source(alg: Algebra) -> str:
     def stage(x, k, force):
         """The slope ``k0, k1, ...`` at the state ``x0, x1, ...``."""
         g, pi = names(x, ne), names(x, n, ne)
-        lines = [f"{w[j]} = " + _sum((1.0, f"inv{j}_{i} * {p}")
-                                     for i, p in enumerate(pi)) for j in range(nb)]
+        v = pi[::-1]
+        lines = [f"s{i} = " + _sum([*((1.0, f"ya{i}_{j} * {v[j]}")
+                                      for row, j in coupling if row == i), (-1.0, v[3 + i])])
+                 for i in range(3)]
+        lines += [f"{w[3 + i]} = " + _sum((1.0, f"ci{i}_{j} * s{j}") for j in range(3))
+                  for i in range(3)]
+        lines += [f"{w[i]} = " + _sum([(1.0, f"ia * {v[i]}"), *(
+            (1.0, f"xa{i}_{j} * {w[3 + j]}") for row, j in coupling if row == i)])
+            for i in range(3)]
         slope = _product(product[:, biv], g, w) + _product(commute, pi, w)
         lines += [f"{k}{m} = {s}" for m, s in enumerate(slope)]
         lines += [f"if {force} is not None:", f"    {', '.join(f)} = {force}"]
-        lines += [f"    {qm} = {s}" for qm, s in zip(q, _product(reverse, g, f))]
+        r = [x for x, e in zip(g, euclid) if e]
+        rd = [x if e else f"d{i}" for i, (x, e) in enumerate(zip(g, euclid))]
+        lines += [f"    {d} = 2.0 * {x}" for x, d in zip(g, rd) if d != x]
+        lines += [f"    {qm} = {s}" for qm, s in zip(q, _product(reverse[euclid], r, f))]
         lines += [f"    {k}{ne + i} += {s}"
-                  for i, s in enumerate(_product(product[:, :, biv], q, g))]
+                  for i, s in enumerate(_product(product[:, :, biv], q, rd))]
         return lines
 
     body = [", ".join(names("y", n)) + " = y",
-            "h2 = h / 2", "t2 = t + h2", "t4 = t + h",
+            "h2 = h / 2", "hh = 2.0 * h", "t2 = t + h2", "t4 = t + h",
             "force1 = totals[bisect_right(edges, t)]",
             "force2 = totals[bisect_right(edges, t2)]",
             "force4 = totals[bisect_right(edges, t4)]",
             *stage("y", "k1_", "force1")]
-    for s, (force, scale) in enumerate((("force2", "h2"), ("force2", "h2"),
-                                        ("force4", "h")), 2):
-        body += [f"u{i} = y{i} + {scale} * k{s - 1}_{i}" for i in range(n)]
+    for s, (force, scale) in enumerate((("force2", ("h2", "h")), ("force2", ("h2", "h")),
+                                        ("force4", ("h", "hh"))), 2):
+        body += [f"u{i} = y{i} + {scale[i >= ne]} * k{s - 1}_{i}" for i in range(n)]
         body += stage("u", f"k{s}_", force)
-    body += ["h6 = h / 6"]
-    body += [f"n{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-             for i in range(n)]
-    finite = " and ".join(f"isfinite({x})" for x in names("n", n, ne))
-    body += [f"if not ({finite}):",
+    body += ["h6 = h / 6", "h3 = h / 3"]
+    body += [f"n{i} = y{i} + {'h3' if i >= ne else 'h6'} * "
+             f"((k1_{i} + k4_{i}) + 2.0 * (k2_{i} + k3_{i}))" for i in range(n)]
+    # x - x is 0.0 for a finite x and NaN otherwise
+    finite = " + ".join(f"({x} - {x})" for x in names("n", n, ne))
+    body += [f"if {finite} != 0.0:",
              "    raise NumericError(f'momentum is not finite at t = {t4!r}')"]
     g = names("n", ne)
     norm = _product(tables.rotor_norm.reshape(ne, ne, 2), g, g)
@@ -552,8 +595,10 @@ def _rk4_source(alg: Algebra) -> str:
     rotor = [f"n{i} / zs" if s == "0.0" else f"(n{i} - p{i}) / zs"
              for i, s in enumerate(times_i)]
     body += ["return (" + ", ".join(rotor + names("n", n, ne)) + ")"]
-    inv = ", ".join(f"inv{i}_{j}" for i in range(nb) for j in range(nb))
-    return "\n".join([f"def factory({inv}):",
+    params = ["ia", *(f"xa{i}_{j}" for i, j in coupling),
+              *(f"ya{i}_{j}" for i, j in coupling),
+              *(f"ci{i}_{j}" for i in range(3) for j in range(3))]
+    return "\n".join([f"def factory({', '.join(params)}):",
                       "    def step(y, t, h, edges, totals):",
                       *("        " + line for line in body),
                       "    return step", ""])

@@ -264,7 +264,7 @@ def noneuclidean_distance(x: Multivector, y: Multivector) -> float:
 
 def biv_coeffs(x: Multivector) -> np.ndarray:
     """The six Pluecker coordinates of a grade-2 element."""
-    return np.array(x.coeffs[x.algebra.grade_indices[2]])
+    return x.coeffs[x.algebra._grade_runs[2]].copy()
 
 
 def biv_mv(alg: Algebra, coeffs) -> Multivector:

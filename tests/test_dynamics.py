@@ -32,10 +32,10 @@ from conftest import assert_rel_close, reference_rk4
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def four_point_body(alg):
+def four_point_body(alg, offset=0.0):
     data = [(1.0, (0.1, 0.2, 0.3)), (1.5, (1.0, -0.5, 0.2)),
             (0.7, (-0.4, 0.8, -0.6)), (2.0, (0.3, 0.4, 1.1))]
-    return [Particle.at(alg, m, x) for m, x in data]
+    return [Particle.at(alg, m, np.add(x, offset)) for m, x in data]
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +461,19 @@ def test_integrate_constant_force_is_an_always_open_window(space_alg, rng):
             euler_step(st, a, 0.01, force=stale)
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["free", "windows"])
-def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, forced):
+@pytest.mark.parametrize("forced, offset, rel", [(False, 0.0, 1e-12), (True, 0.0, 1e-12),
+                                                (True, 10.0, 2e-8)],
+                         ids=["free", "windows", "far"])
+def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, forced,
+                                                              offset, rel):
     # 2000 steps of the generated step against the Multivector RK4; the
-    # windows overlap, and the last one stays open to the end
-    a = inertia_assemble(four_point_body(space_alg))
+    # windows overlap, and the last one stays open to the end.  The far
+    # body sits 10 from the origin on every axis (operator cond 3e5),
+    # where the block solve's coupling terms are large.  There the
+    # reference's dense A^-1 rounds by ~cond * eps, which the run
+    # amplifies: against a long-double RK4 with the exact inverse,
+    # integrate is within 6e-11 and a step on the dense A^-1 within 1e-8
+    a = inertia_assemble(four_point_body(space_alg, offset))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
     lines = np.array([biv_coeffs(force_line(space_alg, rng.normal(size=3),
@@ -483,7 +491,7 @@ def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, for
     times, got = _trajectory(st, a, 1e-3, 2000, force=ForceSchedule(
         lines, t_start, t_end) if forced else None)
     assert np.array_equal(times, want_times)
-    assert_rel_close(got, want)
+    assert_rel_close(got, want, rel)
 
 
 @pytest.mark.parametrize("steps, stride", [(20, 1), (23, 3), (6, 7)])
@@ -519,6 +527,26 @@ def test_integrate_yields_bounded_blocks_of_one_run(space_alg, rng, monkeypatch,
     blocks = integrate(MotionState(st.g, a.apply(spin)), a, 0.01, steps, stride)
     with pytest.raises(NumericError):
         list(blocks)
+
+
+def test_integrate_takes_only_a_rigid_body_inertia_form(space_alg, rng):
+    # the step solves Omega by the blocks of inertia_assemble's form: the
+    # identity form (M = 1/2, c = 0, S = 1/2) is one and integrates
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
+                     MomentumState(rng.normal(size=6), BODY))
+    unit = InertiaTensor(np.eye(6))
+    _, got = _trajectory(st, unit, 1e-2, 20)
+    _, want = _reference_table(reference_rk4(
+        unit, st.g, biv_mv(space_alg, st.pi_body.coeffs), 1e-2, 20))
+    assert_rel_close(got, want)
+    # a mass block that is not a multiple of 1, or a coupling entry where
+    # -2 [c]x (columns reversed) or its transpose has an exact zero
+    form = inertia_assemble(four_point_body(space_alg)).form
+    for at in ((1, 1), (0, 1), (0, 5), (2, 3), (4, 1)):
+        bent = form.copy()
+        bent[at] += 1e-3
+        with pytest.raises(ValueError, match="not a rigid body's inertia form"):
+            integrate(st, InertiaTensor(bent), 1e-2, 20)
 
 
 def test_the_step_is_compiled_on_first_use_and_once():
@@ -566,6 +594,11 @@ def test_force_schedule_validates_its_input():
         ForceSchedule(lines, [0, 0], [1])
     with pytest.raises(ValueError, match="t_start"):
         ForceSchedule(lines, [0, math.nan], [1, 1])
+    # a window that never opens, as scene.parse_scene refuses it
+    for t_end in (0.5, 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"force 1 needs t_end > t_start, not [1.0, {t_end!r})")):
+            ForceSchedule(lines, [0.0, 1.0], [1.0, t_end])
 
 
 def test_spherical_body_spins_uniformly(space_alg):

@@ -6,6 +6,7 @@ generated source runs on them as it is, so each identity holds for every
 input, not only for sampled ones.
 """
 
+import inspect
 import textwrap
 from bisect import bisect_right
 
@@ -16,7 +17,7 @@ import sympy
 from pgakit import algebra, dynamics, metric, pga3d
 from pgakit.algebra import _bilinear, _wrap
 from pgakit.metric import biv_mv, even_mv, polar_line
-from pgakit.versors import normalize_rotor, sandwich_matrix_even
+from pgakit.versors import normalize_rotor, sandwich
 
 ALG = pga3d()
 EVEN, BIV = ALG.even_indices, ALG.grade_indices[2]
@@ -49,11 +50,11 @@ def step_body(start: str, end: str) -> str:
     return textwrap.dedent("\n".join(lines[first:last]))
 
 
-def first_slope(g, pi, inv, force):
-    """The slope of the generated step's first stage at ``(g, Pi)``."""
+def first_slope(g, pi, force):
+    """The slope of the generated step's first stage at ``(g, Pi)``, with
+    the factory's inertia blocks left as symbols."""
     scope = {"y": (*g, *pi), "t": 0, "h": 1, "edges": [], "totals": [force],
-             "bisect_right": bisect_right,
-             **{f"inv{i}_{j}": inv[i, j] for i in range(NB) for j in range(NB)}}
+             "bisect_right": bisect_right, **{x: sympy.Symbol(x) for x in BLOCKS}}
     exec(step_body("y0, y1", "u0 ="), scope)
     return [scope[f"k1_{i}"] for i in range(NE + NB)]
 
@@ -61,24 +62,57 @@ def first_slope(g, pi, inv, force):
 G = sympy.symbols(f"g:{NE}")
 PI = sympy.symbols(f"p:{NB}")
 F = sympy.symbols(f"f:{NB}")
-INV = np.array(sympy.symbols(f"a:{NB * NB}"), dtype=object).reshape(NB, NB)
+W = sympy.symbols(f"w:{NB}")
+BLOCKS = list(inspect.signature(dynamics._rk4_factory(ALG)).parameters)
+
+
+def test_the_block_solve_inverts_the_inertia_form():
+    # a stage's Omega from the blocks of the form [[a 1, X], [Y, D]] that
+    # inertia_assemble writes for a mass M, first moment c and symmetric
+    # second moment S solves form Omega = -rev(Pi), that is A Omega = Pi;
+    # C^-1, which integrate reads off A^-1, inverts D - Y X / a
+    m = sympy.Symbol("M", positive=True)
+    c = np.array(sympy.symbols("c:3"), dtype=object)
+    s = np.array(sympy.Matrix(3, 3, lambda i, j: sympy.Symbol(f"s{min(i, j)}{max(i, j)}")))
+    a, x = 2 * m, 2 * np.cross(c, np.eye(3, dtype=int))[:, ::-1]
+    y, d = x.T, 2 * s[::-1, ::-1]
+    # C^-1 as its adjugate over a symbol for its determinant, put in last
+    schur, det = sympy.Matrix(d - y @ x / a), sympy.Symbol("det")
+    c_inv = schur.adjugate() / det
+    scope = {"ia": -1 / a, **{f"y{NE + i}": p for i, p in enumerate(PI)},
+             **{f"ci{i}_{j}": c_inv[i, j] for i in range(3) for j in range(3)}}
+    for i, j in zip(*np.nonzero(dynamics._COUPLING)):
+        scope |= {f"xa{i}_{j}": -x[i, j] / a, f"ya{i}_{j}": y[i, j] / a}
+    assert sorted(BLOCKS) == sorted(set(scope) - {f"y{NE + i}" for i in range(NB)})
+    exec(step_body("s0 =", "k1_0 ="), scope)
+    omega = np.array([scope[f"w{i}"] for i in range(NB)], dtype=object)
+    form = np.block([[a * np.eye(3, dtype=int), x], [y, d]])
+    residual = (form @ omega + np.array(PI[::-1], dtype=object)) * det
+    assert exact(sympy.expand(r).subs(det, schur.det()) for r in residual) == [0] * NB
 
 
 def test_the_emitted_force_is_the_sandwich_of_the_reversed_rotor():
-    # with no momentum the momentum slope is the force term (~g F) g alone
-    got = first_slope(G, [0] * NB, INV, F)[NE:]
-    reverse = np.array(G, dtype=object) * ALG._rev_signs[EVEN]
-    want = sandwich_matrix_even(ALG, reverse, 2) @ np.array(F, dtype=object)
-    assert exact(got) == exact(want)
+    # with no momentum the momentum slope is the force term alone, (q (r +
+    # 2d))_2 with q = ~r F for the euclidean and ideal parts r and d of g
+    # (integrate tabulates F halved, as the slope is)
+    got = first_slope(G, [0] * NB, F)[NE:]
+    want = sandwich(~_wrap(ALG, full(EVEN, G)), _wrap(ALG, full(BIV, F))).coeffs
+    assert exact(want[np.setdiff1d(np.arange(ALG.n_blades), BIV)]) == [0] * 10
+    assert exact(got) == exact(want[BIV])
 
 
 def test_the_emitted_slope_is_the_motion_equations():
-    # (g Omega, 2 Pi x Omega) with Omega = A^-1 Pi, from the full tables
-    got = first_slope(G, PI, INV, None)
-    omega = full(BIV, INV @ np.array(PI, dtype=object))
+    # (g Omega, Pi x Omega), from the full tables, at any Omega: the motion
+    # equations (g Omega, 2 Pi x Omega) with the momentum slope halved; the
+    # step takes the factor 2 back in its momentum step sizes h, 2h, h/3
+    scope = {**{f"y{i}": x for i, x in enumerate((*G, *PI))},
+             **{f"w{i}": x for i, x in enumerate(W)}}
+    exec(step_body("k1_0 =", "if force1"), scope)
+    got = [scope[f"k1_{i}"] for i in range(NE + NB)]
+    omega = full(BIV, W)
     g_omega = _bilinear(full(EVEN, G), omega, ALG._gp_flat)[EVEN]
     torque = 2 * _bilinear(full(BIV, PI), omega, ALG._comm_flat)[BIV]
-    assert exact(got) == exact([*g_omega, *torque])
+    assert exact(got) == exact([*g_omega, *(torque / 2)])
 
 
 def _normalize_rotor(ge):
