@@ -17,17 +17,20 @@ Conventions kept throughout (factor 2 included):
 
 :func:`integrate` is the one RK4 loop: it runs any number of steps and
 yields the recorded states in ``(rows, 14)`` blocks of :data:`_BLOCK_ROWS`;
-:func:`euler_step` is that loop over one step.  A step is one call of
-straight-line Python on 14 floats, generated on first use by one
-emitter, :func:`_product`, from the nonzeros of the even product table
-(:attr:`Algebra.even_tables`), and compiled once per algebra (about
-4 ms).  Each body binds the blocks of its inertia form, which is
-inverted and condition-checked once per tensor, and each stage solves
-``Omega = A^-1(Pi)`` by those blocks in 24 multiplies.  The step covers
-the four stages, the force term, the momentum check and the
-closed-form rotor renormalization.  On a shared 2-vCPU Xeon it costs
-7-8 us force-free and 10-11 us with a force line open (a 4-point
-body).
+:func:`euler_step` is that loop over one step.  A block's steps are one
+call of straight-line Python on 14 floats held in locals, generated on
+first use by one emitter, :func:`_product`, from the nonzeros of the
+even product table (:attr:`Algebra.even_tables`), and compiled once per
+algebra and zero pattern of the inertia blocks (about 3 ms each).  Each
+body binds the blocks of its inertia form, which is inverted and
+condition-checked once per tensor, and each stage solves ``Omega =
+A^-1(Pi)`` by those blocks: 24 multiplies for a general form, 6 for a
+diagonal one, as a body has in its principal frame, where
+:func:`~pgakit.scene.run_simulation` integrates it.  A step covers the
+four stages, the force term, the momentum check and the closed-form
+rotor renormalization.  On a shared 2-vCPU Xeon it costs 4.5 us
+force-free and 7.6 us with a force line open for a 4-point body in its
+principal frame, 5.4 and 8.5 us on a general form.
 Its one force input is a :class:`ForceSchedule`, space-frame force
 lines over time windows: at every stage the sum of the open lines
 reaches the body frame as ``(~g F) g``.  A rotor or momentum that stops
@@ -43,6 +46,7 @@ Body-frame and space-frame quantities are tagged and may not be mixed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -271,9 +275,7 @@ class InertiaTensor:
         # the form is frozen, so one condition check and one inverse serve
         # every later call; a singular tensor raises on every call
         op = self.operator
-        if not np.isfinite(op).all():
-            raise SingularInertiaError(
-                "inertia overflows: masses or positions too large")
+        _require_finite_inertia(op)
         if np.linalg.cond(op) > _COND_LIMIT:
             raise SingularInertiaError(
                 "degenerate mass distribution (collinear points?); "
@@ -283,6 +285,11 @@ class InertiaTensor:
     def energy(self, omega: VelocityState) -> float:
         w = _body_coeffs(omega)
         return float(w @ self.form @ w)
+
+
+def _require_finite_inertia(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SingularInertiaError("inertia overflows: masses or positions too large")
 
 
 def _unit_velocity_spear(r: Multivector, b: Multivector) -> Multivector:
@@ -351,14 +358,17 @@ def principal_decomposition(particles) -> PrincipalAxes:
 
     The centred form's rotational block, in x, y, z order, is ``2 S``
     with ``S`` taken about the centroid, not reduced by the parallel-axis
-    term, which would cancel for a body far from the origin.
+    term, which would cancel for a body far from the origin.  A mass or
+    moment that overflows raises :class:`SingularInertiaError`.
     """
     particles = list(particles)
     if not particles:
         raise ValueError("an empty body has no principal axes")
     mass, c, _ = _mass_moments(particles)
     center = c / mass
-    vals, vecs = np.linalg.eigh(2.0 * _mass_moments(particles, center)[2])
+    s2 = 2.0 * _mass_moments(particles, center)[2]
+    _require_finite_inertia(mass, center, s2)
+    vals, vecs = np.linalg.eigh(s2)
     order = np.argsort(vals)[::-1]
     return PrincipalAxes(center, vecs[:, order].T, vals[order], mass)
 
@@ -394,12 +404,12 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     ``force`` is a :class:`ForceSchedule`; the open windows at each stage
     time select the sum of their lines, which reaches the body frame as
     ``(~g F) g``.  None runs the empty schedule.  Any other ``force``
-    raises :class:`TypeError`.  Each step is one call of straight-line
-    code on floats, every product in it written by one emitter from the
-    nonzeros of an even table (see :func:`_rk4_source`): the four stages,
-    the force term, the momentum check and the closed-form rotor
-    renormalization; no numpy call, :class:`Multivector` or state object
-    is made per step.  Raises
+    raises :class:`TypeError`.  The steps of a block run in one call of
+    straight-line code on floats, every product in it written by one
+    emitter from the nonzeros of an even table (see :func:`_rk4_source`):
+    the four stages, the force term, the momentum check and the
+    closed-form rotor renormalization; no numpy call, :class:`Multivector`
+    or state object is made per step.  Raises
     :class:`~pgakit.versors.NumericError` when ``dt`` is not finite, a
     rotor cannot be normalized or a momentum is not finite, and
     ``ValueError`` for an inertia form whose blocks are not those
@@ -428,10 +438,10 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         raise ValueError("not a rigid body's inertia form: the step needs a mass "
                          "block a multiple of 1 and coupling blocks zero on "
                          "their antidiagonals")
-    # C^-1 is the bottom-right block of form^-1 = -A^-1 J, J reversing rows
-    step = _rk4_factory(alg)(-1.0 / a, *(-x[_COUPLING] / a).tolist(),
-                             *(y[_COUPLING] / a).tolist(),
-                             *(-inv[3:, 2::-1]).ravel().tolist())
+    # -C^-1 is the bottom-right block of A^-1 J = -form^-1, J reversing rows
+    bound = [-1.0 / a, *(-x[_COUPLING] / a).tolist(), *(y[_COUPLING] / a).tolist(),
+             *inv[3:, 2::-1].ravel().tolist()]
+    run = _rk4_factory(alg, tuple(c != 0.0 for c in bound))(*bound)
 
     # the set of open windows changes only at an edge, so the sum of the
     # open lines is tabulated once per interval between edges; row i is
@@ -446,34 +456,42 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
 
     # y = (g, Pi): the even rotor coefficients, then the body momentum
     y = (*state.g.coeffs[alg.even_indices].tolist(), *state.pi_body.coeffs.tolist())
-    return _blocks(step, y, float(state.t), float(dt), steps, stride, edges, totals)
+    return _blocks(run, y, float(state.t), float(dt), steps, stride, edges, totals)
 
 
-def _blocks(step, y, t, h, steps, stride, edges, totals):
-    """The blocks of :func:`integrate`; the last one follows every step."""
+def _blocks(run, y, t, h, steps, stride, edges, totals):
+    """The blocks of :func:`integrate`; the last one follows every step.
+
+    Each call of ``run`` fills the block and records the row after it, so
+    a full block is yielded when the next row is due."""
     size = min(steps // stride + 1, _BLOCK_ROWS)
-    times, states = np.empty(size), np.empty((size, len(y)))
-    times[0], states[0], row = t, y, 1
-    for k in range(1, steps + 1):
-        y = step(y, t, h, edges, totals)
-        t = t + h
-        if k % stride == 0:
-            if row == size:
-                yield times, states
-                times, states, row = np.empty(size), np.empty((size, len(y))), 0
-            times[row], states[row] = t, y
-            row += 1
-    yield times[:row], states[:row]
+    rows, left = [(t, *y)], steps
+    while True:
+        n = min(left, (size + 1 - len(rows)) * stride)
+        y, t = run(y, t, h, n, stride, edges, totals, rows)
+        left -= n
+        if len(rows) > size:
+            yield _block(rows[:size])
+            del rows[:size]
+        if not left:
+            yield _block(rows)
+            return
+
+
+def _block(rows):
+    """The times and states of recorded ``(t, *y)`` rows."""
+    table = np.array(rows)
+    return table[:, 0], table[:, 1:]
 
 
 @cache
-def _rk4_factory(alg: Algebra):
+def _rk4_factory(alg: Algebra, pattern: tuple):
     """The compiled ``factory`` of :func:`_rk4_source`: made once per
-    algebra on first use, never at import; each body binds its own
-    inertia blocks to it."""
+    algebra and zero pattern of the bound constants on first use, never
+    at import; each body binds its own inertia blocks to it."""
     scope = {"bisect_right": bisect_right, "NumericError": NumericError,
-             "_rotor_scale": _rotor_scale}
-    exec(compile(_rk4_source(alg), "<generated rk4 step>", "exec"), scope)
+             "_rotor_scale": _rotor_scale, "sqrt": math.sqrt, "inf": math.inf}
+    exec(compile(_rk4_source(alg, pattern), "<generated rk4 run>", "exec"), scope)
     return scope["factory"]
 
 
@@ -500,20 +518,31 @@ def _product(table: np.ndarray, a: list, b: list) -> list:
 # where a coupling block of a rigid body's inertia form, ``-2 [c]x`` with
 # its columns reversed or its transpose, may be nonzero: off the antidiagonal
 _COUPLING = ~np.eye(3, dtype=bool)[::-1]
+_COUPLED = list(zip(*np.nonzero(_COUPLING)))
+# the names of the constants integrate binds to the generated code, in order
+_BOUND = ("ia", *(f"xa{i}_{j}" for i, j in _COUPLED),
+          *(f"ya{i}_{j}" for i, j in _COUPLED),
+          *(f"nc{i}_{j}" for i in range(3) for j in range(3)))
 
 
-def _rk4_source(alg: Algebra) -> str:
-    """Source of ``factory(ia, xa0_0, ..., ya0_0, ..., ci0_0, ..., ci2_2)``,
-    whose ``step(y, t, h, edges, totals)`` is one RK4 step of
-    :func:`integrate` on a tuple of floats, returning the next one.
+def _rk4_source(alg: Algebra, pattern: tuple) -> str:
+    """Source of ``factory(ia, xa0_0, ..., ya0_0, ..., nc0_0, ..., nc2_2)``,
+    whose ``run(y, t, h, steps, stride, edges, totals, rows)`` takes
+    ``steps`` RK4 steps of :func:`integrate` from the tuple of floats
+    ``y`` at time ``t``, appends ``(t, *y)`` to ``rows`` after every
+    ``stride``-th, and returns the last ``(y, t)``.
 
     ``Omega = A^-1 Pi`` is solved by the blocks of the inertia form
     ``[[a 1, X], [Y, D]]`` on ``(e01, e02, e03 | e12, e31, e23)``: with
-    ``v`` the reversed ``Pi``, ``Omega_e = C^-1 (Y v_1 / a - v_2)`` and
+    ``v`` the reversed ``Pi``, ``Omega_e = -C^-1 (v_2 - Y v_1 / a)`` and
     ``Omega_i = -(v_1 + X Omega_e) / a``, where ``C^-1`` is the inverse
     of the Schur complement ``D - Y X / a``.  The factory binds ``ia =
     -1/a``, ``xa = -X/a`` and ``ya = Y/a`` on :data:`_COUPLING`, and
-    ``ci = C^-1``.
+    ``nc = -C^-1``; ``pattern`` says which of them (in :data:`_BOUND`
+    order) are nonzero, and the solve drops the others.  A general body
+    solves in 24 multiplies, one in its principal frame (``X = Y = 0``,
+    ``D`` diagonal) in 6, ``Omega_k = c_k v_k``.  The constants are
+    locals of ``run``, bound as its defaults.
 
     Every product is written by :func:`_product` from the nonzeros of a
     slice of the even product table: per stage ``g Omega`` and ``Pi x
@@ -524,11 +553,14 @@ def _rk4_source(alg: Algebra) -> str:
     stage time ``s`` (None: no force), as the bivector part of ``q (r +
     2d)`` with ``q = ~r F``, r and d the euclidean and ideal parts of
     ``g``: ``~d F d``, ``~r F_i d`` and ``~d F_i r`` vanish, and the
-    bivector parts of ``~d F_e r`` and ``~r F_e d`` agree.  Per step
+    bivector parts of ``~d F_e r`` and ``~r F_e d`` agree.  A step's
+    first stage takes the force of the step before's last, and the
+    lookup runs only when ``t + h`` reaches the next edge.  Per step
     ``g ~g = a + bI`` comes from ``rotor_norm`` and ``g I`` from
     ``times_i``, which the even product cannot give when the
-    pseudoscalar is odd.  Generating product code per signature is the
-    idea of kingdon (Roelfs) and ganja.js (De Keninck).
+    pseudoscalar is odd; ``_rotor_scale`` is called only to raise.
+    Generating product code per signature is the idea of kingdon
+    (Roelfs) and ganja.js (De Keninck).
     """
     tables = alg.even_tables
     ne = len(tables.even)
@@ -539,24 +571,37 @@ def _rk4_source(alg: Algebra) -> str:
     commute = 0.5 * (commute - commute.transpose(1, 0, 2))
     euclid = np.array(alg._scalar_ip)[tables.even] != 0.0   # the slots of r
     reverse = product[:, biv] * alg._rev_signs[tables.even][:, None, None]
-    coupling = list(zip(*np.nonzero(_COUPLING)))
+    on = dict(zip(_BOUND, map(float, pattern)))
 
     def names(x, stop, start=0):
         return [f"{x}{i}" for i in range(start, stop)]
     w, f, q = names("w", nb), names("f", nb), names("q", ne)
 
+    def bound(c, x):
+        """The term ``c * x`` of a bound constant, 0 where it is zero."""
+        return on[c], f"{c} * {x}"
+
+    def solve(v):
+        """``w = Omega`` from ``v``, the reversed momentum."""
+        lines, r = [], []
+        for i in range(3):
+            ys = _sum(bound(f"ya{i}_{j}", v[j]) for row, j in _COUPLED if row == i)
+            if ys == "0.0":
+                r.append(v[3 + i])
+            else:
+                r.append(f"r{i}")
+                lines.append(f"r{i} = {v[3 + i]} - ({ys})")
+        lines += [f"{w[3 + i]} = " + _sum(bound(f"nc{i}_{j}", r[j]) for j in range(3))
+                  for i in range(3)]
+        lines += [f"{w[i]} = " + _sum([bound("ia", v[i]), *(
+            bound(f"xa{i}_{j}", w[3 + j]) for row, j in _COUPLED if row == i)])
+            for i in range(3)]
+        return lines
+
     def stage(x, k, force):
         """The slope ``k0, k1, ...`` at the state ``x0, x1, ...``."""
         g, pi = names(x, ne), names(x, n, ne)
-        v = pi[::-1]
-        lines = [f"s{i} = " + _sum([*((1.0, f"ya{i}_{j} * {v[j]}")
-                                      for row, j in coupling if row == i), (-1.0, v[3 + i])])
-                 for i in range(3)]
-        lines += [f"{w[3 + i]} = " + _sum((1.0, f"ci{i}_{j} * s{j}") for j in range(3))
-                  for i in range(3)]
-        lines += [f"{w[i]} = " + _sum([(1.0, f"ia * {v[i]}"), *(
-            (1.0, f"xa{i}_{j} * {w[3 + j]}") for row, j in coupling if row == i)])
-            for i in range(3)]
+        lines = solve(pi[::-1])
         slope = _product(product[:, biv], g, w) + _product(commute, pi, w)
         lines += [f"{k}{m} = {s}" for m, s in enumerate(slope)]
         lines += [f"if {force} is not None:", f"    {', '.join(f)} = {force}"]
@@ -568,40 +613,47 @@ def _rk4_source(alg: Algebra) -> str:
                   for i, s in enumerate(_product(product[:, :, biv], q, rd))]
         return lines
 
-    body = [", ".join(names("y", n)) + " = y",
-            "h2 = h / 2", "hh = 2.0 * h", "t2 = t + h2", "t4 = t + h",
-            "force1 = totals[bisect_right(edges, t)]",
-            "force2 = totals[bisect_right(edges, t2)]",
-            "force4 = totals[bisect_right(edges, t4)]",
+    state = ", ".join(names("y", n))
+    head = [f"{state} = y", "append = rows.append",
+            "h2 = h / 2", "hh = 2.0 * h", "h6 = h / 6", "h3 = h / 3",
+            "i = bisect_right(edges, t)", "force4 = totals[i]",
+            "nxt = edges[i] if i < len(edges) else inf",
+            "for k in range(1, steps + 1):"]
+    body = ["t2 = t + h2", "t4 = t + h", "force1 = force4",
+            "if t4 < nxt:", "    force2 = force1", "else:",
+            "    force2 = totals[bisect_right(edges, t2)]",
+            "    i = bisect_right(edges, t4)", "    force4 = totals[i]",
+            "    nxt = edges[i] if i < len(edges) else inf",
             *stage("y", "k1_", "force1")]
     for s, (force, scale) in enumerate((("force2", ("h2", "h")), ("force2", ("h2", "h")),
                                         ("force4", ("h", "hh"))), 2):
         body += [f"u{i} = y{i} + {scale[i >= ne]} * k{s - 1}_{i}" for i in range(n)]
         body += stage("u", f"k{s}_", force)
-    body += ["h6 = h / 6", "h3 = h / 3"]
-    body += [f"n{i} = y{i} + {'h3' if i >= ne else 'h6'} * "
+    body += [f"{'y' if i >= ne else 'n'}{i} = y{i} + {'h3' if i >= ne else 'h6'} * "
              f"((k1_{i} + k4_{i}) + 2.0 * (k2_{i} + k3_{i}))" for i in range(n)]
     # x - x is 0.0 for a finite x and NaN otherwise
-    finite = " + ".join(f"({x} - {x})" for x in names("n", n, ne))
+    finite = " + ".join(f"({x} - {x})" for x in names("y", n, ne))
     body += [f"if {finite} != 0.0:",
              "    raise NumericError(f'momentum is not finite at t = {t4!r}')"]
     g = names("n", ne)
     norm = _product(tables.rotor_norm.reshape(ne, ne, 2), g, g)
     body += [f"z{k} = {s}" for k, s in enumerate(norm)]
-    # (g - q g I) / s
-    body += ["zq, zs = _rotor_scale(z0, z1)"]
+    # (g - q g I) / s; _rotor_scale raises where this would not be a rotor
+    body += ["if not (0.0 < z0 < inf and z1 - z1 == 0.0):", "    _rotor_scale(z0, z1)",
+             "zq = z1 / (2.0 * z0)", "zs = sqrt(z0)"]
     times_i = _product(tables.times_i.T[None], ["zq"], g)
     body += [f"p{i} = {s}" for i, s in enumerate(times_i) if s != "0.0"]
-    rotor = [f"n{i} / zs" if s == "0.0" else f"(n{i} - p{i}) / zs"
+    body += [f"y{i} = n{i} / zs" if s == "0.0" else f"y{i} = (n{i} - p{i}) / zs"
              for i, s in enumerate(times_i)]
-    body += ["return (" + ", ".join(rotor + names("n", n, ne)) + ")"]
-    params = ["ia", *(f"xa{i}_{j}" for i, j in coupling),
-              *(f"ya{i}_{j}" for i, j in coupling),
-              *(f"ci{i}_{j}" for i in range(3) for j in range(3))]
-    return "\n".join([f"def factory({', '.join(params)}):",
-                      "    def step(y, t, h, edges, totals):",
-                      *("        " + line for line in body),
-                      "    return step", ""])
+    body += ["t = t4", "if k % stride == 0:", f"    append((t, {state}))"]
+    params = ["y", "t", "h", "steps", "stride", "edges", "totals", "rows",
+              *(f"{c}={c}" for c in _BOUND if on[c])]
+    return "\n".join([f"def factory({', '.join(_BOUND)}):",
+                      f"    def run({', '.join(params)}):",
+                      *("        " + line for line in head),
+                      *("            " + line for line in body),
+                      f"        return ({state}), t",
+                      "    return run", ""])
 
 
 def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,

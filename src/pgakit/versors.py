@@ -298,8 +298,9 @@ def normalize_rotor(g: Multivector) -> Multivector:
 
 def _rotor_scale(a: float, b: float) -> tuple[float, float]:
     """``(q, s) = (b / 2a, sqrt(a))`` for ``g ~g = a + bI``, so that the
-    rotor is ``(g - q g I) / s``; the one check of :func:`normalize_rotor`
-    and of the integrator's generated step.  Raises :class:`NumericError`
+    rotor is ``(g - q g I) / s``; the one check of :func:`normalize_rotor`,
+    and what the integrator's generated loop calls to raise where its
+    inline test of the same condition fails.  Raises :class:`NumericError`
     unless ``a`` is finite and positive and ``b`` finite."""
     if not (0.0 < a < math.inf and math.isfinite(b)):
         raise NumericError(f"cannot normalize: g ~g = {a:g} + {b:g}I is not "

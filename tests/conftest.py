@@ -14,7 +14,7 @@ with warnings.catch_warnings():
     import hypothesis.extra._patching  # noqa: F401
 
 from pgakit import BODY, MomentumState, algebra, pga2d, pga3d, sandwich
-from pgakit.metric import biv_coeffs
+from pgakit.metric import biv_coeffs, biv_mv
 
 
 @pytest.fixture(scope="session")
@@ -109,19 +109,43 @@ def newton_normalize(g):
     return g * w
 
 
+def _split(x):
+    """Veltkamp's split of floats into halves whose products are exact."""
+    c = 134217729.0 * x                   # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def exact_residual(a, w, b):
+    """``b - a @ w`` rounded once: every product of a split half is exact,
+    and ``math.fsum`` adds each row's products exactly."""
+    (ah, al), (wh, wl) = _split(a), _split(w)
+    products = np.hstack([ah * wh, ah * wl, al * wh, al * wl])
+    return np.array([math.fsum([bi, *(-row)]) for bi, row in zip(b, products)])
+
+
 def reference_rk4(inertia, g, pi, dt, steps, force=None):
     """RK4 of the motion equations on Multivectors, from ``t = 0``: an
     oracle for ``dynamics.integrate``, which it never calls.  ``g`` is
     the rotor and ``pi`` the body momentum as a bivector; ``force(t)``
     is the space-frame force bivector acting at time t, moved to the
-    body frame per stage by the sandwich ``~g F g``.  The rotor is
+    body frame per stage by the sandwich ``~g F g``.  Each stage solves
+    ``A Omega = Pi`` by ``InertiaTensor.inverse_apply`` and one step of
+    iterative refinement, whose residual is exact before its one
+    rounding, so that off the origin the dense ``A^-1``'s rounding
+    (about cond times eps) does not carry into the run.  The rotor is
     renormalized by ``newton_normalize`` after each step.  Returns the
     ``steps + 1`` states ``(t, g, pi)``."""
     alg = g.algebra
 
+    def solve(p):
+        w = inertia.inverse_apply(MomentumState(p, BODY)).coeffs
+        fix = inertia.inverse_apply(MomentumState(
+            exact_residual(inertia.operator, w, p), BODY)).coeffs
+        return biv_mv(alg, w + fix)
+
     def rhs(t, g, pi):
-        om = inertia.inverse_apply(
-            MomentumState(biv_coeffs(pi), BODY)).as_multivector(alg)
+        om = solve(biv_coeffs(pi))
         dpi = 2.0 * pi.commutator(om)
         if force is not None:
             dpi = dpi + sandwich(~g, force(t))

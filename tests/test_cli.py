@@ -20,12 +20,14 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from pgakit import (BODY, MomentumState, NumericError, Particle, VelocityState,
-                    algebra, force_line, inertia_assemble, pga2d, pga3d, point,
-                    point_coords, sandwich)
+from pgakit import (BODY, ForceSchedule, MomentumState, MotionState, NumericError,
+                    Particle, VelocityState, algebra, force_line, inertia_assemble,
+                    normalize_rotor, pga2d, pga3d, point, point_coords, sandwich,
+                    sandwich_matrix)
 import pgakit.cli as cli
 import pgakit.dynamics as dynamics
 from pgakit.cli import main
+from pgakit.dynamics import integrate
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
 import pgakit.scene as scene_mod
@@ -813,6 +815,71 @@ def test_run_simulation_matches_reference_loop():
     got = np.array(rows)
     assert got.shape == want.shape == (51, 25)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _offset_bodies(offset):
+    return [dict(b, position=list(np.add(b["position"], offset)))
+            for b in scene_dict()["bodies"]]
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0])
+def test_the_principal_frame_carries_the_assembled_form(offset):
+    # the motor m to the principal frame moves the diagonal form back onto
+    # the body's assembled one: form = P_f^T form'' P_f with P_f the
+    # sandwich by ~m, which P_b, the sandwich by m, undoes
+    alg = pga3d()
+    body = [Particle.at(alg, b["mass"], b["position"]) for b in _offset_bodies(offset)]
+    m, inertia = scene_mod._principal_frame(alg, body)
+    to_principal, to_body = sandwich_matrix(~m, 2), sandwich_matrix(m, 2)
+    form = inertia.form
+    assert np.array_equal(form, np.diag(np.diagonal(form)))
+    want = inertia_assemble(body).form
+    got = to_principal.T @ form @ to_principal
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(to_body @ to_principal - np.eye(6)).max() <= 1e-14
+
+
+def test_run_simulation_matches_integrate_in_the_body_frame():
+    # the scene runs in its body's principal frame; its rows are those of
+    # integrate on the form assembled in the scene's own frame, for a body
+    # 10 from the origin (where that form's cond is 3e5), a turned rotor
+    # and two force windows
+    cfg = parse_scene(scene_dict(
+        bodies=_offset_bodies(10.0),
+        rotor0=[0.9, 0.1, -0.2, 0.3, 0.2, -0.1, 0.25, 0.05],
+        integrator={"dt": 1e-3, "steps": 200},
+        forces=[{"point": [10.2, 10.0, 9.9], "vector": [0.0, 3.0, -1.0],
+                 "t_start": 0.01, "t_end": 0.15},
+                {"point": [9.7, 10.4, 10.1], "vector": [2.0, 0.0, 1.0],
+                 "t_start": 0.02}]))
+    table = _table(cfg)
+    alg = pga3d()
+    inertia = inertia_assemble([Particle.at(alg, b["mass"], b["position"])
+                                for b in cfg.bodies])
+    state = MotionState(normalize_rotor(even_mv(alg, cfg.rotor0)), inertia.apply(
+        VelocityState(np.array(cfg.omega_body), BODY)))
+    schedule = ForceSchedule(
+        [biv_coeffs(force_line(alg, f.point, f.vector)) for f in cfg.forces],
+        [f.t_start for f in cfg.forces], [f.t_end for f in cfg.forces])
+    times, states = (np.concatenate(part) for part in zip(*integrate(
+        state, inertia, cfg.dt, cfg.steps, force=schedule)))
+    assert np.array_equal(table[:, 0], times)
+    for got, want in ((table[:, 1:15], states),
+                      (table[:, 15], dynamics._momentum_energy(inertia, states[:, 8:]))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_simulate_runs_a_body_far_from_the_origin():
+    # the condition check sees the principal form, whose cond does not grow
+    # with the body's distance from the origin: at 1000 the form assembled
+    # in the scene's frame has cond > 1e12, which the check refuses
+    cfg = parse_scene(scene_dict(bodies=_offset_bodies(1e3)))
+    with pytest.raises(dynamics.SingularInertiaError):
+        inertia_assemble([Particle.at(pga3d(), b["mass"], b["position"])
+                          for b in cfg.bodies])._inverse_operator
+    table = _table(cfg)
+    energy = table[:, 15]
+    assert len(table) == 51 and np.ptp(energy) <= 1e-12 * energy[0]
 
 
 def test_run_simulation_factors_inertia_once(monkeypatch):

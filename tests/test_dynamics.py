@@ -18,7 +18,7 @@ from pgakit import (BODY, SPACE, DegenerateElementError, ForceSchedule,
                     exp_bivector, force_line, frame_convert, ideal_point,
                     inertia_assemble, kinetic_energy,
                     momentum_of_body, normalize, orbit_derivative, pluecker,
-                    point, point_coords, power, principal_decomposition,
+                    pga3d, point, point_coords, power, principal_decomposition,
                     resultant, sandwich, space_momentum, work)
 import pgakit.dynamics as dynamics
 from pgakit.dynamics import (force_moment_2d, force_state, force_vector_2d,
@@ -462,17 +462,18 @@ def test_integrate_constant_force_is_an_always_open_window(space_alg, rng):
 
 
 @pytest.mark.parametrize("forced, offset, rel", [(False, 0.0, 1e-12), (True, 0.0, 1e-12),
-                                                (True, 10.0, 2e-8)],
+                                                (True, 10.0, 5e-11)],
                          ids=["free", "windows", "far"])
 def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, forced,
                                                               offset, rel):
     # 2000 steps of the generated step against the Multivector RK4; the
     # windows overlap, and the last one stays open to the end.  The far
     # body sits 10 from the origin on every axis (operator cond 3e5),
-    # where the block solve's coupling terms are large.  There the
-    # reference's dense A^-1 rounds by ~cond * eps, which the run
-    # amplifies: against a long-double RK4 with the exact inverse,
-    # integrate is within 6e-11 and a step on the dense A^-1 within 1e-8
+    # where the block solve's coupling terms are large and the run
+    # amplifies a solve's rounding: against a long-double RK4 with the
+    # exact inverse, integrate is within 6e-11.  The reference refines
+    # its solve, and the two agree to 3.8e-11; the dense A^-1 alone, whose
+    # rounding is ~cond * eps, would put the reference 1e-8 away
     a = inertia_assemble(four_point_body(space_alg, offset))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
@@ -551,12 +552,15 @@ def test_integrate_takes_only_a_rigid_body_inertia_form(space_alg, rng):
 
 def test_the_step_is_compiled_on_first_use_and_once():
     # a fresh interpreter: importing the CLI generates no step code, and a
-    # second body binds its own operator to the step compiled for the first
+    # second body binds its own operator to the step compiled for the
+    # first; a diagonal form compiles its own step once, which a scene, run
+    # in its body's principal frame, then uses
     code = textwrap.dedent("""
         import numpy as np
         import pgakit.cli
-        from pgakit import (BODY, MomentumState, MotionState, Particle, dynamics,
-                            inertia_assemble, pga3d)
+        from pgakit import (BODY, InertiaTensor, MomentumState, MotionState,
+                            Particle, dynamics, inertia_assemble, pga3d)
+        from pgakit.scene import parse_scene, run_simulation
         alg = pga3d()
         assert dynamics._rk4_factory.cache_info().currsize == 0
         calls = []
@@ -566,20 +570,46 @@ def test_the_step_is_compiled_on_first_use_and_once():
             return compile(*args, **kwargs)
         dynamics.compile = counted
         rows = []
+        state = MotionState(alg.scalar(1.0), MomentumState(np.ones(6), BODY))
         for far in (1.0, 3.0):
             corners = [(0, 0, 0), (far, 0, 0), (0, 1, 0), (0, 0, 1)]
             body = [Particle.at(alg, 1.0, x) for x in corners]
-            state = MotionState(alg.scalar(1.0), MomentumState(np.ones(6), BODY))
             rows.append(next(dynamics.integrate(state, inertia_assemble(body),
                                                 1e-2, 3))[1])
         assert len(calls) == 1, calls
         assert dynamics._rk4_factory.cache_info().currsize == 1
         assert not np.array_equal(rows[0], rows[1])
+        for moments in ([3.0, 2.0, 1.0], [5.0, 4.0, 0.5]):
+            diagonal = InertiaTensor(np.diag([2.0] * 3 + moments))
+            next(dynamics.integrate(state, diagonal, 1e-2, 3))
+        cfg = parse_scene({"bodies": [{"mass": 1.0, "position": x} for x in
+                                      ([3, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])],
+                           "initial": {"omega_body": [0.1] * 6},
+                           "integrator": {"dt": 1e-2, "steps": 3}})
+        list(run_simulation(cfg)[1])
+        assert len(calls) == 2, calls
+        assert dynamics._rk4_factory.cache_info().currsize == 2
     """)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def _solve_products(pattern):
+    """The multiplies of the first stage's Omega solve in the generated code."""
+    src = dynamics._rk4_source(pga3d(), pattern)
+    solve = src[src.index("force2 = force1"):src.index("k1_0 =")]
+    return solve.split("nxt = edges[i]")[1].count(" * ")
+
+
+def test_the_solve_costs_24_products_and_6_in_the_principal_frame():
+    # the cost that integrate pays per stage for Omega = A^-1 Pi: the block
+    # solve of a general body, and c_k v_k for a body in its principal frame
+    general = (True,) * len(dynamics._BOUND)
+    principal = tuple(c in ("ia", "nc0_0", "nc1_1", "nc2_2") for c in dynamics._BOUND)
+    assert _solve_products(general) == 24
+    assert _solve_products(principal) == 6
 
 
 def test_force_schedule_validates_its_input():

@@ -6,9 +6,7 @@ generated source runs on them as it is, so each identity holds for every
 input, not only for sampled ones.
 """
 
-import inspect
 import textwrap
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -40,11 +38,15 @@ def full(slots, coeffs):
     return arr
 
 
-def step_body(start: str, end: str) -> str:
-    """The generated step's lines from the one starting ``start`` up to the
-    one starting ``end``, dedented."""
-    src = dynamics._rk4_source(ALG)
-    lines = src.split("\n")
+GENERAL = (True,) * len(dynamics._BOUND)
+# a body in its principal frame: no coupling blocks, a diagonal C^-1
+PRINCIPAL = tuple(c in ("ia", "nc0_0", "nc1_1", "nc2_2") for c in dynamics._BOUND)
+
+
+def step_body(start: str, end: str, pattern=GENERAL) -> str:
+    """The lines of the generated loop function's first step from the one
+    starting ``start`` up to the one starting ``end``, dedented."""
+    lines = dynamics._rk4_source(ALG, pattern).split("\n")
     first = next(i for i, x in enumerate(lines) if x.strip().startswith(start))
     last = next(i for i, x in enumerate(lines) if i > first and x.strip().startswith(end))
     return textwrap.dedent("\n".join(lines[first:last]))
@@ -53,9 +55,9 @@ def step_body(start: str, end: str) -> str:
 def first_slope(g, pi, force):
     """The slope of the generated step's first stage at ``(g, Pi)``, with
     the factory's inertia blocks left as symbols."""
-    scope = {"y": (*g, *pi), "t": 0, "h": 1, "edges": [], "totals": [force],
-             "bisect_right": bisect_right, **{x: sympy.Symbol(x) for x in BLOCKS}}
-    exec(step_body("y0, y1", "u0 ="), scope)
+    scope = {**{f"y{i}": x for i, x in enumerate((*g, *pi))}, "force1": force,
+             **{x: sympy.Symbol(x) for x in dynamics._BOUND}}
+    exec(step_body("r0 =", "u0 ="), scope)
     return [scope[f"k1_{i}"] for i in range(NE + NB)]
 
 
@@ -63,14 +65,22 @@ G = sympy.symbols(f"g:{NE}")
 PI = sympy.symbols(f"p:{NB}")
 F = sympy.symbols(f"f:{NB}")
 W = sympy.symbols(f"w:{NB}")
-BLOCKS = list(inspect.signature(dynamics._rk4_factory(ALG)).parameters)
+
+
+def _solve(pattern, bound):
+    """Omega from the generated solve of ``pattern`` at ``Pi = PI``, with
+    the constants of ``bound``."""
+    scope = {**bound, **{f"y{NE + i}": p for i, p in enumerate(PI)}}
+    start = "r0 =" if pattern == GENERAL else "w3 ="
+    exec(step_body(start, "k1_0 =", pattern), scope)
+    return np.array([scope[f"w{i}"] for i in range(NB)], dtype=object)
 
 
 def test_the_block_solve_inverts_the_inertia_form():
     # a stage's Omega from the blocks of the form [[a 1, X], [Y, D]] that
     # inertia_assemble writes for a mass M, first moment c and symmetric
     # second moment S solves form Omega = -rev(Pi), that is A Omega = Pi;
-    # C^-1, which integrate reads off A^-1, inverts D - Y X / a
+    # -C^-1, which integrate reads off A^-1, inverts -(D - Y X / a)
     m = sympy.Symbol("M", positive=True)
     c = np.array(sympy.symbols("c:3"), dtype=object)
     s = np.array(sympy.Matrix(3, 3, lambda i, j: sympy.Symbol(f"s{min(i, j)}{max(i, j)}")))
@@ -79,16 +89,32 @@ def test_the_block_solve_inverts_the_inertia_form():
     # C^-1 as its adjugate over a symbol for its determinant, put in last
     schur, det = sympy.Matrix(d - y @ x / a), sympy.Symbol("det")
     c_inv = schur.adjugate() / det
-    scope = {"ia": -1 / a, **{f"y{NE + i}": p for i, p in enumerate(PI)},
-             **{f"ci{i}_{j}": c_inv[i, j] for i in range(3) for j in range(3)}}
-    for i, j in zip(*np.nonzero(dynamics._COUPLING)):
-        scope |= {f"xa{i}_{j}": -x[i, j] / a, f"ya{i}_{j}": y[i, j] / a}
-    assert sorted(BLOCKS) == sorted(set(scope) - {f"y{NE + i}" for i in range(NB)})
-    exec(step_body("s0 =", "k1_0 ="), scope)
-    omega = np.array([scope[f"w{i}"] for i in range(NB)], dtype=object)
+    bound = {"ia": -1 / a, **{f"nc{i}_{j}": -c_inv[i, j] for i in range(3) for j in range(3)}}
+    for i, j in dynamics._COUPLED:
+        bound |= {f"xa{i}_{j}": -x[i, j] / a, f"ya{i}_{j}": y[i, j] / a}
+    assert sorted(bound) == sorted(dynamics._BOUND)
+    omega = _solve(GENERAL, bound)
     form = np.block([[a * np.eye(3, dtype=int), x], [y, d]])
     residual = (form @ omega + np.array(PI[::-1], dtype=object)) * det
     assert exact(sympy.expand(r).subs(det, schur.det()) for r in residual) == [0] * NB
+
+
+def test_the_principal_solve_is_six_products():
+    # a diagonal form diag(a, a, a, d0, d1, d2): the constants integrate
+    # binds, read off the exact inverse of its operator as integrate reads
+    # them off A^-1, are zero off the principal pattern, and its six
+    # products w_k = c_k v_k solve A Omega = Pi
+    a, *d = sympy.symbols("a d:3", positive=True)
+    form = sympy.diag(a, a, a, *d)
+    inv = np.array((-form[::-1, :]).inv())
+    coupling = np.array(dynamics._COUPLING)
+    values = [-1 / a, *(-np.array(form[:3, 3:])[coupling] / a),
+              *(np.array(form[3:, :3])[coupling] / a), *inv[3:, 2::-1].ravel()]
+    bound = dict(zip(dynamics._BOUND, values))
+    assert tuple(v != 0 for v in values) == PRINCIPAL
+    omega = _solve(PRINCIPAL, bound)
+    residual = np.array(form) @ omega + np.array(PI[::-1], dtype=object)
+    assert exact(residual) == [0] * NB
 
 
 def test_the_emitted_force_is_the_sandwich_of_the_reversed_rotor():
@@ -123,13 +149,15 @@ def _normalize_rotor(ge):
 
 
 def _renormalize_step(ge):
-    # the generated step's renormalization, run as it is
-    names = ", ".join(f"n{i}" for i in range(NE + NB))
-    code = f"def tail({names}):\n" + textwrap.indent(
-        step_body("z0 =", "return step"), "    ")
-    scope = {"_rotor_scale": lambda a, b: (b / (2 * a), sympy.sqrt(a))}
+    # the generated step's renormalization, run as it is but for the
+    # check that only raises (a comparison sympy cannot decide)
+    names = ", ".join(f"n{i}" for i in range(NE))
+    lines = step_body("z0 =", "if not (0.0 < z0") + "\n" + step_body("zq =", "t = t4")
+    rotor = ", ".join(f"y{i}" for i in range(NE))
+    code = f"def tail({names}):\n" + textwrap.indent(f"{lines}\nreturn {rotor}", "    ")
+    scope = {"sqrt": sympy.sqrt}
     exec(code, scope)
-    return np.array(scope["tail"](*ge, *[0] * NB)[:NE], dtype=object)
+    return np.array(scope["tail"](*ge), dtype=object)
 
 
 @pytest.mark.parametrize("route", [_normalize_rotor, _renormalize_step],
