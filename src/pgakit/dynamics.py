@@ -17,20 +17,17 @@ Conventions kept throughout (factor 2 included):
 
 :func:`integrate` is the one RK4 loop: it runs any number of steps and
 yields the recorded states in ``(rows, 14)`` blocks of :data:`_BLOCK_ROWS`;
-:func:`euler_step` is that loop over one step.  A block's steps are one
+:func:`euler_step` is that loop over one step.  Every body is stepped
+in its principal frame (origin at the centroid, axes along the
+principal moments), where its inertia form is diagonal and each stage
+solves ``Omega = A^-1(Pi)`` in six multiplies.  A block's steps are one
 call of straight-line Python on 14 floats held in locals, generated on
 first use by one emitter, :func:`_product`, from the nonzeros of the
 even product table (:attr:`Algebra.even_tables`), and compiled once per
-algebra and zero pattern of the inertia blocks (about 3 ms each).  Each
-body binds the blocks of its inertia form, which is inverted and
-condition-checked once per tensor, and each stage solves ``Omega =
-A^-1(Pi)`` by those blocks: 24 multiplies for a general form, 6 for a
-diagonal one, as a body has in its principal frame, where
-:func:`~pgakit.scene.run_simulation` integrates it.  A step covers the
-four stages, the force term, the momentum check and the closed-form
-rotor renormalization.  On a shared 2-vCPU Xeon it costs 4.5 us
-force-free and 7.6 us with a force line open for a 4-point body in its
-principal frame, 5.4 and 8.5 us on a general form.
+algebra (about 3 ms).  A step covers the four stages, the force term,
+the momentum check and the closed-form rotor renormalization.  On a
+shared 2-vCPU Xeon it costs 4.5 us force-free and 7.6 us with a force
+line open for a 4-point body.
 Its one force input is a :class:`ForceSchedule`, space-frame force
 lines over time windows: at every stage the sum of the open lines
 reaches the body frame as ``(~g F) g``.  A rotor or momentum that stops
@@ -48,19 +45,20 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .algebra import Algebra, Multivector
+from .algebra import Algebra, Multivector, pga3d
 from .duality import join
 from .metric import (DegenerateElementError, _require_pga, biv_coeffs, biv_mv,
                      even_mv, ideal_norm, ideal_point, pluecker, point, pseudo_part)
 # sandwich is not called here; the benchmark's tracing tests use dynamics.sandwich
 from .versors import (NumericError, _even_coeffs, _rotor_scale, sandwich,  # noqa: F401
-                      sandwich_matrix)
+                      normalize_rotor, sandwich_matrix, translator)
 
 BODY = "body"
 SPACE = "space"
@@ -246,13 +244,21 @@ class InertiaTensor:
 
     ``form[i, j]`` is the energy pairing of basis bivectors i and j;
     applying the tensor maps a velocity state to the momentum state
-    with ``energy(Omega) = form(Omega, Omega) = -<Omega ^ Pi>``.
+    with ``energy(Omega) = form(Omega, Omega) = -<Omega ^ Pi>``.  Every
+    method works in the body's principal frame, built once from its mass,
+    centroid and second moment about the centroid, which
+    :func:`inertia_assemble` takes from the particles.  A bare ``form``
+    gives them from its blocks, subtracting the parallel-axis term (a far
+    body keeps fewer digits of its moments), and raises ``ValueError``
+    there if they are not a rigid body's, or if it is not 6 x 6.
     """
 
     form: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.form, dtype=float)    # a copy, as for the states
+        if arr.shape != (6, 6):
+            raise ValueError(f"an inertia form is 6 x 6, not {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "form", arr)
 
@@ -261,30 +267,72 @@ class InertiaTensor:
         """Matrix of Omega -> Pi over the bivector basis: ``-form`` with
         its rows reversed, as the Pluecker pairing reverses coordinates."""
         op = -self.form[::-1]
-        op.flags.writeable = False    # cached: a caller must not alter apply
+        op.flags.writeable = False    # cached: a caller must not alter it
         return op
 
     def apply(self, omega: VelocityState) -> MomentumState:
-        return MomentumState(self.operator @ _body_coeffs(omega), BODY)
+        # rev(Pi)_k = -d_k Omega_k: no solve, so a singular tensor applies
+        frame = self._frame
+        w = frame.to_principal @ _body_coeffs(omega)
+        return MomentumState(frame.to_body @ -(frame.diagonal * w)[::-1], BODY)
 
     def inverse_apply(self, pi: MomentumState) -> VelocityState:
-        return VelocityState(self._inverse_operator @ _body_coeffs(pi), BODY)
+        frame = self._frame
+        v = (frame.to_principal @ _body_coeffs(pi))[::-1]
+        return VelocityState(frame.to_body @ (v * self._inverse), BODY)
 
     @cached_property
-    def _inverse_operator(self) -> np.ndarray:
-        # the form is frozen, so one condition check and one inverse serve
-        # every later call; a singular tensor raises on every call
-        op = self.operator
-        _require_finite_inertia(op)
-        if np.linalg.cond(op) > _COND_LIMIT:
-            raise SingularInertiaError(
-                "degenerate mass distribution (collinear points?); "
-                "refusing to pseudo-invert")
-        return np.linalg.inv(op)
+    def _axes(self) -> PrincipalAxes:
+        # off the blocks, unless inertia_assemble has put the particles' here
+        form = self.form
+        _require_finite_inertia(form)
+        mass, c = form[0, 0] / 2.0, form[[1, 2, 0], [3, 5, 4]] / 2.0
+        s = form[:2:-1, :2:-1] / 2.0
+        if (_form(mass, c, s) != form).any():
+            raise ValueError("not a rigid body's inertia form: the frame needs the "
+                             "blocks 2M 1, -2 [c]x and its transpose, and 2S")
+        return _principal_axes(mass, c, lambda at: s + mass * (np.outer(at, at)
+                                                               - at @ at * np.eye(3)))
+
+    @cached_property
+    def _frame(self) -> _PrincipalFrame:
+        """Motor ``translator(center) R``, with ``R = w - x e23 - y e31 - z
+        e12`` the quaternion of the rotation whose columns are the axes;
+        each axis's free sign makes its diagonal entry non-negative, one
+        flipped back if that reflects, so the trace is at least 0 and ``w``
+        at least 1/2.  The diagonal is exact: ``2M`` three times, then the
+        moments reversed."""
+        body = self._axes
+        axes = body.axes * np.where(np.diagonal(body.axes) < 0.0, -1.0, 1.0)[:, None]
+        if axes[0] @ np.cross(axes[1], axes[2]) < 0.0:
+            axes[np.argmin(np.abs(np.diagonal(axes)))] *= -1.0
+        r = axes.T
+        w = math.sqrt(1.0 + np.trace(r)) / 2.0
+        x, y, z = (r[[2, 0, 1], [1, 2, 0]] - r[[1, 2, 0], [2, 0, 1]]) / (4.0 * w)
+        alg = pga3d()
+        rotation = alg.multivector({"1": w, "e23": -x, "e31": -y, "e12": -z})
+        m = normalize_rotor(translator(alg, body.center) * rotation)
+        diagonal = np.array([2.0 * body.mass] * 3 + body.moments[::-1].tolist())
+        return _PrincipalFrame(m, diagonal, sandwich_matrix(~m, 2), sandwich_matrix(m, 2))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        # Omega_k = inverse_k rev(Pi)_k; the condition is checked once, and a
+        # singular tensor raises at every call
+        diagonal = self._frame.diagonal
+        if np.linalg.cond(np.diag(diagonal)) > _COND_LIMIT:
+            raise SingularInertiaError("degenerate mass distribution (collinear "
+                                       "points?); refusing to pseudo-invert")
+        return -1.0 / diagonal
 
     def energy(self, omega: VelocityState) -> float:
-        w = _body_coeffs(omega)
-        return float(w @ self.form @ w)
+        w = self._frame.to_principal @ _body_coeffs(omega)
+        return float(w @ (self._frame.diagonal * w))
+
+
+# a body's principal frame: the motor m from principal to body coordinates,
+# the form's diagonal there, and the sandwiches ~m X m (in) and m X ~m (out)
+_PrincipalFrame = namedtuple("_PrincipalFrame", "motor diagonal to_principal to_body")
 
 
 def _require_finite_inertia(*arrays):
@@ -314,6 +362,27 @@ def _mass_moments(particles, origin=0.0):
     return float(masses.sum()), mx.sum(axis=0), s
 
 
+def _principal_axes(mass, c, moment_about) -> PrincipalAxes:
+    """Centroid ``c / M``, axes and descending moments of twice the second
+    moment ``moment_about(centroid)``.  A massless body has no centroid
+    unless ``c`` is 0 too, as the empty body's is: the origin serves."""
+    if mass == 0.0 and c.any():
+        raise SingularInertiaError("zero total mass: the masses sum to 0, so "
+                                   "the body has no centroid")
+    center = c / mass if mass else c
+    s2 = 2.0 * moment_about(center)
+    _require_finite_inertia(mass, center, s2)
+    vals, vecs = np.linalg.eigh(s2)
+    order = np.argsort(vals)[::-1]
+    return PrincipalAxes(center, vecs[:, order].T, vals[order], mass)
+
+
+def _form(mass, c, s) -> np.ndarray:
+    """The form of mass ``M``, moments ``c`` and ``S``; see :func:`inertia_assemble`."""
+    cross = 2.0 * np.cross(c, np.eye(3))[:, ::-1]          # -2 [c]x reversed
+    return np.block([[2.0 * mass * np.eye(3), cross], [cross.T, 2.0 * s[::-1, ::-1]]])
+
+
 def inertia_assemble(particles) -> InertiaTensor:
     """Sum of the particle forms; encodes the body's shape once and for all.
 
@@ -321,13 +390,17 @@ def inertia_assemble(particles) -> InertiaTensor:
     ``2 M 1`` and ``2 S`` reversed on both axes on the diagonal, and
     ``-2 [c]x`` (the matrix of ``v -> c x v``) with its columns reversed
     above it, from :func:`_mass_moments`.  :func:`momentum_of_body` is
-    its per-particle oracle.  An empty body gives the zero tensor
-    (applying it is fine, inverting it reports the singularity).
+    its per-particle oracle.  Its frame takes the moment about the
+    centroid (see :func:`principal_decomposition`).  The empty body gives
+    the zero tensor, which applies but raises :class:`SingularInertiaError`
+    when inverted; other bodies whose masses sum to 0 raise it here.
     """
-    mass, c, s = _mass_moments(list(particles))
-    cross = 2.0 * np.cross(c, np.eye(3))[:, ::-1]          # -2 [c]x reversed
-    return InertiaTensor(np.block([[2.0 * mass * np.eye(3), cross],
-                                   [cross.T, 2.0 * s[::-1, ::-1]]]))
+    particles = list(particles)
+    mass, c, s = _mass_moments(particles)
+    tensor = InertiaTensor(_form(mass, c, s))
+    object.__setattr__(tensor, "_axes", _principal_axes(
+        mass, c, lambda at: _mass_moments(particles, at)[2]))
+    return tensor
 
 
 def momentum_of_body(particles, omega: VelocityState) -> MomentumState:
@@ -358,19 +431,14 @@ def principal_decomposition(particles) -> PrincipalAxes:
 
     The centred form's rotational block, in x, y, z order, is ``2 S``
     with ``S`` taken about the centroid, not reduced by the parallel-axis
-    term, which would cancel for a body far from the origin.  A mass or
-    moment that overflows raises :class:`SingularInertiaError`.
+    term, which would cancel for a body far from the origin.  Masses that
+    sum to 0 but leave a first moment, or a mass or moment that
+    overflows, raise :class:`SingularInertiaError`.
     """
     particles = list(particles)
     if not particles:
         raise ValueError("an empty body has no principal axes")
-    mass, c, _ = _mass_moments(particles)
-    center = c / mass
-    s2 = 2.0 * _mass_moments(particles, center)[2]
-    _require_finite_inertia(mass, center, s2)
-    vals, vecs = np.linalg.eigh(s2)
-    order = np.argsort(vals)[::-1]
-    return PrincipalAxes(center, vecs[:, order].T, vals[order], mass)
+    return inertia_assemble(particles)._axes
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +468,25 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     many: the recorded times and a ``(rows, 14)`` array of states, each
     row the even rotor coefficients (basis order) then the body momentum.
     Rows are taken at steps 0, stride, 2*stride, ..., so there are
-    ``steps // stride + 1`` of them and row 0 is ``state`` itself.
+    ``steps // stride + 1`` of them and row 0 is ``state``.
     ``force`` is a :class:`ForceSchedule`; the open windows at each stage
     time select the sum of their lines, which reaches the body frame as
     ``(~g F) g``.  None runs the empty schedule.  Any other ``force``
-    raises :class:`TypeError`.  The steps of a block run in one call of
-    straight-line code on floats, every product in it written by one
-    emitter from the nonzeros of an even table (see :func:`_rk4_source`):
-    the four stages, the force term, the momentum check and the
-    closed-form rotor renormalization; no numpy call, :class:`Multivector`
-    or state object is made per step.  Raises
+    raises :class:`TypeError`.  The body is stepped in its principal
+    frame, with motor ``m``: the rotor's bivector slots, the momentum and
+    the lines move in once by ``X -> ~m X m``, and each recorded row's
+    move back by ``X -> m X ~m``.  A rest state stays bit for bit; row 0
+    and :func:`euler_step`'s steps, which move in and out at every call,
+    agree with ``state`` and the rows to rounding.  The steps of a block
+    run in one call of straight-line code on floats, every product in it
+    written by one emitter from the nonzeros of an even table (see
+    :func:`_rk4_source`): the four stages, the force term, the momentum
+    check and the closed-form rotor renormalization; no numpy call,
+    :class:`Multivector` or state object is made per step.  Raises
     :class:`~pgakit.versors.NumericError` when ``dt`` is not finite, a
-    rotor cannot be normalized or a momentum is not finite, and
-    ``ValueError`` for an inertia form whose blocks are not those
+    rotor cannot be normalized or a momentum is not finite,
+    :class:`SingularInertiaError` for a degenerate body, and
+    ``ValueError`` for a bare inertia form whose blocks are not those
     :func:`inertia_assemble` writes for a rigid body.  Arguments,
     inertia and step are checked and made at the call, a block's steps
     (the unrecorded ones after the last row too) when it is asked for.
@@ -430,18 +504,9 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
         raise TypeError("force must be a ForceSchedule or None, not "
                         f"{type(force).__name__}")
     alg = state.g.algebra
-    inv = inertia._inverse_operator                     # raises if singular
-    form = inertia.form
-    a, x, y = float(form[0, 0]), form[:3, 3:], form[3:, :3]
-    if ((form[:3, :3] != a * np.eye(3)).any() or x[~_COUPLING].any()
-            or y[~_COUPLING].any()):
-        raise ValueError("not a rigid body's inertia form: the step needs a mass "
-                         "block a multiple of 1 and coupling blocks zero on "
-                         "their antidiagonals")
-    # -C^-1 is the bottom-right block of A^-1 J = -form^-1, J reversing rows
-    bound = [-1.0 / a, *(-x[_COUPLING] / a).tolist(), *(y[_COUPLING] / a).tolist(),
-             *inv[3:, 2::-1].ravel().tolist()]
-    run = _rk4_factory(alg, tuple(c != 0.0 for c in bound))(*bound)
+    frame, inverse = inertia._frame, inertia._inverse   # raises if singular
+    run = _rk4_factory(alg)(*inverse[2:].tolist())      # -1/(2M), then c_k
+    lines = force.lines @ frame.to_principal.T
 
     # the set of open windows changes only at an edge, so the sum of the
     # open lines is tabulated once per interval between edges; row i is
@@ -450,16 +515,20 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     # stage time t with bisect_right(edges, t) == i, and None where no
     # line acts
     edges = sorted({*force.t_start.tolist(), *force.t_end.tolist()})
-    sums = [((force.t_start <= at) & (at < force.t_end)) @ force.lines
+    sums = [((force.t_start <= at) & (at < force.t_end)) @ lines
             for at in [-np.inf, *edges]]
     totals = [tuple((0.5 * total).tolist()) if total.any() else None for total in sums]
 
-    # y = (g, Pi): the even rotor coefficients, then the body momentum
-    y = (*state.g.coeffs[alg.even_indices].tolist(), *state.pi_body.coeffs.tolist())
-    return _blocks(run, y, float(state.t), float(dt), steps, stride, edges, totals)
+    # y = (g, Pi), the rotor's bivector slots and the momentum moved in
+    biv = np.flatnonzero(alg.grades[alg.even_indices] == 2)
+    ge = state.g.coeffs[alg.even_indices]
+    ge[biv] = frame.to_principal @ ge[biv]
+    y = (*ge.tolist(), *(frame.to_principal @ state.pi_body.coeffs).tolist())
+    back = (frame.to_body, 1 + np.array([*biv, *range(len(ge), len(ge) + 6)]))
+    return _blocks(run, y, float(state.t), float(dt), steps, stride, edges, totals, back)
 
 
-def _blocks(run, y, t, h, steps, stride, edges, totals):
+def _blocks(run, y, t, h, steps, stride, edges, totals, back):
     """The blocks of :func:`integrate`; the last one follows every step.
 
     Each call of ``run`` fills the block and records the row after it, so
@@ -471,27 +540,32 @@ def _blocks(run, y, t, h, steps, stride, edges, totals):
         y, t = run(y, t, h, n, stride, edges, totals, rows)
         left -= n
         if len(rows) > size:
-            yield _block(rows[:size])
+            yield _block(rows[:size], *back)
             del rows[:size]
         if not left:
-            yield _block(rows)
+            yield _block(rows, *back)
             return
 
 
-def _block(rows):
-    """The times and states of recorded ``(t, *y)`` rows."""
+def _block(rows, to_body, columns):
+    """The times and states of recorded ``(t, *y)`` rows, ``columns`` (the
+    rotor's bivector slots, the momentum) moved back by ``to_body``,
+    elementwise in a fixed order so that no row depends on the block."""
     table = np.array(rows)
+    x = table[:, columns].reshape(-1, 6).T        # x[j, n]: slot j of bivector n
+    terms = to_body.T[:, :, None] * x[:, None]    # terms[j, i, n] = to_body[i, j] x[j, n]
+    table[:, columns] = reduce(np.add, terms).T.reshape(-1, 12)   # left to right
     return table[:, 0], table[:, 1:]
 
 
 @cache
-def _rk4_factory(alg: Algebra, pattern: tuple):
+def _rk4_factory(alg: Algebra):
     """The compiled ``factory`` of :func:`_rk4_source`: made once per
-    algebra and zero pattern of the bound constants on first use, never
-    at import; each body binds its own inertia blocks to it."""
+    algebra on first use, never at import; each body binds its own
+    principal inertia to it."""
     scope = {"bisect_right": bisect_right, "NumericError": NumericError,
              "_rotor_scale": _rotor_scale, "sqrt": math.sqrt, "inf": math.inf}
-    exec(compile(_rk4_source(alg, pattern), "<generated rk4 run>", "exec"), scope)
+    exec(compile(_rk4_source(alg), "<generated rk4 run>", "exec"), scope)
     return scope["factory"]
 
 
@@ -515,34 +589,21 @@ def _product(table: np.ndarray, a: list, b: list) -> list:
             for m in range(table.shape[2])]
 
 
-# where a coupling block of a rigid body's inertia form, ``-2 [c]x`` with
-# its columns reversed or its transpose, may be nonzero: off the antidiagonal
-_COUPLING = ~np.eye(3, dtype=bool)[::-1]
-_COUPLED = list(zip(*np.nonzero(_COUPLING)))
 # the names of the constants integrate binds to the generated code, in order
-_BOUND = ("ia", *(f"xa{i}_{j}" for i, j in _COUPLED),
-          *(f"ya{i}_{j}" for i, j in _COUPLED),
-          *(f"nc{i}_{j}" for i in range(3) for j in range(3)))
+_BOUND = ("ia", "c0", "c1", "c2")
 
 
-def _rk4_source(alg: Algebra, pattern: tuple) -> str:
-    """Source of ``factory(ia, xa0_0, ..., ya0_0, ..., nc0_0, ..., nc2_2)``,
-    whose ``run(y, t, h, steps, stride, edges, totals, rows)`` takes
-    ``steps`` RK4 steps of :func:`integrate` from the tuple of floats
-    ``y`` at time ``t``, appends ``(t, *y)`` to ``rows`` after every
-    ``stride``-th, and returns the last ``(y, t)``.
+def _rk4_source(alg: Algebra) -> str:
+    """Source of ``factory(ia, c0, c1, c2)``, whose ``run(y, t, h, steps,
+    stride, edges, totals, rows)`` takes ``steps`` RK4 steps of
+    :func:`integrate` from the tuple of floats ``y`` at time ``t``,
+    appends ``(t, *y)`` to ``rows`` after every ``stride``-th, and
+    returns the last ``(y, t)``.
 
-    ``Omega = A^-1 Pi`` is solved by the blocks of the inertia form
-    ``[[a 1, X], [Y, D]]`` on ``(e01, e02, e03 | e12, e31, e23)``: with
-    ``v`` the reversed ``Pi``, ``Omega_e = -C^-1 (v_2 - Y v_1 / a)`` and
-    ``Omega_i = -(v_1 + X Omega_e) / a``, where ``C^-1`` is the inverse
-    of the Schur complement ``D - Y X / a``.  The factory binds ``ia =
-    -1/a``, ``xa = -X/a`` and ``ya = Y/a`` on :data:`_COUPLING`, and
-    ``nc = -C^-1``; ``pattern`` says which of them (in :data:`_BOUND`
-    order) are nonzero, and the solve drops the others.  A general body
-    solves in 24 multiplies, one in its principal frame (``X = Y = 0``,
-    ``D`` diagonal) in 6, ``Omega_k = c_k v_k``.  The constants are
-    locals of ``run``, bound as its defaults.
+    In the principal frame the form is ``diag(a, a, a, d0, d1, d2)``, so
+    with ``v`` the reversed ``Pi``, ``Omega = A^-1 Pi`` is six multiplies,
+    ``Omega_k = ia v_k`` and ``Omega_{3+k} = c_k v_{3+k}``, for ``ia =
+    -1/a`` and ``c_k = -1/d_k``, locals of ``run`` bound as its defaults.
 
     Every product is written by :func:`_product` from the nonzeros of a
     slice of the even product table: per stage ``g Omega`` and ``Pi x
@@ -571,38 +632,17 @@ def _rk4_source(alg: Algebra, pattern: tuple) -> str:
     commute = 0.5 * (commute - commute.transpose(1, 0, 2))
     euclid = np.array(alg._scalar_ip)[tables.even] != 0.0   # the slots of r
     reverse = product[:, biv] * alg._rev_signs[tables.even][:, None, None]
-    on = dict(zip(_BOUND, map(float, pattern)))
 
     def names(x, stop, start=0):
         return [f"{x}{i}" for i in range(start, stop)]
     w, f, q = names("w", nb), names("f", nb), names("q", ne)
 
-    def bound(c, x):
-        """The term ``c * x`` of a bound constant, 0 where it is zero."""
-        return on[c], f"{c} * {x}"
-
-    def solve(v):
-        """``w = Omega`` from ``v``, the reversed momentum."""
-        lines, r = [], []
-        for i in range(3):
-            ys = _sum(bound(f"ya{i}_{j}", v[j]) for row, j in _COUPLED if row == i)
-            if ys == "0.0":
-                r.append(v[3 + i])
-            else:
-                r.append(f"r{i}")
-                lines.append(f"r{i} = {v[3 + i]} - ({ys})")
-        lines += [f"{w[3 + i]} = " + _sum(bound(f"nc{i}_{j}", r[j]) for j in range(3))
-                  for i in range(3)]
-        lines += [f"{w[i]} = " + _sum([bound("ia", v[i]), *(
-            bound(f"xa{i}_{j}", w[3 + j]) for row, j in _COUPLED if row == i)])
-            for i in range(3)]
-        return lines
-
     def stage(x, k, force):
         """The slope ``k0, k1, ...`` at the state ``x0, x1, ...``."""
-        g, pi = names(x, ne), names(x, n, ne)
-        lines = solve(pi[::-1])
-        slope = _product(product[:, biv], g, w) + _product(commute, pi, w)
+        g, v = names(x, ne), names(x, n, ne)[::-1]        # v: Pi reversed
+        lines = ([f"{w[3 + i]} = c{i} * {v[3 + i]}" for i in range(3)]
+                 + [f"{w[i]} = ia * {v[i]}" for i in range(3)])
+        slope = _product(product[:, biv], g, w) + _product(commute, v[::-1], w)
         lines += [f"{k}{m} = {s}" for m, s in enumerate(slope)]
         lines += [f"if {force} is not None:", f"    {', '.join(f)} = {force}"]
         r = [x for x, e in zip(g, euclid) if e]
@@ -647,7 +687,7 @@ def _rk4_source(alg: Algebra, pattern: tuple) -> str:
              for i, s in enumerate(times_i)]
     body += ["t = t4", "if k % stride == 0:", f"    append((t, {state}))"]
     params = ["y", "t", "h", "steps", "stride", "edges", "totals", "rows",
-              *(f"{c}={c}" for c in _BOUND if on[c])]
+              *(f"{c}={c}" for c in _BOUND)]
     return "\n".join([f"def factory({', '.join(_BOUND)}):",
                       f"    def run({', '.join(params)}):",
                       *("        " + line for line in head),
@@ -661,9 +701,10 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
     """One RK4 step of the motion equations, rotor renormalized at the end.
 
     This is :func:`integrate` over one step, with its one force input:
-    None or a :class:`ForceSchedule` of windowed space-frame lines.
-    Raises :class:`~pgakit.versors.NumericError` when the new rotor
-    cannot be normalized or the new momentum is not finite.
+    None or a :class:`ForceSchedule` of windowed space-frame lines; each
+    call moves the state into the principal frame and back.  Raises
+    :class:`~pgakit.versors.NumericError` when the new rotor cannot be
+    normalized or the new momentum is not finite.
     """
     ((times, states),) = integrate(state, inertia, dt, 1, force=force)
     alg = state.g.algebra
@@ -682,10 +723,10 @@ def _momentum_energy(inertia: InertiaTensor, pi: np.ndarray) -> np.ndarray:
 
     ``form Omega = -rev(Pi)``, with ``rev`` the coordinate reversal of
     the Pluecker pairing, so the energy is ``-Omega . rev(Pi)``: one
-    mat-vec with the cached inverse and one dot per momentum.
+    mat-vec into the principal frame and one dot per momentum.
     """
-    omega = pi @ inertia._inverse_operator.T
-    return -(omega * pi[..., ::-1]).sum(axis=-1)
+    v = (pi @ inertia._frame.to_principal.T)[..., ::-1]
+    return -(v * inertia._inverse * v).sum(axis=-1)
 
 
 def space_momentum(state: MotionState) -> MomentumState:

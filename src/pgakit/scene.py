@@ -22,7 +22,8 @@ body momentum, the kinetic energy and the dehomogenized space-frame
 position of every tracked point.  :func:`run_simulation` hands the
 force lines to :func:`~pgakit.dynamics.integrate` as one
 :class:`~pgakit.dynamics.ForceSchedule` and turns each block of states
-it yields into a block of the float table: its energy and tracked-point
+it yields, stepped in the body's principal frame and moved back to its
+own, into a block of the float table: its energy and tracked-point
 columns are array operations, and it is refused with
 :class:`~pgakit.versors.NumericError` if any value in it is not finite.
 Memory therefore stays that of one block however long the run.
@@ -41,18 +42,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import pga3d
-from .dynamics import (BODY, ForceSchedule, InertiaTensor, MomentumState,
-                       MotionState, Particle, VelocityState, _momentum_energy,
-                       force_line, integrate, principal_decomposition)
+from .dynamics import (BODY, ForceSchedule, MomentumState, MotionState, Particle,
+                       VelocityState, _momentum_energy, force_line, inertia_assemble,
+                       integrate)
 from .metric import biv_coeffs, even_mv, point
 # sandwich is not called here; the benchmark's tracing tests use scene.sandwich
 # as their example of an alias made by ``from .versors import``
 from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
-                      sandwich_matrix, sandwich_matrix_even, translator)
+                      sandwich_matrix_even)
 
 
-# run_simulation integrates every step whatever the stride (1.2-2.4 h at
-# 4.5-8.5 us a step)
+# run_simulation integrates every step whatever the stride (1.2-2.1 h at
+# 4.5-7.6 us a step)
 MAX_STEPS = 10**9
 
 
@@ -200,31 +201,6 @@ def load_scene(path: str) -> SceneConfig:
 # runner
 
 
-def _principal_frame(alg, particles):
-    """The body's principal frame: the motor ``m`` that carries principal
-    coordinates (origin at the centroid, axes along the principal moments)
-    to body coordinates, and the body's inertia there.
-
-    ``m`` is ``translator(center) R``, with ``R = w - x e23 - y e31 - z
-    e12`` from the quaternion of the rotation whose columns are the axes.
-    An axis's sign is free, so each is chosen to make the diagonal of the
-    rotation non-negative, one flipped back where that makes it a
-    reflection; the trace is then at least 0, and ``w`` at least 1/2.
-    The inertia is written exactly: ``2M 1`` and the moments (reversed,
-    as the form's rotational block is) on the diagonal, zero elsewhere.
-    """
-    frame = principal_decomposition(particles)
-    inertia = InertiaTensor(np.diag([2.0 * frame.mass] * 3 + frame.moments[::-1].tolist()))
-    axes = frame.axes * np.where(np.diagonal(frame.axes) < 0.0, -1.0, 1.0)[:, None]
-    if axes[0] @ np.cross(axes[1], axes[2]) < 0.0:
-        axes[np.argmin(np.abs(np.diagonal(axes)))] *= -1.0
-    r = axes.T
-    w = math.sqrt(1.0 + np.trace(r)) / 2.0
-    x, y, z = (r[[2, 0, 1], [1, 2, 0]] - r[[1, 2, 0], [2, 0, 1]]) / (4.0 * w)
-    rotation = alg.multivector({"1": w, "e23": -x, "e31": -y, "e12": -z})
-    return normalize_rotor(translator(alg, frame.center) * rotation), inertia
-
-
 # an overflow surfaces as NumericError or SingularInertiaError, not as
 # warnings, in set-up here and in each block's columns in ``record``
 @np.errstate(over="ignore", invalid="ignore")
@@ -240,49 +216,34 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
     :class:`~pgakit.versors.NumericError` naming the first column and
     time at which a value is not finite.
 
-    The body is integrated in its principal frame (see
-    :func:`_principal_frame`), where its inertia is diagonal and the
-    step's solve for ``Omega`` is six multiplies.  The motion is
-    conjugated by ``m`` once: the rotor, the momentum and every force
-    line move by ``X -> ~m X m``, which leaves the rotor's scalar and
-    ``I`` slots as they are, and each recorded row moves back by ``X ->
-    m X ~m``.  The table is in the scene's body frame as before.
+    The state and energy columns are those of
+    :func:`~pgakit.dynamics.integrate` and
+    :func:`~pgakit.dynamics.body_energy` on the body's assembled inertia.
     """
     if stride < 1:
         raise SceneError("stride must be at least 1")
     if cfg.steps > MAX_STEPS:
         raise SceneError(f"the run has more than {MAX_STEPS} steps")
     alg = pga3d()
-    particles = [Particle.at(alg, b["mass"], b["position"]) for b in cfg.bodies]
-    m, inertia = _principal_frame(alg, particles)
-    to_principal, to_body = sandwich_matrix(~m, 2), sandwich_matrix(m, 2)
-
-    ne = len(alg.even_indices)
-    biv = np.flatnonzero(alg.grades[alg.even_indices] == 2)    # of the rotor
-    ge = normalize_rotor(even_mv(alg, cfg.rotor0)).coeffs[alg.even_indices]
-    ge[biv] = to_principal @ ge[biv]
-
-    if cfg.omega_body is not None:
-        pi = inertia.apply(VelocityState(to_principal @ cfg.omega_body, BODY))
-    else:
-        pi = MomentumState(to_principal @ cfg.pi_body, BODY)
+    inertia = inertia_assemble([Particle.at(alg, b["mass"], b["position"])
+                                for b in cfg.bodies])
+    pi = (MomentumState(cfg.pi_body, BODY) if cfg.omega_body is None
+          else inertia.apply(VelocityState(cfg.omega_body, BODY)))
 
     # trivector coefficients (weight E0, then E1 E2 E3) of the tracked points
     tri = alg.grade_indices[3]
     tracked = np.array([point(alg, *p).coeffs[tri] for p in cfg.outputs]).reshape(-1, 4)
     schedule = None
     if cfg.forces:
-        lines = [biv_coeffs(force_line(alg, f.point, f.vector)) for f in cfg.forces]
         schedule = ForceSchedule(
-            np.array(lines) @ to_principal.T,
+            [biv_coeffs(force_line(alg, f.point, f.vector)) for f in cfg.forces],
             [f.t_start for f in cfg.forces], [f.t_end for f in cfg.forces])
 
     header = (["t"] + [f"g{i}" for i in range(8)] + [f"pi{i}" for i in range(6)]
               + ["energy"])
     for i in range(len(tracked)):
         header += [f"x{i}", f"y{i}", f"z{i}"]
-    # the rotor's bivector columns, then the momentum's, in the table
-    conjugated = 1 + np.array([*biv, *range(ne, ne + 6)])
+    ne = len(alg.even_indices)
 
     @np.errstate(over="ignore", invalid="ignore")
     def record(times, states):
@@ -291,9 +252,6 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         table = np.empty((len(times), len(header)))
         table[:, 0] = times
         table[:, 1:width + 1] = states
-        # back to the body frame row by row, so no row depends on the block
-        table[:, conjugated] = np.einsum(
-            "ij,rkj->rki", to_body, table[:, conjugated].reshape(-1, 2, 6)).reshape(-1, 12)
         table[:, width + 1] = _momentum_energy(inertia, states[:, ne:])
         if len(tracked):
             # one sandwich matrix per row moves every tracked point;
@@ -310,8 +268,8 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         return table
 
     return header, itertools.starmap(record, integrate(
-        MotionState(even_mv(alg, ge), pi), inertia, cfg.dt, cfg.steps, stride,
-        force=schedule))
+        MotionState(normalize_rotor(even_mv(alg, cfg.rotor0)), pi), inertia,
+        cfg.dt, cfg.steps, stride, force=schedule))
 
 
 def write_csv(path: str, header, blocks):

@@ -131,9 +131,9 @@ def reference_rk4(inertia, g, pi, dt, steps, force=None):
     is the space-frame force bivector acting at time t, moved to the
     body frame per stage by the sandwich ``~g F g``.  Each stage solves
     ``A Omega = Pi`` by ``InertiaTensor.inverse_apply`` and one step of
-    iterative refinement, whose residual is exact before its one
-    rounding, so that off the origin the dense ``A^-1``'s rounding
-    (about cond times eps) does not carry into the run.  The rotor is
+    iterative refinement against the assembled ``operator``, whose
+    residual is exact before its one rounding, so that off the origin a
+    solve's rounding does not carry into the run.  The rotor is
     renormalized by ``newton_normalize`` after each step.  Returns the
     ``steps + 1`` states ``(t, g, pi)``."""
     alg = g.algebra

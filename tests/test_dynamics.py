@@ -25,7 +25,7 @@ from pgakit.dynamics import (force_moment_2d, force_state, force_vector_2d,
                              integrate, kinetic_energy_pairing,
                              kinetic_energy_speed)
 from pgakit.metric import biv_coeffs, biv_mv, even_mv, line3d_point_dir
-from pgakit.versors import rotor_constraint
+from pgakit.versors import rotor_constraint, sandwich_matrix
 
 from conftest import assert_rel_close, reference_rk4
 
@@ -112,8 +112,27 @@ def test_single_particle_at_origin_blocks(space_alg):
 def test_empty_body_zero_tensor():
     a = inertia_assemble([])
     assert not a.form.any()
+    assert not a.apply(VelocityState(np.ones(6), BODY)).coeffs.any()
     with pytest.raises(SingularInertiaError):
         a.inverse_apply(MomentumState(np.ones(6), BODY))
+
+
+def test_zero_total_mass_is_named(space_alg):
+    # masses +1, -1, +1, -1 sum to 0 but leave a first moment: there is no
+    # centroid to divide by, and every route to the frame says so without
+    # a divide-by-zero warning
+    body = [Particle(m, p.r, p.rdot) for m, p in zip((1.0, -1.0, 1.0, -1.0),
+                                                      four_point_body(space_alg))]
+    for make in (principal_decomposition, inertia_assemble):
+        with pytest.raises(SingularInertiaError, match="zero total mass"):
+            make(body)
+    # its form as a bare matrix meets the same check where its blocks are read
+    bare = InertiaTensor(dynamics._form(*dynamics._mass_moments(body)))
+    st = MotionState(space_alg.scalar(1.0), MomentumState(np.ones(6), BODY))
+    for solve in (lambda: bare.inverse_apply(st.pi_body), lambda: body_energy(bare, st),
+                  lambda: euler_step(st, bare, 1e-3), lambda: integrate(st, bare, 1e-3, 5)):
+        with pytest.raises(SingularInertiaError, match="zero total mass"):
+            solve()
 
 
 def test_form_is_symmetric_psd(space_alg):
@@ -307,6 +326,11 @@ def test_value_classes_copy_the_callers_array(space_alg):
     w[0], f[0, 0] = 2.0, 3.0                   # still writeable
     assert state.coeffs[0] == 1.0 and inertia.form[0, 0] == 1.0
     assert not (state.coeffs.flags.writeable or inertia.form.flags.writeable)
+    # a form of any other shape is refused up front, not by numpy's matmul
+    # or the generated step later on
+    for shape in ((5, 5), (6, 5), (36,), (1, 6, 6)):
+        with pytest.raises(ValueError, match=re.escape(f"6 x 6, not {shape}")):
+            InertiaTensor(np.ones(shape))
 
 
 def test_motion_state_refuses_an_odd_rotor(space_alg):
@@ -364,7 +388,10 @@ def _trajectory(*args, **kwargs):
 
 def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
     # coarse steps of a brisk tumble: without renormalization RK4 leaves
-    # the rotor manifold by ~1e-6 per step
+    # the rotor manifold by ~1e-6 per step.  Each euler_step moves its
+    # state into the principal frame and back, and integrate does so once
+    # per row, so the rows agree with the steps to rounding (2.3e-13 at
+    # most over five seeds), and row 0 with the state to a few ulps
     a = inertia_assemble(four_point_body(space_alg))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(5.0 * rng.normal(size=6), BODY)), 0.25)
@@ -375,8 +402,9 @@ def test_integrate_records_euler_steps_on_the_rotor_manifold(space_alg, rng):
         z = rotor_constraint(g)
         assert abs(z.re - 1.0) <= 1e-12 and abs(z.du) <= 1e-12
         assert times[row] == st.t
-        assert np.array_equal(states[row], np.concatenate(
-            (st.g.coeffs[space_alg.even_indices], st.pi_body.coeffs)))
+        assert_rel_close(states[row], np.concatenate(
+            (st.g.coeffs[space_alg.even_indices], st.pi_body.coeffs)),
+            1e-15 if row == 0 else 1e-12)
         for _ in range(4):
             st = euler_step(st, a, 0.05)
     for stride in (0, 2.5):
@@ -469,11 +497,10 @@ def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, for
     # 2000 steps of the generated step against the Multivector RK4; the
     # windows overlap, and the last one stays open to the end.  The far
     # body sits 10 from the origin on every axis (operator cond 3e5),
-    # where the block solve's coupling terms are large and the run
-    # amplifies a solve's rounding: against a long-double RK4 with the
-    # exact inverse, integrate is within 6e-11.  The reference refines
-    # its solve, and the two agree to 3.8e-11; the dense A^-1 alone, whose
-    # rounding is ~cond * eps, would put the reference 1e-8 away
+    # where the run amplifies a solve's rounding.  integrate steps in the
+    # principal frame; the reference solves in that frame too and refines
+    # each solve against the assembled operator, and the two agree to
+    # 1.2e-11
     a = inertia_assemble(four_point_body(space_alg, offset))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
@@ -493,6 +520,54 @@ def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, for
         lines, t_start, t_end) if forced else None)
     assert np.array_equal(times, want_times)
     assert_rel_close(got, want, rel)
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0])
+def test_the_principal_frame_carries_the_assembled_form(space_alg, offset):
+    # the motor m to the principal frame moves the diagonal form back onto
+    # the body's assembled one: form = P_f^T diag P_f with P_f the
+    # sandwich by ~m, which P_b, the sandwich by m, undoes; the diagonal
+    # is 2M and the principal moments, written exactly
+    body = four_point_body(space_alg, offset)
+    inertia = inertia_assemble(body)
+    frame, axes = inertia._frame, principal_decomposition(body)
+    assert np.array_equal(frame.diagonal, [2.0 * axes.mass] * 3 + axes.moments[::-1].tolist())
+    assert np.array_equal(frame.to_principal, sandwich_matrix(~frame.motor, 2))
+    assert np.array_equal(frame.to_body, sandwich_matrix(frame.motor, 2))
+    want = inertia.form
+    got = frame.to_principal.T @ np.diag(frame.diagonal) @ frame.to_principal
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(frame.to_body @ frame.to_principal - np.eye(6)).max() <= 1e-14
+
+
+def test_a_body_far_from_the_origin_steps_in_its_principal_frame(space_alg, rng):
+    # 1000 from the origin the assembled operator's cond is 2.6e13, past
+    # the check's 1e12, and the body would be refused in that frame; in
+    # its principal frame its diagonal is the one it has at the origin.
+    # The body spins about a line through its centroid, a top whose
+    # body-frame momentum keeps its digits: one whose centroid moves has
+    # moment coordinates ~1000 times its linear momentum, and rounding
+    # them to float64 alone moves the energy of the rows by ~2e-12
+    body = four_point_body(space_alg, 1e3)
+    far = inertia_assemble(body)
+    near = inertia_assemble(four_point_body(space_alg))
+    assert np.linalg.cond(far.operator) > 1e13
+    np.testing.assert_allclose(far._frame.diagonal, near._frame.diagonal, rtol=1e-13)
+    center = principal_decomposition(body).center
+    om = VelocityState(biv_coeffs(line3d_point_dir(space_alg, center,
+                                                   rng.normal(size=3))), BODY)
+    st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))), far.apply(om))
+    assert_rel_close(far.inverse_apply(st.pi_body).coeffs, om.coeffs, 1e-14)
+    assert far.energy(om) == pytest.approx(body_energy(far, st), rel=1e-14, abs=0.0)
+    _, states = _trajectory(st, far, 1e-3, 2000)
+    energy = [body_energy(far, MotionState(even_mv(space_alg, row[:8]),
+                                           MomentumState(row[8:], BODY)))
+              for row in states]
+    assert np.ptp(energy) <= 1e-12 * energy[0]
+    for _ in range(5):
+        st = euler_step(st, far, 1e-3)
+    assert_rel_close(np.concatenate((st.g.coeffs[space_alg.even_indices],
+                                     st.pi_body.coeffs)), states[5])
 
 
 @pytest.mark.parametrize("steps, stride", [(20, 1), (23, 3), (6, 7)])
@@ -531,35 +606,41 @@ def test_integrate_yields_bounded_blocks_of_one_run(space_alg, rng, monkeypatch,
 
 
 def test_integrate_takes_only_a_rigid_body_inertia_form(space_alg, rng):
-    # the step solves Omega by the blocks of inertia_assemble's form: the
-    # identity form (M = 1/2, c = 0, S = 1/2) is one and integrates
+    # a bare form's frame is read off the blocks inertia_assemble writes:
+    # the identity form (M = 1/2, c = 0, S = 1/2) is one and integrates,
+    # and so is an assembled form passed as a bare matrix
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      MomentumState(rng.normal(size=6), BODY))
-    unit = InertiaTensor(np.eye(6))
-    _, got = _trajectory(st, unit, 1e-2, 20)
-    _, want = _reference_table(reference_rk4(
-        unit, st.g, biv_mv(space_alg, st.pi_body.coeffs), 1e-2, 20))
-    assert_rel_close(got, want)
-    # a mass block that is not a multiple of 1, or a coupling entry where
-    # -2 [c]x (columns reversed) or its transpose has an exact zero
-    form = inertia_assemble(four_point_body(space_alg)).form
-    for at in ((1, 1), (0, 1), (0, 5), (2, 3), (4, 1)):
-        bent = form.copy()
+    assembled = inertia_assemble(four_point_body(space_alg))
+    for inertia in (InertiaTensor(np.eye(6)), InertiaTensor(assembled.form)):
+        _, got = _trajectory(st, inertia, 1e-2, 20)
+        _, want = _reference_table(reference_rk4(
+            inertia, st.g, biv_mv(space_alg, st.pi_body.coeffs), 1e-2, 20))
+        assert_rel_close(got, want)
+    # a mass block that is not a multiple of 1, or a coupling block that is
+    # not -2 [c]x (columns reversed) and its transpose, is refused where the
+    # blocks are read, by any route to the frame
+    for at in ((1, 1), (0, 1), (0, 5), (2, 3), (4, 1), (0, 3), (5, 1)):
+        bent = assembled.form.copy()
         bent[at] += 1e-3
-        with pytest.raises(ValueError, match="not a rigid body's inertia form"):
-            integrate(st, InertiaTensor(bent), 1e-2, 20)
+        bent = InertiaTensor(bent)
+        for solve in (lambda: integrate(st, bent, 1e-2, 20),
+                      lambda: bent.inverse_apply(st.pi_body),
+                      lambda: bent.apply(VelocityState(np.ones(6), BODY))):
+            with pytest.raises(ValueError, match="not a rigid body's inertia form"):
+                solve()
 
 
 def test_the_step_is_compiled_on_first_use_and_once():
-    # a fresh interpreter: importing the CLI generates no step code, and a
-    # second body binds its own operator to the step compiled for the
-    # first; a diagonal form compiles its own step once, which a scene, run
-    # in its body's principal frame, then uses
+    # a fresh interpreter: importing the CLI generates no step code, and
+    # every body, whatever its form, binds its own principal inertia to
+    # the one step compiled for the algebra: two assembled bodies, two
+    # diagonal ones, euler_step and a scene run
     code = textwrap.dedent("""
         import numpy as np
         import pgakit.cli
         from pgakit import (BODY, InertiaTensor, MomentumState, MotionState,
-                            Particle, dynamics, inertia_assemble, pga3d)
+                            Particle, dynamics, euler_step, inertia_assemble, pga3d)
         from pgakit.scene import parse_scene, run_simulation
         alg = pga3d()
         assert dynamics._rk4_factory.cache_info().currsize == 0
@@ -576,19 +657,18 @@ def test_the_step_is_compiled_on_first_use_and_once():
             body = [Particle.at(alg, 1.0, x) for x in corners]
             rows.append(next(dynamics.integrate(state, inertia_assemble(body),
                                                 1e-2, 3))[1])
-        assert len(calls) == 1, calls
-        assert dynamics._rk4_factory.cache_info().currsize == 1
         assert not np.array_equal(rows[0], rows[1])
         for moments in ([3.0, 2.0, 1.0], [5.0, 4.0, 0.5]):
             diagonal = InertiaTensor(np.diag([2.0] * 3 + moments))
             next(dynamics.integrate(state, diagonal, 1e-2, 3))
+            euler_step(state, diagonal, 1e-2)
         cfg = parse_scene({"bodies": [{"mass": 1.0, "position": x} for x in
                                       ([3, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])],
                            "initial": {"omega_body": [0.1] * 6},
                            "integrator": {"dt": 1e-2, "steps": 3}})
         list(run_simulation(cfg)[1])
-        assert len(calls) == 2, calls
-        assert dynamics._rk4_factory.cache_info().currsize == 2
+        assert calls == ["<generated rk4 run>"], calls
+        assert dynamics._rk4_factory.cache_info().currsize == 1
     """)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -596,20 +676,12 @@ def test_the_step_is_compiled_on_first_use_and_once():
     assert run.returncode == 0, run.stderr
 
 
-def _solve_products(pattern):
-    """The multiplies of the first stage's Omega solve in the generated code."""
-    src = dynamics._rk4_source(pga3d(), pattern)
+def test_the_solve_costs_6_products():
+    # the cost that integrate pays per stage for Omega = A^-1 Pi, every
+    # body being in its principal frame: c_k v_k
+    src = dynamics._rk4_source(pga3d())
     solve = src[src.index("force2 = force1"):src.index("k1_0 =")]
-    return solve.split("nxt = edges[i]")[1].count(" * ")
-
-
-def test_the_solve_costs_24_products_and_6_in_the_principal_frame():
-    # the cost that integrate pays per stage for Omega = A^-1 Pi: the block
-    # solve of a general body, and c_k v_k for a body in its principal frame
-    general = (True,) * len(dynamics._BOUND)
-    principal = tuple(c in ("ia", "nc0_0", "nc1_1", "nc2_2") for c in dynamics._BOUND)
-    assert _solve_products(general) == 24
-    assert _solve_products(principal) == 6
+    assert solve.split("nxt = edges[i]")[1].count(" * ") == 6
 
 
 def test_force_schedule_validates_its_input():

@@ -38,15 +38,15 @@ def full(slots, coeffs):
     return arr
 
 
-GENERAL = (True,) * len(dynamics._BOUND)
-# a body in its principal frame: no coupling blocks, a diagonal C^-1
-PRINCIPAL = tuple(c in ("ia", "nc0_0", "nc1_1", "nc2_2") for c in dynamics._BOUND)
+def blade(name):
+    """A basis blade's coefficients as an object array of integers."""
+    return np.array([sympy.Integer(int(c)) for c in ALG.blade(name).coeffs], dtype=object)
 
 
-def step_body(start: str, end: str, pattern=GENERAL) -> str:
+def step_body(start: str, end: str) -> str:
     """The lines of the generated loop function's first step from the one
     starting ``start`` up to the one starting ``end``, dedented."""
-    lines = dynamics._rk4_source(ALG, pattern).split("\n")
+    lines = dynamics._rk4_source(ALG).split("\n")
     first = next(i for i, x in enumerate(lines) if x.strip().startswith(start))
     last = next(i for i, x in enumerate(lines) if i > first and x.strip().startswith(end))
     return textwrap.dedent("\n".join(lines[first:last]))
@@ -54,10 +54,10 @@ def step_body(start: str, end: str, pattern=GENERAL) -> str:
 
 def first_slope(g, pi, force):
     """The slope of the generated step's first stage at ``(g, Pi)``, with
-    the factory's inertia blocks left as symbols."""
+    the factory's principal inertia left as symbols."""
     scope = {**{f"y{i}": x for i, x in enumerate((*g, *pi))}, "force1": force,
              **{x: sympy.Symbol(x) for x in dynamics._BOUND}}
-    exec(step_body("r0 =", "u0 ="), scope)
+    exec(step_body("w3 =", "u0 ="), scope)
     return [scope[f"k1_{i}"] for i in range(NE + NB)]
 
 
@@ -67,54 +67,48 @@ F = sympy.symbols(f"f:{NB}")
 W = sympy.symbols(f"w:{NB}")
 
 
-def _solve(pattern, bound):
-    """Omega from the generated solve of ``pattern`` at ``Pi = PI``, with
-    the constants of ``bound``."""
-    scope = {**bound, **{f"y{NE + i}": p for i, p in enumerate(PI)}}
-    start = "r0 =" if pattern == GENERAL else "w3 ="
-    exec(step_body(start, "k1_0 =", pattern), scope)
-    return np.array([scope[f"w{i}"] for i in range(NB)], dtype=object)
-
-
-def test_the_block_solve_inverts_the_inertia_form():
-    # a stage's Omega from the blocks of the form [[a 1, X], [Y, D]] that
-    # inertia_assemble writes for a mass M, first moment c and symmetric
-    # second moment S solves form Omega = -rev(Pi), that is A Omega = Pi;
-    # -C^-1, which integrate reads off A^-1, inverts -(D - Y X / a)
-    m = sympy.Symbol("M", positive=True)
-    c = np.array(sympy.symbols("c:3"), dtype=object)
-    s = np.array(sympy.Matrix(3, 3, lambda i, j: sympy.Symbol(f"s{min(i, j)}{max(i, j)}")))
-    a, x = 2 * m, 2 * np.cross(c, np.eye(3, dtype=int))[:, ::-1]
-    y, d = x.T, 2 * s[::-1, ::-1]
-    # C^-1 as its adjugate over a symbol for its determinant, put in last
-    schur, det = sympy.Matrix(d - y @ x / a), sympy.Symbol("det")
-    c_inv = schur.adjugate() / det
-    bound = {"ia": -1 / a, **{f"nc{i}_{j}": -c_inv[i, j] for i in range(3) for j in range(3)}}
-    for i, j in dynamics._COUPLED:
-        bound |= {f"xa{i}_{j}": -x[i, j] / a, f"ya{i}_{j}": y[i, j] / a}
-    assert sorted(bound) == sorted(dynamics._BOUND)
-    omega = _solve(GENERAL, bound)
-    form = np.block([[a * np.eye(3, dtype=int), x], [y, d]])
-    residual = (form @ omega + np.array(PI[::-1], dtype=object)) * det
-    assert exact(sympy.expand(r).subs(det, schur.det()) for r in residual) == [0] * NB
-
-
 def test_the_principal_solve_is_six_products():
-    # a diagonal form diag(a, a, a, d0, d1, d2): the constants integrate
-    # binds, read off the exact inverse of its operator as integrate reads
-    # them off A^-1, are zero off the principal pattern, and its six
-    # products w_k = c_k v_k solve A Omega = Pi
+    # a diagonal form diag(a, a, a, d0, d1, d2): with the constants
+    # integrate binds, -1 over the diagonal, the generated solve's six
+    # products w_k = c_k v_k solve A Omega = Pi, that is form Omega =
+    # -rev(Pi)
     a, *d = sympy.symbols("a d:3", positive=True)
-    form = sympy.diag(a, a, a, *d)
-    inv = np.array((-form[::-1, :]).inv())
-    coupling = np.array(dynamics._COUPLING)
-    values = [-1 / a, *(-np.array(form[:3, 3:])[coupling] / a),
-              *(np.array(form[3:, :3])[coupling] / a), *inv[3:, 2::-1].ravel()]
-    bound = dict(zip(dynamics._BOUND, values))
-    assert tuple(v != 0 for v in values) == PRINCIPAL
-    omega = _solve(PRINCIPAL, bound)
-    residual = np.array(form) @ omega + np.array(PI[::-1], dtype=object)
+    bound = {"ia": -1 / a, **{f"c{k}": -1 / d[k] for k in range(3)}}
+    assert sorted(bound) == sorted(dynamics._BOUND)
+    scope = {**bound, **{f"y{NE + i}": p for i, p in enumerate(PI)}}
+    body = step_body("w3 =", "k1_0 =")
+    assert body.count(" * ") == 6
+    exec(body, scope)
+    omega = np.array([scope[f"w{i}"] for i in range(NB)], dtype=object)
+    residual = np.array(sympy.diag(a, a, a, *d)) @ omega + np.array(PI[::-1], dtype=object)
     assert exact(residual) == [0] * NB
+
+
+def test_the_principal_frame_carries_the_diagonal_form_to_the_assembled_one():
+    # the frame's motor m = T R, T translating by the centroid x and R = w
+    # - q1 e23 - q2 e31 - q3 e12 for a unit quaternion, conjugates the
+    # diagonal form diag(2M, 2M, 2M, rev(mu)) to inertia_assemble's blocks:
+    # P^T diag P, P the sandwich X -> ~m X m, has 2M 1, -2 [c]x (columns
+    # reversed) and 2S (reversed) for c = M x and S = S_c + M (|x|^2 1 -
+    # x x^T), where 2 S_c = r diag(mu) r^T and r is R's rotation matrix,
+    # whose columns are the principal axes
+    q1, q2, q3 = sympy.symbols("q1:4", real=True)
+    w = sympy.sqrt(1 - q1**2 - q2**2 - q3**2)
+    x = np.array(sympy.symbols("x:3", real=True), dtype=object)
+    mass, mu = sympy.Symbol("M", positive=True), sympy.symbols("mu:3", positive=True)
+    rotor = w * blade("1") - q1 * blade("e23") - q2 * blade("e31") - q3 * blade("e12")
+    shift = blade("1") - sum(xi / 2 * blade(f"e0{i + 1}") for i, xi in enumerate(x))
+    m = _wrap(ALG, _bilinear(shift, rotor, ALG._gp_flat))
+    units = np.eye(ALG.n_blades, dtype=int).astype(object)
+    p = np.array([sandwich(~m, _wrap(ALG, units[k])).coeffs[BIV] for k in BIV]).T
+    diagonal = np.array([2 * mass] * 3 + list(mu[::-1]), dtype=object)
+    r = np.array([[1 - 2 * (q2**2 + q3**2), 2 * (q1 * q2 - q3 * w), 2 * (q1 * q3 + q2 * w)],
+                  [2 * (q1 * q2 + q3 * w), 1 - 2 * (q1**2 + q3**2), 2 * (q2 * q3 - q1 * w)],
+                  [2 * (q1 * q3 - q2 * w), 2 * (q2 * q3 + q1 * w), 1 - 2 * (q1**2 + q2**2)]])
+    s = r @ np.diag(mu) @ r.T / 2 + mass * ((x @ x) * np.eye(3, dtype=int) - np.outer(x, x))
+    cross = 2 * np.cross(mass * x, np.eye(3, dtype=int))[:, ::-1]
+    want = np.block([[2 * mass * np.eye(3, dtype=int), cross], [cross.T, 2 * s[::-1, ::-1]]])
+    assert exact((p.T @ (diagonal[:, None] * p) - want).ravel()) == [0] * 36
 
 
 def test_the_emitted_force_is_the_sandwich_of_the_reversed_rotor():
