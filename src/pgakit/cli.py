@@ -117,15 +117,15 @@ def _spare_cpu() -> bool:
 
 
 def _received(pipe, size: int, chunk: int):
-    """``size`` bytes read from ``pipe``, ``chunk`` at a time; raises
-    ``EOFError`` if the pipe closes before they are all in."""
+    """``size`` bytes read from ``pipe``, ``chunk`` at a time, each cast to
+    float64; raises ``EOFError`` if the pipe closes before they are all in."""
     while size:
         want = min(size, chunk)
         data = pipe.read(want)
         if len(data) < want:
             raise EOFError("the run stopped before its last row")
         size -= want
-        yield data
+        yield memoryview(data).cast("d")
 
 
 def _write_forked(path: str, header, first, blocks, rows: int) -> None:
@@ -141,7 +141,6 @@ def _write_forked(path: str, header, first, blocks, rows: int) -> None:
     ``rows`` rows, empties the file; the same happens if this process is
     killed, so no writer outlives it.  The writer is reaped on every path.
     """
-    head = first.tobytes()
     read, write = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns that forking a process with more threads
@@ -156,7 +155,7 @@ def _write_forked(path: str, header, first, blocks, rows: int) -> None:
             os.close(write)
             width = 8 * len(header)
             with open(read, "rb") as pipe:
-                write_csv(path, header, itertools.chain([head], _received(
+                write_csv(path, header, itertools.chain([first], _received(
                     pipe, (rows - len(first)) * width, len(first) * width)))
             code = 0
         except OSError as exc:

@@ -275,10 +275,10 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
 def write_csv(path: str, header, blocks):
     """Write the header, then the rows of each block as they come.
 
-    A block is a C-contiguous float64 table, or the raw bytes of one;
-    each value is written as ``f"{v:.17g}"``: 17 significant digits read
-    back exactly.  If ``blocks`` or a write raises, the file is left
-    empty, not holding the rows of a run that failed part-way.
+    A block is a C-contiguous float64 table; each value is written as
+    ``f"{v:.17g}"``: 17 significant digits read back exactly.  If
+    ``blocks`` or a write raises, the file is left empty, not holding
+    the rows of a run that failed part-way.
     """
     width = len(header)
     line = ",".join(["%.17g"] * width) + "\n"
@@ -287,7 +287,7 @@ def write_csv(path: str, header, blocks):
             fh.write(",".join(header) + "\n")
             for block in blocks:
                 view = memoryview(block)
-                if view.format not in ("d", "B"):
+                if view.format != "d":
                     raise TypeError(f"a block holds float64 values, not {view.format!r}")
                 values = view.cast("B").cast("d").tolist() if view.nbytes else []
                 fh.write((line * (len(values) // width)) % tuple(values))

@@ -509,12 +509,15 @@ def _one_call_csv(tmp_path, doc, stride):
     return path.read_text()
 
 
-@pytest.mark.parametrize("steps, stride", [(3 * 1024 + 6, 1), (3 * 2500 + 2, 3)],
-                         ids=["3x1024+7-rows", "stride-3"])
+@pytest.mark.parametrize("steps, stride", [(3 * 1024 + 6, 1), (3 * 2500 + 2, 3),
+                                           (2048, 1), (2048, 2)],
+                         ids=["3x1024+7-rows", "stride-3", "2x1024+1-rows",
+                              "stride-2-1024+1-rows"])
 def test_simulate_streamed_csv_matches_one_integrate_call(tmp_path, capsys, writer,
                                                           steps, stride):
-    # a force window open across the first block boundary, and a stride
-    # that does not divide the block, with steps left over after the last row
+    # a force window open across the first block boundary, a stride that
+    # does not divide the block, with steps left over after the last row,
+    # and last blocks of one row, which no column may round differently
     mode, started = writer
     doc = scene_dict(
         initial={"omega_body": _C8_OMEGA},
@@ -531,6 +534,24 @@ def test_simulate_streamed_csv_matches_one_integrate_call(tmp_path, capsys, writ
     assert out.read_text() == _one_call_csv(tmp_path, doc, stride)
     assert len(started) == (mode == "forked")
     _no_child_left()
+
+
+def test_every_csv_energy_is_the_body_energy_of_its_row(tmp_path, capsys):
+    # 1025 rows, the last a block of its own: the energy column of each
+    # row is, bit for bit, body_energy of the state that row records
+    doc = scene_dict(initial={"omega_body": _C8_OMEGA},
+                     integrator={"dt": 1e-3, "steps": 1024})
+    scene, out = tmp_path / "s.json", tmp_path / "t.csv"
+    scene.write_text(json.dumps(doc))
+    rc, _, err = run_cli(capsys, "simulate", str(scene), "--out", str(out))
+    assert (rc, err) == (0, "")
+    values = np.loadtxt(out, delimiter=",", skiprows=1)
+    alg = pga3d()
+    inertia = inertia_assemble([Particle.at(alg, b["mass"], b["position"])
+                                for b in doc["bodies"]])
+    energy = [dynamics.body_energy(inertia, MotionState(
+        even_mv(alg, row[1:9]), MomentumState(row[9:15], BODY))) for row in values]
+    assert len(values) == 1025 and values[:, 15].tolist() == energy
 
 
 @pytest.mark.parametrize("steps, stride", [(1, 1), (50, 1), (1023, 1), (6000, 600)])
@@ -863,8 +884,8 @@ def test_simulate_runs_a_body_far_from_the_origin():
 
 
 def test_run_simulation_factors_inertia_once(monkeypatch):
-    # one eigendecomposition gives the principal frame, one condition check
-    # guards it, and the diagonal form needs no inverse
+    # one eigendecomposition gives the principal frame; the condition of
+    # the diagonal form is a closed form, and it needs no inverse
     calls = {"cond": 0, "eigh": 0, "inv": 0}
     for name in calls:
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -873,7 +894,7 @@ def test_run_simulation_factors_inertia_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = parse_scene(scene_dict(integrator={"dt": 1e-3, "steps": 100}))
     assert len(_table(cfg)) == 101
-    assert calls == {"cond": 1, "eigh": 1, "inv": 0}
+    assert calls == {"cond": 0, "eigh": 1, "inv": 0}
 
 
 def test_run_simulation_allocates_nothing_per_step(monkeypatch):
@@ -922,20 +943,24 @@ def test_write_csv_matches_per_value_format(tmp_path):
     want = "a,b,c,d,e\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                    for row in table.tolist())
     assert path.read_text() == want
-    # blocks of any size, as arrays or as their raw bytes, and no rows
+    # blocks of any size, as arrays or as flat float64 views of their
+    # bytes (as the writer process reads them from its pipe), and no rows
     big = np.random.default_rng(5).normal(size=(2 * dynamics._BLOCK_ROWS + 3, 2))
     scene_mod.write_csv(str(path), ["x", "y"],
-                        [big[:5], big[5:1000].tobytes(), big[1000:]])
+                        [big[:5], memoryview(big[5:1000].tobytes()).cast("d"), big[1000:]])
     assert path.read_text() == "x,y\n" + "".join(
         f"{x:.17g},{y:.17g}\n" for x, y in big.tolist())
     scene_mod.write_csv(str(path), ["x"], [np.empty((0, 1))])
     assert path.read_text() == "x\n"
     scene_mod.write_csv(str(path), ["x"], [])
     assert path.read_text() == "x\n"
-    # a block of other values is refused, not read as float64 bytes
-    with pytest.raises(TypeError, match="float64"):
-        scene_mod.write_csv(str(path), ["x"], [np.arange(3).reshape(3, 1)])
-    assert path.read_text() == ""
+    # a block of other values, raw bytes included, is refused, not read
+    # as float64 bytes
+    for block in (np.arange(3).reshape(3, 1), big[:5].tobytes()):
+        path.write_text("rows of an earlier run\n")
+        with pytest.raises(TypeError, match="float64"):
+            scene_mod.write_csv(str(path), ["x"], [block])
+        assert path.read_text() == ""
 
 
 def test_write_csv_leaves_an_empty_file_when_the_blocks_fail(tmp_path):

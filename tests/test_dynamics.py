@@ -206,6 +206,13 @@ def test_collinear_body_is_singular(space_alg):
         body_energy(a, st)
     with pytest.raises(SingularInertiaError):
         euler_step(st, a, 1e-3)
+    # the check is max |d| / min |d| over the principal diagonal, here the
+    # form's own: a ratio of 1e12 passes, the next float up and a zero
+    # moment are refused
+    InertiaTensor(np.diag([1.0] * 5 + [1e12])).inverse_apply(st.pi_body)
+    for moment in (np.nextafter(1e12, math.inf), 0.0):
+        with pytest.raises(SingularInertiaError):
+            InertiaTensor(np.diag([1.0] * 5 + [moment])).inverse_apply(st.pi_body)
 
 
 def test_spherical_body_rotational_block_is_scalar(space_alg):
@@ -498,9 +505,10 @@ def test_integrate_follows_the_reference_rk4_over_a_long_run(space_alg, rng, for
     # windows overlap, and the last one stays open to the end.  The far
     # body sits 10 from the origin on every axis (operator cond 3e5),
     # where the run amplifies a solve's rounding.  integrate steps in the
-    # principal frame; the reference solves in that frame too and refines
-    # each solve against the assembled operator, and the two agree to
-    # 1.2e-11
+    # principal frame; the reference solves in that frame too, refines
+    # each solve against the assembled operator and compensates its
+    # momentum sums, and the two agree to 1.8e-11, each within 2e-11 of
+    # a 40-digit RK4
     a = inertia_assemble(four_point_body(space_alg, offset))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
@@ -570,12 +578,13 @@ def test_a_body_far_from_the_origin_steps_in_its_principal_frame(space_alg, rng)
                                      st.pi_body.coeffs)), states[5])
 
 
-@pytest.mark.parametrize("steps, stride", [(20, 1), (23, 3), (6, 7)])
+@pytest.mark.parametrize("steps, stride", [(20, 1), (23, 3), (6, 7), (21, 1)])
 def test_integrate_yields_bounded_blocks_of_one_run(space_alg, rng, monkeypatch,
                                                     steps, stride):
     # blocks of 7 rows; the force window is open across the block edges at
-    # t = 0.07 (stride 1) and t = 0.21 (stride 3), and stride 7 records
-    # row 0 only, then runs 6 unrecorded steps
+    # t = 0.07 (stride 1) and t = 0.21 (stride 3), stride 7 records row 0
+    # only, then runs 6 unrecorded steps, and 21 steps end in a block of
+    # one row.  A row's energy is the same in any block, or taken alone
     a = inertia_assemble(four_point_body(space_alg))
     st = MotionState(exp_bivector(biv_mv(space_alg, rng.normal(size=6))),
                      a.apply(VelocityState(rng.normal(size=6), BODY)))
@@ -590,6 +599,11 @@ def test_integrate_yields_bounded_blocks_of_one_run(space_alg, rng, monkeypatch,
     assert sizes[:-1] == [7] * (len(sizes) - 1) and 1 <= sizes[-1] <= 7
     times, states = (np.concatenate(part) for part in zip(*blocks))
     assert np.array_equal(times, want_times) and np.array_equal(states, want)
+    energy = np.concatenate([dynamics._momentum_energy(a, block[:, 8:])
+                             for _, block in blocks])
+    alone = [dynamics._momentum_energy(a, pi) for pi in want[:, 8:]]
+    whole = dynamics._momentum_energy(a, want[:, 8:])
+    assert np.array_equal(energy, whole) and np.array_equal(alone, whole)
     # set-up is checked at the call, before any block is asked for
     args = dict(state=st, inertia=a, dt=0.01, steps=steps, stride=stride)
     for bad in ({"stride": 0}, {"steps": -1}, {"dt": math.nan}, {"dt": 0.0}):

@@ -74,6 +74,25 @@ def test_every_f_string_has_a_placeholder():
     assert found == []
 
 
+def test_only_one_move_applies_the_principal_frame():
+    # every move between body and principal coordinates is dynamics._move,
+    # which sums in one fixed order: a second route, such as a BLAS
+    # product, which rounds one row and a stack of rows differently, would
+    # make a recorded column depend on its block.  The frame is built
+    # with its sandwiches by position, so _move alone reads them
+    names = {"to_principal", "to_body"}
+    readers = []
+    for path in sorted((ROOT / "src" / "pgakit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        move = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_move"
+                and path.name == "dynamics.py" for node in ast.walk(fn)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if (getattr(node, "attr", None) in names
+                        or getattr(node, "id", None) in names) and id(node) not in move]
+    assert readers == []
+
+
 # the modules of the package, lowest layer first: a module imports only
 # from the layers below its own, so expr reads the algebra and nothing else
 LAYERS = [{"algebra"}, {"duality", "expr"}, {"metric"}, {"versors"},

@@ -111,6 +111,21 @@ def test_the_principal_frame_carries_the_diagonal_form_to_the_assembled_one():
     assert exact((p.T @ (diagonal[:, None] * p) - want).ravel()) == [0] * 36
 
 
+def test_the_assembled_form_is_the_particle_momentum():
+    # one particle of mass m at x has M = m, c = m x and S = m (|x|^2 1 -
+    # x x^T); _form of these, applied as ``operator`` applies it, Pi =
+    # -rev(form Omega), is momentum_of_body's 2 m R v (Omega x R) for any
+    # m, x and Omega.  The form is linear in the particles, so this holds
+    # for every body
+    m = sympy.Symbol("m")
+    x = np.array(sympy.symbols("x:3"), dtype=object)
+    s = m * ((x @ x) * np.eye(3, dtype=int) - np.outer(x, x))
+    got = -(dynamics._form(m, m * x, s) @ np.array(W, dtype=object))[::-1]
+    r = full(ALG.grade_indices[3], [1, *x])
+    spear = _bilinear(r, 2 * _bilinear(full(BIV, W), r, ALG._comm_flat), ALG._vee_flat)
+    assert exact(got - m * spear[BIV]) == [0] * NB
+
+
 def test_the_emitted_force_is_the_sandwich_of_the_reversed_rotor():
     # with no momentum the momentum slope is the force term alone, (q (r +
     # 2d))_2 with q = ~r F for the euclidean and ideal parts r and d of g
