@@ -134,12 +134,13 @@ def _write_forked(path: str, header, first, blocks, rows: int) -> None:
     integrating the next.
 
     The writer formats ``first``, which it inherits, then the rows this
-    process sends down a pipe as raw float64 bytes; it runs no numpy and
-    always ends in ``os._exit``.  A write error comes back as its exit
-    status, the errno, and is raised here as ``OSError``.  If a block
-    raises here, the pipe closes early and the writer, seeing fewer than
-    ``rows`` rows, empties the file; the same happens if this process is
-    killed, so no writer outlives it.  The writer is reaped on every path.
+    process sends down a pipe as raw float64 bytes; it runs numpy's
+    elementwise functions, no BLAS, and always ends in ``os._exit``.  A
+    write error comes back as its exit status, the errno, and is raised
+    here as ``OSError``.  If a block raises here, the pipe closes early
+    and the writer, seeing fewer than ``rows`` rows, empties the file;
+    the same happens if this process is killed, so no writer outlives
+    it.  The writer is reaped on every path.
     """
     read, write = os.pipe()
     with warnings.catch_warnings():

@@ -485,13 +485,14 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     rotor's bivector slots, the momentum and the lines move in once by
     ``X -> ~m X m``, and each recorded row back by ``X -> m X ~m``, both
     by :func:`_move`, so no column of a row, energy included, depends on
-    its block.  A rest state stays bit for bit; row 0 and
-    :func:`euler_step`, which moves in and out at every call, agree with
-    ``state`` and the rows to rounding.  The body-frame rows of a far
-    body whose centroid moves keep fewer digits than the step, as their
-    moment coordinates carry its linear momentum times its distance: at
-    1000 from the origin their energy holds to 2.2e-12 over 2000 steps,
-    at the origin to 8.5e-13.
+    its block.  At rest the rows after row 0 are all the same, bit for
+    bit; the first step's renormalization may move a turned rotor's ``I``
+    slot from row 0's by an ulp.  Row 0 and :func:`euler_step`, which
+    moves in and out at every call, agree with ``state`` and the rows to
+    rounding.  A far body's body-frame rows keep fewer digits than the
+    step when its centroid moves, as their moment coordinates carry its
+    linear momentum times its distance: at 1000 from the origin their
+    energy holds to 2.2e-12 over 2000 steps, at the origin to 8.5e-13.
 
     Arguments, inertia and step are checked and made at the call, and a
     block's steps (the unrecorded ones after the last row too) when it is

@@ -34,6 +34,7 @@ file if the run fails part-way.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -272,25 +273,142 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         cfg.dt, cfg.steps, stride, force=schedule))
 
 
+# ---------------------------------------------------------------------------
+# CSV text
+
+
+_SPLIT = 134217729.0             # 2**27 + 1, Dekker's split of a float64
+# values per _csv_text call: at 25600 each call faulted in 1800 fresh heap pages
+_TEXT_VALUES = 4096
+
+
+def _words(parts):
+    """Byte strings of at most 8 bytes, zero-padded, as uint64 words."""
+    return np.frombuffer(b"".join(p.ljust(8, b"\0") for p in parts), np.uint64)
+
+
+@functools.cache
+def _text_tables():
+    """The tables of :func:`_csv_text`, made on its first call.
+
+    A value's text is built in 7 words: sign and lead digit, 16 digits,
+    ``0.000`` and the lead digit, the 16 digits again, ``e+XXX`` and the
+    separator.  The mask of its layout (the exponent k, 0 in scientific
+    notation, and the place of the last nonzero digit) keeps the bytes
+    it shows.  Exponents, layouts and ``powers`` (``10**(16 - k)`` as a
+    Dekker-split double-double, filled by :func:`_scaled` as blocks need
+    it) are indexed by ``k + 300``.
+    """
+    d = np.arange(10000, dtype=np.int16)
+    left, right = np.zeros((2, 10000, 8), np.uint8)     # four digits, then four after
+    left[:, :4] = right[:, 4:] = np.stack([d // 1000, d // 100 % 10, d // 10 % 10,
+                                           d % 10], 1) + 48
+    # the trailing zeros of four digits; 16 for 0000, so that it sorts last
+    zeros = np.where(d == 0, 16, sum(d % 10**i == 0 for i in range(1, 4))).astype(np.int8)
+    e = np.arange(-300, 301)
+    exponents = _words((b"" if -4 <= k <= 16 else b"e%+03d" % k).ljust(5, b"\0") + b","
+                       for k in e.tolist())
+    k, last, j = np.arange(-4, 17)[:, None, None], np.arange(17)[:, None], np.arange(17)
+    shown = (np.ones(7, bool), j <= k, k < 0, last > k, np.arange(3) < -k - 1,
+             np.zeros(2, bool), (k < j) & (j <= last), np.ones(8, bool))
+    mask = np.concatenate([np.broadcast_to(m, (21, 17, np.shape(m)[-1])) for m in shown], 2)
+    left, right = left.view(np.uint64).ravel(), right.view(np.uint64).ravel()
+    return (left, right, zeros, _words(b"\0" * 7 + b"%d" % i for i in range(10)),
+            _words([b"", b"\0" * 6 + b"-"]), _words([b"0.000"]), exponents,
+            17 * np.where((e < -4) | (e > 16), 4, e + 4),
+            (mask * np.uint8(255)).reshape(-1, 56).view(np.uint64),
+            np.full((4, len(e)), np.nan))
+
+
+def _scaled(a, i, powers):
+    """``a * 10**(316 - i)`` as ``p + r``: the rounded product and the rest to
+    1e-31 of it, by Dekker's exact product (numpy fuses no multiply-adds)."""
+    hi, hi_big, hi_small, lo = powers.take(i, axis=1)
+    if np.isnan(hi).any():
+        for n in set(i[np.isnan(hi)].tolist()):
+            q = 316 - n
+            top, bottom = (10**q, 1) if q >= 0 else (1, 10**-q)
+            h = top / bottom
+            num, den = h.as_integer_ratio()
+            big = h * _SPLIT - (h * _SPLIT - h)
+            powers[:, n] = h, big, h - big, (top * den - num * bottom) / (bottom * den)
+        hi, hi_big, hi_small, lo = powers.take(i, axis=1)
+    t = a * _SPLIT
+    big = t - (t - a)
+    small = a - big
+    p = a * hi
+    return p, (((big * hi_big - p) + big * hi_small + small * hi_big) + small * hi_small
+               + a * lo)
+
+
+def _divmod(n, base):
+    q = n // base                # numpy's // by a constant is a multiply; % is not
+    return q, n - q * base
+
+
+def _csv_text(block) -> bytes:
+    """The CSV rows of a ``(rows, width)`` float64 block: per row, exactly
+    ``",".join(f"{v:.17g}" for v in row) + "\\n"``.
+
+    Each value's 17 digits are ``round(|x| 10**(16 - k))``, ``k = floor(log10
+    |x|)``, from a scaled value good to about 1e-14.  ``"%.17g"`` formats
+    the values that are not finite, those outside [1e-280, 1e280), where
+    the split could overflow, and those within 1e-6 of a rounding tie or 2
+    ulps of 10**16 or 10**17 (where ``k`` may be off by one).
+    """
+    left, right, zeros, leads, signs, point, exps, layouts, masks, powers = _text_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    plain = (a >= 1e-280) & (a < 1e280)
+    a = np.where(plain, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) + 300
+    p, r = _scaled(a, i, powers)
+    up = np.rint(r)
+    decided = (plain & (p > 1e16 + 2) & (p < 1e17 - 16) & (np.abs(r - up) < 0.5 - 1e-6)
+               | (x == 0))
+    digits = np.where(x == 0, 0, p.astype(np.int64) + up.astype(np.int64))
+    lead, rest = _divmod(digits, 10**16)
+    high, low = _divmod(rest, 10**8)
+    (q1, q2), (q3, q4) = _divmod(high, 10**4), _divmod(low, 10**4)
+    last = np.maximum(np.maximum(4 - zeros[q1], 8 - zeros[q2]),
+                      np.maximum(12 - zeros[q3], 16 - zeros[q4]))
+    cell = masks.take(layouts[i] + last, axis=0)
+    lead = leads[lead]
+    cell[:, 0] &= lead | signs[np.signbit(x).astype(np.intp)]
+    cell[:, 3] &= lead | point
+    for col, word in ((1, left[q1] | right[q2]), (2, left[q3] | right[q4])):
+        cell[:, col] &= word
+        cell[:, col + 3] &= word
+    cell[:, 6] &= exps[i]
+    text = cell.view(np.uint8)
+    text.reshape(*block.shape, 56)[:, -1, 53] = 10
+    slow = b"".join(("%.17g" % v).encode().ljust(53, b"\0") for v in x[~decided].tolist())
+    text[~decided, :53] = np.frombuffer(slow, np.uint8).reshape(-1, 53)
+    return text.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str, header, blocks):
     """Write the header, then the rows of each block as they come.
 
-    A block is a C-contiguous float64 table; each value is written as
-    ``f"{v:.17g}"``: 17 significant digits read back exactly.  If
-    ``blocks`` or a write raises, the file is left empty, not holding
-    the rows of a run that failed part-way.
+    A block is a C-contiguous float64 table, or its values as a flat
+    float64 buffer.  Each value is written as ``f"{v:.17g}"``, 17
+    significant digits that read back exactly, by :func:`_csv_text` in
+    numpy's elementwise functions (3.3 ms a block of 1024 rows of 25 on a
+    shared 2-vCPU Xeon).  If ``blocks`` or a write raises, the file is
+    left empty, not holding the rows of a run that failed part-way.
     """
     width = len(header)
-    line = ",".join(["%.17g"] * width) + "\n"
+    step = max(1, _TEXT_VALUES // width)
     try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for block in blocks:
                 view = memoryview(block)
                 if view.format != "d":
                     raise TypeError(f"a block holds float64 values, not {view.format!r}")
-                values = view.cast("B").cast("d").tolist() if view.nbytes else []
-                fh.write((line * (len(values) // width)) % tuple(values))
+                table = np.asarray(view).reshape(-1, width)
+                for i in range(0, len(table), step):
+                    fh.write(_csv_text(table[i:i + step]))
     except BaseException:
         with contextlib.suppress(OSError):
             open(path, "w").close()

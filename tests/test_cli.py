@@ -314,9 +314,10 @@ def test_simulate_zero_momentum_rows_constant(tmp_path, capsys):
     scene.write_text(json.dumps(scene_dict(initial={"pi_body": [0.0] * 6})))
     rc, _, _ = run_cli(capsys, "simulate", str(scene), "--out", str(out))
     assert rc == 0
-    values = np.loadtxt(out, delimiter=",", skiprows=1)
-    for col in range(1, values.shape[1]):
-        assert np.ptp(values[:, col]) == 0.0
+    # the text, not the values, so that a column mixing 0 and -0 fails
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 51 and all(row[1:] == rows[0][1:] for row in rows)
+    assert rows[0][9:16] == ["0"] * 7           # pi0 ... pi5, energy
 
 
 def test_simulate_malformed_scene_exit2(tmp_path, capsys):
@@ -496,7 +497,8 @@ _C8_OMEGA = [0.2, -0.4, 0.3, 0.8, -0.5, 0.6]     # criterion 8's spin
 
 
 def _one_call_csv(tmp_path, doc, stride):
-    """The CSV text that the formatter writes for the run's table as one block."""
+    """The CSV text that the formatter writes for the run's table as one
+    block, and the text of ``f"{v:.17g}"`` per value, which does not use it."""
     saved = dynamics._BLOCK_ROWS
     dynamics._BLOCK_ROWS = 10**9
     try:
@@ -506,7 +508,8 @@ def _one_call_csv(tmp_path, doc, stride):
         dynamics._BLOCK_ROWS = saved
     path = tmp_path / "one-call.csv"
     scene_mod.write_csv(str(path), header, [table])
-    return path.read_text()
+    return path.read_text(), ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
 
 
 @pytest.mark.parametrize("steps, stride", [(3 * 1024 + 6, 1), (3 * 2500 + 2, 3),
@@ -531,7 +534,8 @@ def test_simulate_streamed_csv_matches_one_integrate_call(tmp_path, capsys, writ
                               "--stride", str(stride))
     assert (rc, err) == (0, "")
     assert stdout == f"wrote {steps // stride + 1} rows to {out}\n"
-    assert out.read_text() == _one_call_csv(tmp_path, doc, stride)
+    text = out.read_text()
+    assert (text, text) == _one_call_csv(tmp_path, doc, stride)
     assert len(started) == (mode == "forked")
     _no_child_left()
 
@@ -642,7 +646,8 @@ def test_simulate_forks_its_writer_in_a_fresh_interpreter(tmp_path):
     scene.write_text(json.dumps(doc))
     stdout, stderr = _start(scene, out).communicate(timeout=120)
     assert (stdout, stderr) == (f"wrote 2501 rows to {out}\n", "")
-    assert out.read_text() == _one_call_csv(tmp_path, doc, 1)
+    text = out.read_text()
+    assert (text, text) == _one_call_csv(tmp_path, doc, 1)
 
 
 @_FORKS
@@ -961,6 +966,38 @@ def test_write_csv_matches_per_value_format(tmp_path):
         with pytest.raises(TypeError, match="float64"):
             scene_mod.write_csv(str(path), ["x"], [block])
         assert path.read_text() == ""
+    # and so is a block that is not a whole number of rows
+    path.write_text("rows of an earlier run\n")
+    with pytest.raises(ValueError, match="reshape"):
+        scene_mod.write_csv(str(path), ["x", "y"], [np.ones(3)])
+    assert path.read_text() == ""
+
+
+def test_csv_text_matches_per_value_format():
+    # the array formatter against Python's, value by value: bit patterns of
+    # every exponent, subnormals among them; an ulp either side of each power
+    # of 10; exact 17-digit ties (1000000000000000.25) and near ones;
+    # integers around 10**16 and 10**17; the edges of [1e-280, 1e280); ±0,
+    # ±inf and nan.  Under the suite's warning filter a log10(0) or an
+    # overflow in the split fails it too
+    rng = np.random.default_rng(29)
+    tens = 10.0 ** np.arange(-300, 301)
+    edges = np.array([1e-280, 1e280])
+    values = np.concatenate([
+        rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+        rng.integers(0, 2**52, 2000, dtype=np.uint64).view(np.float64),
+        np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf),
+        rng.integers(10**15, 2**53, 10_000) / 2.0 ** rng.integers(1, 12, 10_000),
+        (rng.integers(0, 10**16, 10_000) + 0.5) / 10.0 ** rng.integers(0, 20, 10_000),
+        1e16 + np.arange(-2000.0, 2000.0), 1e17 + 16 * np.arange(-1000.0, 1000.0),
+        np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf),
+        rng.normal(size=20_000) * 10.0 ** rng.integers(-6, 19, 20_000),
+        [0.0, np.inf, np.nan]])
+    values = np.concatenate([values, -values, np.zeros(-2 * len(values) % 7)])
+    block = values.reshape(-1, 7)
+    got = scene_mod._csv_text(block).decode().replace("\n", ",").split(",")
+    assert got.pop() == "" and len(got) == len(values)
+    assert [(v, g) for v, g in zip(values.tolist(), got) if g != f"{v:.17g}"] == []
 
 
 def test_write_csv_leaves_an_empty_file_when_the_blocks_fail(tmp_path):

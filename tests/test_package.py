@@ -93,6 +93,27 @@ def test_only_one_move_applies_the_principal_frame():
     assert readers == []
 
 
+def test_the_csv_writer_calls_no_blas():
+    # the writer process is forked from one whose BLAS pool may hold its
+    # locks (cli._write_forked), so write_csv, _csv_text and every helper
+    # of scene.py they reach use no matrix product and nothing of linalg
+    tree = ast.parse((ROOT / "src" / "pgakit" / "scene.py").read_text())
+    helpers = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    banned = {"dot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+    reached, todo, found = set(), ["write_csv", "_csv_text"], []
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(helpers[name]):
+            word = getattr(node, "attr", None) or getattr(node, "id", None)
+            if word in helpers and word not in reached:
+                todo.append(word)
+            if word in banned or isinstance(getattr(node, "op", None), ast.MatMult):
+                found.append(f"{name}:{node.lineno}")
+    assert {"_text_tables", "_scaled", "_divmod", "_words"} <= reached
+    assert found == []
+
+
 # the modules of the package, lowest layer first: a module imports only
 # from the layers below its own, so expr reads the algebra and nothing else
 LAYERS = [{"algebra"}, {"duality", "expr"}, {"metric"}, {"versors"},
