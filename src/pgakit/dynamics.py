@@ -25,12 +25,14 @@ solves ``Omega = A^-1(Pi)`` in six multiplies.  One function,
 coordinates in one fixed order of sums, so no recorded value depends on
 its block.  A block's steps are one call of straight-line Python on 14
 floats, generated on first use by one emitter, :func:`_product`, from
-the nonzeros of the even product table and compiled once per algebra
-(about 3 ms).  On a shared 2-vCPU Xeon a step of a 4-point body costs
-4.5 us force-free and 7.6 us with a force line open.  Its one force
-input is a :class:`ForceSchedule`, space-frame force lines over time
-windows.  A rotor or momentum that stops being finite raises
-:class:`~pgakit.versors.NumericError` instead of carrying NaN on.
+the nonzeros of the even product table and compiled once per algebra.
+On a shared 2-vCPU Xeon that takes about 4 to 6 ms, of which generating
+the source is 1 to 1.6 ms and compiling it the rest, and a step of a
+4-point body costs 4.5 us force-free and 7.6 us with a force line
+open.  Its one force input is a :class:`ForceSchedule`, space-frame
+force lines over time windows.  A rotor or momentum that stops being
+finite raises :class:`~pgakit.versors.NumericError` instead of carrying
+NaN on.
 :func:`frame_convert` moves a tagged state by one 6x6 matrix; a
 multivector moves by :func:`~pgakit.versors.sandwich`.  The inertia
 form is a closed form in the body's mass, first moment and second
@@ -187,8 +189,10 @@ class Particle:
     rdot: Multivector
 
     @classmethod
-    def at(cls, alg: Algebra, mass: float, position, velocity=(0.0, 0.0, 0.0)):
-        return cls(mass, point(alg, *position), ideal_point(alg, *velocity))
+    def at(cls, alg: Algebra, mass: float, position, velocity=None):
+        """A particle at ``position``, at rest unless ``velocity`` is given."""
+        rdot = alg.zero() if velocity is None else ideal_point(alg, *velocity)
+        return cls(mass, point(alg, *position), rdot)
 
 
 def particle_spear(p: Particle) -> Multivector:
@@ -349,6 +353,15 @@ def _fixed_sum(terms: np.ndarray) -> np.ndarray:
     return reduce(np.add, terms.T).T
 
 
+def _body(particles, what: str) -> list:
+    """``particles`` as a list; ``ValueError`` naming ``what`` unless each
+    one's point is in Cl(3,0,1)."""
+    particles = list(particles)
+    for alg in {p.r.algebra for p in particles}:
+        _require_pga(alg, what, (4,))
+    return particles
+
+
 def _require_finite_inertia(*arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise SingularInertiaError("inertia overflows: masses or positions too large")
@@ -404,7 +417,7 @@ def inertia_assemble(particles) -> InertiaTensor:
     the zero tensor, which applies but raises :class:`SingularInertiaError`
     when inverted; other bodies whose masses sum to 0 raise it here.
     """
-    particles = list(particles)
+    particles = _body(particles, "inertia_assemble")
     mass, c, s = _mass_moments(particles)
     tensor = InertiaTensor(_form(mass, c, s))
     object.__setattr__(tensor, "_axes", _principal_axes(
@@ -415,9 +428,11 @@ def inertia_assemble(particles) -> InertiaTensor:
 def momentum_of_body(particles, omega: VelocityState) -> MomentumState:
     """Per-particle momentum sum ``sum 2 m (R join (Omega x R))``.
 
-    Independent route to ``InertiaTensor.apply``, used as its oracle.
+    Independent route to ``InertiaTensor.apply``, used as its oracle; the
+    empty body gives the zero momentum in ``omega``'s frame.
     """
-    alg = particles[0].r.algebra
+    particles = _body(particles, "momentum_of_body")
+    alg = particles[0].r.algebra if particles else pga3d()
     om = omega.as_multivector(alg)
     total = alg.zero()
     for p in particles:
@@ -444,7 +459,7 @@ def principal_decomposition(particles) -> PrincipalAxes:
     sum to 0 but leave a first moment, or a mass or moment that
     overflows, raise :class:`SingularInertiaError`.
     """
-    particles = list(particles)
+    particles = _body(particles, "principal_decomposition")
     if not particles:
         raise ValueError("an empty body has no principal axes")
     return inertia_assemble(particles)._axes
@@ -573,23 +588,26 @@ def _rk4_factory(alg: Algebra):
 
 
 def _sum(terms) -> str:
-    """Source of ``c0 * x0 + c1 * x1 + ...``: zero terms dropped, and a
-    coefficient of magnitude 1 written as its sign."""
+    """Source of ``c0 * x0 + c1 * x1 + ...`` for nonzero float
+    coefficients, one of magnitude 1 written as its sign."""
     out = ""
     for c, x in terms:
-        if c:
-            term = x if abs(c) == 1.0 else f"{abs(float(c))!r} * {x}"
-            out += (" - " if c < 0 else " + ") + term if out else \
-                ("-" if c < 0 else "") + term
+        term = x if abs(c) == 1.0 else f"{abs(c)!r} * {x}"
+        out += (" - " if c < 0 else " + ") + term if out else \
+            ("-" if c < 0 else "") + term
     return out or "0.0"
 
 
 def _product(table: np.ndarray, a: list, b: list) -> list:
     """Source of each slot ``m`` of ``sum table[i, j, m] a_i b_j`` for the
-    named operands ``a`` and ``b``: one :func:`_sum` over the nonzeros."""
-    return [_sum((table[i, j, m], f"{x} * {y}")
-                 for i, x in enumerate(a) for j, y in enumerate(b))
-            for m in range(table.shape[2])]
+    named operands ``a`` and ``b``: one :func:`_sum` over the nonzeros of
+    ``table[:, :, m]``, in row-major order."""
+    out = []
+    for m in range(table.shape[2]):
+        rows, cols = np.nonzero(table[:, :, m])
+        terms = zip(table[rows, cols, m].tolist(), rows.tolist(), cols.tolist())
+        out.append(_sum((c, f"{a[i]} * {b[j]}") for c, i, j in terms))
+    return out
 
 
 # the names of the constants integrate binds to the generated code, in order

@@ -33,6 +33,58 @@ def test_basis_names_3d(space_alg):
         "E0", "E1", "E2", "E3", "I"]
 
 
+# the basis of Cl(3,0,1) as words in its generators, each in the order
+# that fixes the blade's sign: e31 = e3 e1, E1 = e0 e3 e2, I = e0 e1 e2 e3
+SPACE_WORDS = {"1": "", "e0": "0", "e1": "1", "e2": "2", "e3": "3",
+               "e01": "01", "e02": "02", "e03": "03", "e12": "12", "e31": "31",
+               "e23": "23", "E0": "123", "E1": "032", "E2": "013", "E3": "021",
+               "I": "0123"}
+
+
+def _reduce(word: str) -> tuple[int, str]:
+    """The sign and ascending word of a product of generators: a swap of
+    adjacent distinct generators flips the sign, and an adjacent equal
+    pair is its square, 0 for e0 and 1 for e1, e2 and e3."""
+    letters, sign, i = list(word), 1, 0
+    while i + 1 < len(letters):
+        a, b = letters[i], letters[i + 1]
+        if a < b:
+            i += 1
+            continue
+        if a == b == "0":
+            return 0, ""
+        if a == b:
+            del letters[i:i + 2]
+        else:
+            letters[i:i + 2], sign = [b, a], -sign
+        i = max(i - 1, 0)
+    return sign, "".join(letters)
+
+
+def test_space_cayley_table_by_word_reduction(space_alg):
+    # all 256 products of basis blades against products of generator words
+    assert space_alg.blade_names == list(SPACE_WORDS)
+    blade_of = {}                     # ascending word -> (sign, blade name)
+    for name, word in SPACE_WORDS.items():
+        sign, ascending = _reduce(word)
+        blade_of[ascending] = (sign, name)
+    assert len(blade_of) == 16
+    zeros = 0
+    for a, wa in SPACE_WORDS.items():
+        for b, wb in SPACE_WORDS.items():
+            sign, ascending = _reduce(wa + wb)
+            got = (space_alg.blade(a) * space_alg.blade(b)).coeffs
+            if sign == 0:
+                zeros += 1
+                assert not got.any(), f"{a} * {b}"
+            else:
+                # a word and its blade differ by a sign, its own inverse
+                sign_of, name = blade_of[ascending]
+                want = sign * sign_of * space_alg.blade(name).coeffs
+                assert np.array_equal(got, want), f"{a} * {b}"
+    assert zeros == 64                # both factors hold e0: 8 * 8 products
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(-1, 0, 0)

@@ -62,6 +62,16 @@ def test_particle_at_rest(space_alg):
     assert kinetic_energy(p) == 0.0
 
 
+def test_particle_at_rest_in_any_algebra(plane_alg, space_alg):
+    # the default velocity is the zero ideal point of the particle's own
+    # algebra, not a 3-D triple
+    for alg, at in ((plane_alg, (0.0, 1.0)), (space_alg, (0.0, 1.0, 2.0))):
+        p = Particle.at(alg, 1.0, at)
+        assert p.r == point(alg, *at)
+        assert p.rdot == ideal_point(alg, *[0.0] * len(at))
+        assert kinetic_energy(p) == 0.0
+
+
 def test_kinetic_energy_three_ways(space_alg, rng):
     p = Particle.at(space_alg, 1.0, (0, 0, 0), (1, 0, 0))
     assert kinetic_energy(p) == pytest.approx(0.5)
@@ -115,6 +125,32 @@ def test_empty_body_zero_tensor():
     assert not a.apply(VelocityState(np.ones(6), BODY)).coeffs.any()
     with pytest.raises(SingularInertiaError):
         a.inverse_apply(MomentumState(np.ones(6), BODY))
+
+
+def test_empty_body_momentum_is_zero_in_its_frame():
+    for frame in (BODY, SPACE):
+        pi = momentum_of_body([], VelocityState(np.ones(6), frame))
+        assert pi.frame == frame and not pi.coeffs.any()
+    om = VelocityState(np.ones(6), BODY)
+    assert np.array_equal(momentum_of_body([], om).coeffs,
+                          inertia_assemble([]).apply(om).coeffs)
+
+
+# the functions of a body's particles, each called on a body
+_OF_A_BODY = {
+    "inertia_assemble": inertia_assemble,
+    "principal_decomposition": principal_decomposition,
+    "momentum_of_body": lambda body: momentum_of_body(body, VelocityState(np.ones(6), BODY)),
+}
+
+
+@pytest.mark.parametrize("name", _OF_A_BODY)
+def test_a_body_outside_cl301_is_refused_by_name(name, plane_alg, space_alg):
+    planar = [Particle.at(plane_alg, 1.0, x) for x in ((0, 0), (1, 0), (0, 1))]
+    for body in (planar, four_point_body(space_alg)[:1] + planar):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} needs the spatial algebra Cl(3,0,1), not Cl(2,0,1)")):
+            _OF_A_BODY[name](body)
 
 
 def test_zero_total_mass_is_named(space_alg):

@@ -7,8 +7,12 @@ import ast
 import importlib
 import inspect
 import linecache
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -121,10 +125,12 @@ LAYERS = [{"algebra"}, {"duality", "expr"}, {"metric"}, {"versors"},
 
 
 def test_imports_point_down_the_layers():
+    # each at its module's top level but one: the root imports the
+    # rigid-body layer on first use of one of its names
     layer = {name: i for i, names in enumerate(LAYERS) for name in names}
     src = ROOT / "src" / "pgakit"
     assert {path.stem for path in src.glob("*.py")} == set(layer)
-    wrong = []
+    wrong, deferred = [], []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         top = set(tree.body)
@@ -136,10 +142,57 @@ def test_imports_point_down_the_layers():
             else:
                 continue
             for target in (t.removeprefix("pgakit.") for t in targets):
-                if target in layer and (node not in top
-                                        or layer[target] >= layer[path.stem]):
+                if target not in layer:
+                    continue
+                if layer[target] >= layer[path.stem]:
                     wrong.append(f"{path.stem}:{node.lineno} imports {target}")
+                elif node not in top:
+                    deferred.append(f"{path.stem} imports {target}")
     assert wrong == []
+    assert deferred == ["__init__ imports dynamics"]
+
+
+# the names the root exports from pgakit.dynamics
+DYNAMICS_NAMES = [
+    "BODY", "SPACE", "ForceSchedule", "ForceState", "FrameError", "InertiaTensor",
+    "MomentumState", "MotionState", "Particle", "SingularInertiaError",
+    "VelocityState", "body_energy", "euler_step", "force_line", "force_state",
+    "frame_convert", "inertia_assemble", "kinetic_energy", "momentum_of_body",
+    "orbit_derivative", "power", "principal_decomposition", "resultant",
+    "space_momentum", "work"]
+
+
+def test_import_pgakit_loads_the_rigid_body_layer_on_first_use():
+    # in a fresh interpreter: the geometry layers only, until a name of
+    # the rigid-body layer is read, which then is the dynamics module's own
+    code = textwrap.dedent(f"""
+        import sys
+        import pgakit
+        later = ["pgakit.dynamics", "pgakit.scene", "pgakit.cli", "pgakit.expr"]
+        assert not any(m in sys.modules for m in later), [m for m in later if m in sys.modules]
+        names = {DYNAMICS_NAMES!r}
+        assert set(names) <= set(dir(pgakit)) and set(names) <= set(pgakit.__all__)
+        scope = {{}}
+        exec("from pgakit import *", scope)
+        from pgakit import dynamics
+        for name in names:
+            assert scope[name] is getattr(pgakit, name) is getattr(dynamics, name), name
+        assert "scene" not in dir(pgakit) and not hasattr(pgakit, "nothing")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
+def test_the_root_exports_every_public_name_it_holds():
+    # __all__ lists the names the root imports, and those it reads from
+    # the rigid-body layer, and no submodule
+    held = {name for name, value in vars(pgakit).items()
+            if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(pgakit.__all__) == held | set(DYNAMICS_NAMES)
+    assert len(pgakit.__all__) == len(set(pgakit.__all__))
 
 
 def test_only_the_kernel_reads_the_product_tensors():
