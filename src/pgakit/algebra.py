@@ -138,14 +138,9 @@ def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     ``table`` is ``T[i, j, k]`` reshaped to ``(len(a), len(b) * m)``; the
     result ``sum_ij a_i b_j T[i, j, k]`` has ``m`` entries.  Every product
-    table in the package is applied through here.
-
-    One-dimensional operands take ``np.dot``, which gives the bits of
-    ``b @ (a @ table).reshape(len(b), -1)`` in less call overhead.
-    Two-dimensional operands are stacks, ``(rows, len)`` each, and give
-    ``(rows, m)``: row ``r`` equals the product of row ``r`` of each, bit
-    for bit.  (A column-major stack would take another BLAS kernel, whose
-    sums round differently, so the stacks are made row-major first.)
+    table in the package is applied through here.  The operands are
+    one-dimensional, and ``np.dot`` gives the bits of ``b @ (a @
+    table).reshape(len(b), -1)`` in less call overhead.
 
     BLAS may fuse a multiply and an add, so a slot whose terms cancel
     exactly can keep one term's rounding error, its value depending on
@@ -153,11 +148,7 @@ def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     has e03 = -1.67e-18 on one build, not 0.  The closed forms on Python
     floats (``metric.distance`` and the others) cancel exactly.
     """
-    if a.ndim == 1:
-        return np.dot(b, np.dot(a, table).reshape(len(b), -1))
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    ab = (a @ table).reshape(len(a), b.shape[1], -1)
-    return np.matmul(b[:, None, :], ab)[:, 0]
+    return np.dot(b, np.dot(a, table).reshape(len(b), -1))
 
 
 class Algebra:

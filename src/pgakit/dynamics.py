@@ -57,8 +57,8 @@ from .duality import join
 from .metric import (DegenerateElementError, _require_pga, biv_coeffs, biv_mv,
                      even_mv, ideal_norm, ideal_point, pluecker, point, pseudo_part)
 # sandwich is not called here; the benchmark's tracing tests use dynamics.sandwich
-from .versors import (NumericError, _even_coeffs, _rotor_scale, sandwich,  # noqa: F401
-                      normalize_rotor, sandwich_matrix, translator)
+from .versors import (NumericError, _even_coeffs, _require_finite, _rotor_scale,
+                      normalize_rotor, sandwich, sandwich_matrix, translator)  # noqa: F401
 
 BODY = "body"
 SPACE = "space"
@@ -190,8 +190,10 @@ class Particle:
 
     @classmethod
     def at(cls, alg: Algebra, mass: float, position, velocity=None):
-        """A particle at ``position``, at rest unless ``velocity`` is given."""
+        """A particle at ``position``, at rest unless ``velocity`` is given;
+        :class:`~pgakit.versors.NumericError` unless every number is finite."""
         rdot = alg.zero() if velocity is None else ideal_point(alg, *velocity)
+        _require_finite([mass, *position, *rdot.coeffs], "particle")
         return cls(mass, point(alg, *position), rdot)
 
 
@@ -374,6 +376,7 @@ def _mass_moments(particles, origin=0.0):
     masses = np.array([p.mass for p in particles], dtype=float)
     slots = np.array([p.r.coeffs[p.r.algebra.grade_indices[3]]
                       for p in particles]).reshape(len(masses), 4)
+    _require_finite_inertia(masses, slots)
     if not slots[:, 0].all():
         raise DegenerateElementError("ideal point has no position")
     x = slots[:, 1:] / slots[:, :1] - origin
@@ -732,9 +735,14 @@ def euler_step(state: MotionState, inertia: InertiaTensor, dt: float,
                        MomentumState(states[1, 8:], BODY), float(times[1]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def body_energy(inertia: InertiaTensor, state: MotionState) -> float:
-    """``energy(Omega)`` with ``Omega = A^-1(Pi)``; see :func:`_momentum_energy`."""
-    return float(_momentum_energy(inertia, state.pi_body.coeffs))
+    """``energy(Omega)`` with ``Omega = A^-1(Pi)``; see :func:`_momentum_energy`.
+    Raises :class:`~pgakit.versors.NumericError` if it overflows."""
+    energy = float(_momentum_energy(inertia, state.pi_body.coeffs))
+    if not math.isfinite(energy):
+        raise NumericError(f"the kinetic energy overflows: {energy!r}")
+    return energy
 
 
 def _momentum_energy(inertia: InertiaTensor, pi: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ force lines to :func:`~pgakit.dynamics.integrate` as one
 :class:`~pgakit.dynamics.ForceSchedule` and turns each block of states
 it yields, stepped in the body's principal frame and moved back to its
 own, into a block of the float table: its energy and tracked-point
-columns are array operations, and it is refused with
+columns are elementwise sums in a fixed order, and it is refused with
 :class:`~pgakit.versors.NumericError` if any value in it is not finite.
 Memory therefore stays that of one block however long the run.
 :func:`write_csv` formats the blocks as they come and leaves an empty
@@ -44,13 +44,12 @@ import numpy as np
 
 from .algebra import pga3d
 from .dynamics import (BODY, ForceSchedule, MomentumState, MotionState, Particle,
-                       VelocityState, _momentum_energy, force_line, inertia_assemble,
-                       integrate)
+                       VelocityState, _fixed_sum, _momentum_energy, force_line,
+                       inertia_assemble, integrate)
 from .metric import biv_coeffs, even_mv, point
 # sandwich is not called here; the benchmark's tracing tests use scene.sandwich
 # as their example of an alias made by ``from .versors import``
-from .versors import (NumericError, normalize_rotor, sandwich,  # noqa: F401
-                      sandwich_matrix_even)
+from .versors import NumericError, normalize_rotor, sandwich  # noqa: F401
 
 
 # run_simulation integrates every step whatever the stride (1.2-2.1 h at
@@ -245,6 +244,16 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
     for i in range(len(tracked)):
         header += [f"x{i}", f"y{i}", f"z{i}"]
     ne = len(alg.even_indices)
+    # g X ~g on a point is a 4 x 4 matrix; entry e sums c g_a g_b over the
+    # symmetrized nonzeros (a <= b) of the sandwich table, in a fixed order,
+    # padded by -0.0 g_0 g_0, which is -0.0 (g_0 g_0 >= 0) and adds nothing
+    sw = alg.even_tables.sandwich(3).reshape(ne, ne, -1)
+    pa, pb = np.triu_indices(ne)
+    sym = ((sw[pa, pb] + sw[pb, pa]) / np.where(pa == pb, 2.0, 1.0)[:, None]).T
+    nonzero = [np.flatnonzero(c) for c in sym]
+    k = max(map(len, nonzero))
+    pick = np.array([[*i, *[0] * (k - len(i))] for i in nonzero])
+    coef = np.array([[*c[i], *[-0.0] * (k - len(i))] for c, i in zip(sym, nonzero)])
 
     @np.errstate(over="ignore", invalid="ignore")
     def record(times, states):
@@ -255,12 +264,13 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         table[:, 1:width + 1] = states
         table[:, width + 1] = _momentum_energy(inertia, states[:, ne:])
         if len(tracked):
-            # one sandwich matrix per row moves every tracked point;
-            # dehomogenize as point_coords does
-            mats = sandwich_matrix_even(alg, table[:, 1:ne + 1], 3)
-            moved = tracked @ mats.transpose(0, 2, 1)
-            table[:, width + 2:] = (moved[:, :, 1:] / moved[:, :, :1]).reshape(
-                len(mats), -1)
+            # each row's sandwich matrix moves every tracked point, every sum
+            # elementwise and in a fixed order, as _move's; dehomogenize as
+            # point_coords does
+            g = table[:, 1:ne + 1]
+            mats = _fixed_sum((g[:, pa] * g[:, pb])[:, pick] * coef).reshape(-1, 1, 4, 4)
+            moved = _fixed_sum(tracked[:, None, :] * mats)
+            table[:, width + 2:] = (moved[..., 1:] / moved[..., :1]).reshape(len(table), -1)
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):
             row, col = bad[0]

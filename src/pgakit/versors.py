@@ -49,21 +49,11 @@ def sandwich(g: Multivector, x: Multivector) -> Multivector:
 def sandwich_matrix(g: Multivector, k: int) -> np.ndarray:
     """Matrix of ``X -> g X ~g`` on the grade-``k`` coefficients.
 
-    ``g`` must be even (a rotor or a multiple of one).  One matrix moves
-    any number of grade-``k`` elements: ``coeffs @ sandwich_matrix(g, k).T``.
+    ``g`` is one even element (a rotor or a multiple of one).  One matrix
+    moves any number of grade-``k`` elements: ``coeffs @ sandwich_matrix(g, k).T``.
     """
-    return sandwich_matrix_even(g.algebra, _even_coeffs(g), k)
-
-
-def sandwich_matrix_even(alg: Algebra, ge: np.ndarray, k: int) -> np.ndarray:
-    """:func:`sandwich_matrix` on the even coefficients ``ge`` (basis order).
-
-    A stack of rotors, ``ge`` of shape ``(rows, n_even)``, gives the stack
-    of matrices, ``(rows, n, n)``, each equal to its single-rotor result.
-    """
-    n = len(alg.grade_indices[k])
-    m = _bilinear(ge, ge, alg.even_tables.sandwich(k))
-    return m.reshape(*ge.shape[:-1], n, n)
+    ge, n = _even_coeffs(g), len(g.algebra.grade_indices[k])
+    return _bilinear(ge, ge, g.algebra.even_tables.sandwich(k)).reshape(n, n)
 
 
 def translator(alg: Algebra, v) -> Multivector:

@@ -409,7 +409,8 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, over, what):
     ({"bodies": [{"mass": 1.0, "position": [0.0, 0.0, 0.0]}] * 4
       + [{"mass": 1.0, "position": [0.0, 0.0, 6.703903964971299e153]}]},
      "degenerate mass distribution"),
-    ({"outputs": [[1.79e308, -1.79e308, 1.79e308]]}, "x0 is not finite"),
+    # the fixed-order sum of the moved point overflows y0 first
+    ({"outputs": [[1.79e308, -1.79e308, 1.79e308]]}, "y0 is not finite"),
     # 0 * inf in the sum of the closed lines must not poison earlier steps
     ({"forces": [{"point": [1e200, 0, 0], "vector": [0, 1e200, 0],
                   "t_start": 0.05, "t_end": 0.06}]}, "force 0 is not finite"),
@@ -840,6 +841,21 @@ def test_run_simulation_matches_reference_loop():
     got = np.array(rows)
     assert got.shape == want.shape == (51, 25)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_tracked_columns_are_the_sandwich_by_each_rows_rotor():
+    # the recorder's elementwise sums move a point by its row's own rotor to
+    # within a few ulps of the moved point's scale, with no integration error
+    # in between, for a turned and shifted rotor and points far apart
+    cfg = parse_scene(scene_dict(
+        rotor0=[0.9, 0.1, -0.2, 0.3, 0.2, -0.1, 0.25, 0.05],
+        outputs=[[0.1, 0.2, 0.3], [300.0, -0.5, 2.0], [-2.0, 0.0, 1e-3]]))
+    alg = pga3d()
+    for row in _table(cfg):
+        g = even_mv(alg, row[1:9])
+        for p, got in zip(cfg.outputs, row[16:].reshape(-1, 3)):
+            want = np.array(point_coords(sandwich(g, point(alg, *p))))
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
 def _offset_bodies(offset):

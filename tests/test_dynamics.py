@@ -251,6 +251,40 @@ def test_collinear_body_is_singular(space_alg):
             InertiaTensor(np.diag([1.0] * 5 + [moment])).inverse_apply(st.pi_body)
 
 
+@pytest.mark.parametrize("mass, position, velocity", [
+    (math.nan, (0.0, 0.0, 0.0), None), (math.inf, (0.0, 0.0, 0.0), None),
+    (1.0, (math.inf, 0.0, 0.0), None), (1.0, (0.0, math.nan, 0.0), None),
+    (1.0, (0.0, 0.0, 0.0), (0.0, 0.0, -math.inf)),
+], ids=["mass-nan", "mass-inf", "position-inf", "position-nan", "velocity-inf"])
+def test_particle_at_refuses_non_finite_input(space_alg, mass, position, velocity):
+    with pytest.raises(NumericError, match="particle has a coefficient that is not finite"):
+        Particle.at(space_alg, mass, position, velocity)
+
+
+@pytest.mark.parametrize("mass, at", [(1.0, (math.inf, 0.0, 0.0)),
+                                      (1.0, (0.0, math.nan, 0.0)),
+                                      (math.inf, (1.0, 0.0, 0.0))],
+                         ids=["position-inf", "position-nan", "mass-inf"])
+def test_inertia_of_a_non_finite_particle_is_refused_without_warnings(space_alg,
+                                                                      mass, at):
+    # a particle made without Particle.at; the suite turns a RuntimeWarning
+    # into an error, so the named error must come first
+    body = four_point_body(space_alg) + [Particle(mass, point(space_alg, *at),
+                                                  space_alg.zero())]
+    with pytest.raises(SingularInertiaError, match="inertia overflows"):
+        inertia_assemble(body)
+
+
+def test_body_energy_that_overflows_is_refused_without_warnings(space_alg):
+    a = inertia_assemble(four_point_body(space_alg))
+    g = space_alg.scalar(1.0)
+    for pi in ([1e300, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1e200]):
+        with pytest.raises(NumericError, match="kinetic energy overflows"):
+            body_energy(a, MotionState(g, MomentumState(pi, BODY)))
+    # large but finite energies still come back
+    assert math.isfinite(body_energy(a, MotionState(g, MomentumState([1e150] * 6, BODY))))
+
+
 def test_spherical_body_rotational_block_is_scalar(space_alg):
     body = []
     for axis in range(3):

@@ -97,25 +97,48 @@ def test_only_one_move_applies_the_principal_frame():
     assert readers == []
 
 
+def _blas_uses(fn) -> list:
+    """Lines of ``fn`` with a matrix product or a name of numpy's BLAS routes."""
+    banned = {"dot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+    return [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+            if (getattr(node, "attr", None) or getattr(node, "id", None)) in banned
+            or isinstance(getattr(node, "op", None), ast.MatMult)]
+
+
+def _functions(module: str) -> dict:
+    tree = ast.parse((ROOT / "src" / "pgakit" / f"{module}.py").read_text())
+    return {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
 def test_the_csv_writer_calls_no_blas():
     # the writer process is forked from one whose BLAS pool may hold its
     # locks (cli._write_forked), so write_csv, _csv_text and every helper
     # of scene.py they reach use no matrix product and nothing of linalg
-    tree = ast.parse((ROOT / "src" / "pgakit" / "scene.py").read_text())
-    helpers = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    banned = {"dot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+    helpers = _functions("scene")
     reached, todo, found = set(), ["write_csv", "_csv_text"], []
     while todo:
         name = todo.pop()
         reached.add(name)
+        found += _blas_uses(helpers[name])
         for node in ast.walk(helpers[name]):
             word = getattr(node, "attr", None) or getattr(node, "id", None)
             if word in helpers and word not in reached:
                 todo.append(word)
-            if word in banned or isinstance(getattr(node, "op", None), ast.MatMult):
-                found.append(f"{name}:{node.lineno}")
     assert {"_text_tables", "_scaled", "_divmod", "_words"} <= reached
     assert found == []
+
+
+def test_each_block_of_a_run_calls_no_blas():
+    # a BLAS product may round a row alone and in a stack differently, and
+    # a multi-threaded BLAS spins a worker on a second CPU: after set-up,
+    # the code that makes each block of simulate's table sums elementwise
+    # in a fixed order.  Set-up in run_simulation itself is not walked
+    dynamics = _functions("dynamics")
+    (record,) = [fn for fn in ast.walk(_functions("scene")["run_simulation"])
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "record"]
+    walked = [record] + [dynamics[name] for name in ("_blocks", "_block", "_move",
+                                                     "_fixed_sum", "_momentum_energy")]
+    assert [use for fn in walked for use in _blas_uses(fn)] == []
 
 
 # the modules of the package, lowest layer first: a module imports only
