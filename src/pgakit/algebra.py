@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -137,18 +137,24 @@ def _bilinear(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Apply a bilinear product to coefficient arrays: two mat-vecs.
 
     ``table`` is ``T[i, j, k]`` reshaped to ``(len(a), len(b) * m)``; the
-    result ``sum_ij a_i b_j T[i, j, k]`` has ``m`` entries.  Every product
-    table in the package is applied through here.  The operands are
-    one-dimensional, and ``np.dot`` gives the bits of ``b @ (a @
+    result ``sum_ij a_i b_j T[i, j, k]`` has ``m`` entries.  Every
+    :class:`Multivector` product is applied through here.  The operands
+    are one-dimensional, and ``np.dot`` gives the bits of ``b @ (a @
     table).reshape(len(b), -1)`` in less call overhead.
 
     BLAS may fuse a multiply and an add, so a slot whose terms cancel
     exactly can keep one term's rounding error, its value depending on
     the BLAS build: the join of points (0.1, 0.1, 0) and (0.3, 0.3, 0)
     has e03 = -1.67e-18 on one build, not 0.  The closed forms on Python
-    floats (``metric.distance`` and the others) cancel exactly.
+    floats and the even tables' sums (:meth:`EvenTables.quadratic`) cancel exactly.
     """
     return np.dot(b, np.dot(a, table).reshape(len(b), -1))
+
+
+def _fixed_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms`` summed over the last axis, left to right, elementwise: a
+    row gets the same bits alone or in any stack, which BLAS does not promise."""
+    return reduce(np.add, terms.T).T
 
 
 class Algebra:
@@ -289,50 +295,54 @@ class Algebra:
 
 
 class EvenTables:
-    """Products of even elements on flat coefficient arrays.
+    """Products of even elements, each a table ``T[a, b, m]`` over the
+    slots of its operands and its result, in basis order.
 
     ``product`` is the geometric product of two even elements, from
     which the rigid-body integrator's step is generated; rotor
-    renormalization and sandwich matrices run on the others instead of
-    on :class:`Multivector` products.  Every table is a slice or
-    contraction of the algebra's geometric product table, so there is
-    one source of product signs.  Each is stored flat for
-    :func:`_bilinear`, its operands in basis order.
+    renormalization and sandwich matrices run :meth:`quadratic` on the
+    others instead of :class:`Multivector` products.  Every table is a
+    slice or contraction of the algebra's geometric product table, so
+    there is one source of product signs.
     """
 
     def __init__(self, alg: Algebra):
-        gp = alg._gp
+        gp, rev = alg._gp, alg._rev_signs
         even, pseudo = alg.even_indices, alg.pseudoscalar_index
-        ne = len(even)
-        self._alg = alg
         self.even = even
-        self.product = gp[np.ix_(even, even, even)].reshape(ne, ne * ne)
+        self.product = gp[np.ix_(even, even, even)]
         # scalar and pseudoscalar parts of g ~g, and the matrix of g -> g I;
         # not read off ``product``, which lacks an odd pseudoscalar (as in
         # Cl(2,0,1), where both are zero)
-        rev = alg._rev_signs[even]
-        self.rotor_norm = (gp[np.ix_(even, even, [0, pseudo])]
-                           * rev[None, :, None]).reshape(ne, ne * 2)
+        self.rotor_norm = gp[np.ix_(even, even, [0, pseudo])] * rev[even][None, :, None]
         self.times_i = gp[even, pseudo][:, even].T
-        self._sandwich: dict[int, np.ndarray] = {}
+        # g X ~g on grade k, m = i n + j for (g X ~g)_i of X_j: (g X)_c =
+        # g_a X_j gp[a, j, c] and (g X ~g)_i = (g X)_c ~g_b gp[c, b, i]
+        right = gp[:, even] * rev[even][None, :, None]
+        self.sandwich = [np.einsum("ajc,cbi->abij", gp[np.ix_(even, s)], right[:, :, s])
+                         .reshape(len(even), len(even), -1) for s in alg.grade_indices.values()]
+        self._terms: dict[int, tuple] = {}
 
-    def sandwich(self, k: int) -> np.ndarray:
-        """Table of ``g X ~g`` on grade ``k``, quadratic in the even ``g``.
-
-        ``_bilinear(g, g, T).reshape(n, n)`` is the matrix that maps the
-        grade-``k`` coefficients of ``X`` to those of the result.
-        """
-        if k not in self._sandwich:
-            alg = self._alg
-            gp, even, blades = alg._gp, self.even, alg.grade_indices[k]
-            # (g X)_m = g_a X_j gp[a, j, m];  (g X ~g)_i = (g X)_m ~g_b gp[m, b, i]
-            left = gp[np.ix_(even, blades)]
-            right = gp[:, even][:, :, blades]
-            t = np.einsum("ajm,mbi->abij", left, right)
-            t *= alg._rev_signs[even][None, :, None, None]
-            n = len(blades)
-            self._sandwich[k] = t.reshape(len(even), len(even) * n * n)
-        return self._sandwich[k]
+    def quadratic(self, table: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``sum_ab g_a g_b T[a, b, m]`` for ``T`` one of these tables,
+        ``rotor_norm`` or a ``sandwich``, and ``g`` the even coefficients of
+        one element or a ``(rows, n)`` stack of them: slot ``m`` is the
+        :func:`_fixed_sum` of ``c g_a g_b`` over the symmetrized nonzeros
+        (a <= b) of ``T[:, :, m]``, padded by ``-0.0 g_0 g_0``, which adds
+        nothing.  No BLAS build changes the bits, nor does the stack, and
+        no product that no slot reads (such as ``g_I g_I``) is formed."""
+        if id(table) not in self._terms:     # held there, so its id stays its own
+            a, b = np.triu_indices(len(self.even))
+            sym = ((table[a, b] + table[b, a]) / np.where(a == b, 2.0, 1.0)[:, None]).T
+            live = sym.any(axis=0)           # the first stays (0, 0): g_0 g_0 is read
+            a, b, sym = a[live], b[live], sym[:, live]
+            nonzero = [np.flatnonzero(c) for c in sym]
+            k = max(map(len, nonzero))
+            pick = np.array([[*i, *[0] * (k - len(i))] for i in nonzero])
+            coef = np.array([[*c[i], *[-0.0] * (k - len(i))] for c, i in zip(sym, nonzero)])
+            self._terms[id(table)] = table, a, b, pick, coef
+        _, a, b, pick, coef = self._terms[id(table)]
+        return _fixed_sum((g[..., a] * g[..., b])[..., pick] * coef)
 
 
 _CACHE: dict[tuple[int, int, int], Algebra] = {}

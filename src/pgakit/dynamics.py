@@ -26,17 +26,17 @@ coordinates in one fixed order of sums, so no recorded value depends on
 its block.  A block's steps are one call of straight-line Python on 14
 floats, generated on first use by one emitter, :func:`_product`, from
 the nonzeros of the even product table and compiled once per algebra.
-On a shared 2-vCPU Xeon that takes about 4 to 6 ms, of which generating
-the source is 1 to 1.6 ms and compiling it the rest, and a step of a
-4-point body costs 4.5 us force-free and 7.6 us with a force line
+On a shared 2-vCPU Intel Xeon (Python 3.11) that takes about 4 to 6
+ms, 1.2 to 1.6 ms of it to generate the source, and a step of a
+4-point body costs about 8 us force-free and 13 us with a force line
 open.  Its one force input is a :class:`ForceSchedule`, space-frame
 force lines over time windows.  A rotor or momentum that stops being
 finite raises :class:`~pgakit.versors.NumericError` instead of carrying
-NaN on.
-:func:`frame_convert` moves a tagged state by one 6x6 matrix; a
-multivector moves by :func:`~pgakit.versors.sandwich`.  The inertia
-form is a closed form in the body's mass, first moment and second
-moment, so set-up makes no product per particle.
+NaN on.  :func:`frame_convert` moves a tagged state by fixed-order sums
+over its 6x6 sandwich matrix; a multivector moves by
+:func:`~pgakit.versors.sandwich`.  The inertia form is a closed form in
+the body's mass, first moment and second moment, so set-up makes no
+product per particle.
 
 Body-frame and space-frame quantities are tagged and may not be mixed.
 """
@@ -48,11 +48,11 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, pga3d
+from .algebra import Algebra, Multivector, _fixed_sum, pga3d
 from .duality import join
 from .metric import (DegenerateElementError, _require_pga, biv_coeffs, biv_mv,
                      even_mv, ideal_norm, ideal_point, pluecker, point, pseudo_part)
@@ -132,7 +132,7 @@ def frame_convert(x: _BivectorState, g: Multivector, to: str) -> _BivectorState:
     if x.frame == to:
         return x
     m = sandwich_matrix(g if to == SPACE else ~g, 2)
-    return type(x)(m @ x.coeffs, to)
+    return type(x)(_fixed_sum(m * x.coeffs), to)
 
 
 @dataclass(frozen=True)
@@ -349,12 +349,6 @@ def _move(frame: _PrincipalFrame, x: np.ndarray, to: str) -> np.ndarray:
     return _fixed_sum(x[..., None, :] * matrix)
 
 
-def _fixed_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms`` summed over the last axis, left to right, elementwise: a
-    row gets the same bits alone or in any stack, which BLAS does not promise."""
-    return reduce(np.add, terms.T).T
-
-
 def _body(particles, what: str) -> list:
     """``particles`` as a list; ``ValueError`` naming ``what`` unless each
     one's point is in Cl(3,0,1)."""
@@ -376,7 +370,6 @@ def _mass_moments(particles, origin=0.0):
     masses = np.array([p.mass for p in particles], dtype=float)
     slots = np.array([p.r.coeffs[p.r.algebra.grade_indices[3]]
                       for p in particles]).reshape(len(masses), 4)
-    _require_finite_inertia(masses, slots)
     if not slots[:, 0].all():
         raise DegenerateElementError("ideal point has no position")
     x = slots[:, 1:] / slots[:, :1] - origin
@@ -408,6 +401,7 @@ def _form(mass, c, s) -> np.ndarray:
     return np.block([[2.0 * mass * np.eye(3), cross], [cross.T, 2.0 * s[::-1, ::-1]]])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inertia_assemble(particles) -> InertiaTensor:
     """Sum of the particle forms; encodes the body's shape once and for all.
 
@@ -418,11 +412,13 @@ def inertia_assemble(particles) -> InertiaTensor:
     its per-particle oracle.  Its frame takes the moment about the
     centroid (see :func:`principal_decomposition`).  The empty body gives
     the zero tensor, which applies but raises :class:`SingularInertiaError`
-    when inverted; other bodies whose masses sum to 0 raise it here.
+    when inverted; a body whose masses sum to 0, or whose form overflows,
+    raises it here, with no warning.
     """
     particles = _body(particles, "inertia_assemble")
     mass, c, s = _mass_moments(particles)
     tensor = InertiaTensor(_form(mass, c, s))
+    _require_finite_inertia(tensor.form)
     object.__setattr__(tensor, "_axes", _principal_axes(
         mass, c, lambda at: _mass_moments(particles, at)[2]))
     return tensor
@@ -540,12 +536,12 @@ def integrate(state: MotionState, inertia: InertiaTensor, dt: float,
     y[_MOVED], lines = moved[:2].ravel(), moved[2:]
 
     # the open windows change only at an edge, so half the sum of the open
-    # lines (the step takes half the momentum slope) is tabulated once per
-    # interval between edges, at its first time: row i is bit for bit half
-    # the sum at any t with bisect_right(edges, t) == i, and None if it is 0
+    # lines, left to right (the step takes half the momentum slope), is
+    # tabulated once per interval between edges, at its first time: row i is
+    # half the sum at any t with bisect_right(edges, t) == i, None if it is 0
     edges = sorted({*force.t_start.tolist(), *force.t_end.tolist()})
-    sums = [((force.t_start <= at) & (at < force.t_end)) @ lines
-            for at in [-np.inf, *edges]]
+    sums = [_fixed_sum(lines[on].T) if on.any() else np.zeros(6) for on in
+            ((force.t_start <= at) & (at < force.t_end) for at in [-np.inf, *edges])]
     totals = [tuple((0.5 * total).tolist()) if total.any() else None for total in sums]
     return _blocks(run, tuple(y.tolist()), float(state.t), float(dt), steps, stride,
                    edges, totals, frame)
@@ -649,7 +645,7 @@ def _rk4_source(alg: Algebra) -> str:
     """
     tables = alg.even_tables
     ne = len(tables.even)
-    product = tables.product.reshape(ne, ne, ne)
+    product = tables.product
     biv = np.flatnonzero(alg.grades[tables.even] == 2)   # in an even element
     nb, n = len(biv), ne + len(biv)
     commute = product[np.ix_(biv, biv, biv)]
@@ -700,7 +696,7 @@ def _rk4_source(alg: Algebra) -> str:
     body += [f"if {finite} != 0.0:",
              "    raise NumericError(f'momentum is not finite at t = {t4!r}')"]
     g = names("n", ne)
-    norm = _product(tables.rotor_norm.reshape(ne, ne, 2), g, g)
+    norm = _product(tables.rotor_norm, g, g)
     body += [f"z{k} = {s}" for k, s in enumerate(norm)]
     # (g - q g I) / s; _rotor_scale raises where this would not be a rotor
     body += ["if not (0.0 < z0 < inf and z1 - z1 == 0.0):", "    _rotor_scale(z0, z1)",

@@ -42,18 +42,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import pga3d
+from .algebra import _fixed_sum, pga3d
 from .dynamics import (BODY, ForceSchedule, MomentumState, MotionState, Particle,
-                       VelocityState, _fixed_sum, _momentum_energy, force_line,
-                       inertia_assemble, integrate)
+                       VelocityState, _momentum_energy, force_line, inertia_assemble,
+                       integrate)
 from .metric import biv_coeffs, even_mv, point
 # sandwich is not called here; the benchmark's tracing tests use scene.sandwich
 # as their example of an alias made by ``from .versors import``
 from .versors import NumericError, normalize_rotor, sandwich  # noqa: F401
 
 
-# run_simulation integrates every step whatever the stride (1.2-2.1 h at
-# 4.5-7.6 us a step)
+# run_simulation integrates every step whatever the stride (2.2-3.6 h at
+# 8-13 us a step)
 MAX_STEPS = 10**9
 
 
@@ -243,17 +243,7 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
               + ["energy"])
     for i in range(len(tracked)):
         header += [f"x{i}", f"y{i}", f"z{i}"]
-    ne = len(alg.even_indices)
-    # g X ~g on a point is a 4 x 4 matrix; entry e sums c g_a g_b over the
-    # symmetrized nonzeros (a <= b) of the sandwich table, in a fixed order,
-    # padded by -0.0 g_0 g_0, which is -0.0 (g_0 g_0 >= 0) and adds nothing
-    sw = alg.even_tables.sandwich(3).reshape(ne, ne, -1)
-    pa, pb = np.triu_indices(ne)
-    sym = ((sw[pa, pb] + sw[pb, pa]) / np.where(pa == pb, 2.0, 1.0)[:, None]).T
-    nonzero = [np.flatnonzero(c) for c in sym]
-    k = max(map(len, nonzero))
-    pick = np.array([[*i, *[0] * (k - len(i))] for i in nonzero])
-    coef = np.array([[*c[i], *[-0.0] * (k - len(i))] for c, i in zip(sym, nonzero)])
+    ne, tables = len(alg.even_indices), alg.even_tables
 
     @np.errstate(over="ignore", invalid="ignore")
     def record(times, states):
@@ -264,12 +254,11 @@ def run_simulation(cfg: SceneConfig, stride: int = 1):
         table[:, 1:width + 1] = states
         table[:, width + 1] = _momentum_energy(inertia, states[:, ne:])
         if len(tracked):
-            # each row's sandwich matrix moves every tracked point, every sum
-            # elementwise and in a fixed order, as _move's; dehomogenize as
-            # point_coords does
-            g = table[:, 1:ne + 1]
-            mats = _fixed_sum((g[:, pa] * g[:, pb])[:, pick] * coef).reshape(-1, 1, 4, 4)
-            moved = _fixed_sum(tracked[:, None, :] * mats)
+            # each row's sandwich matrix, sandwich_matrix(g, 3), moves every
+            # tracked point, every sum elementwise and in a fixed order, as
+            # _move's; dehomogenize as point_coords does
+            mats = tables.quadratic(tables.sandwich[3], table[:, 1:ne + 1])
+            moved = _fixed_sum(tracked[:, None, :] * mats.reshape(-1, 1, 4, 4))
             table[:, width + 2:] = (moved[..., 1:] / moved[..., :1]).reshape(len(table), -1)
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):

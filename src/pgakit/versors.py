@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Multivector, _bilinear
+from .algebra import Algebra, Multivector, _fixed_sum
 from .metric import (_DUST, DegenerateElementError, DualParts, _axis_coeffs, _dot,
                      _euclidean_split, _expect_coords, _negligible, _norm,
                      _require_pga, biv_mv, even_mv, is_simple, normalize)
@@ -51,9 +51,10 @@ def sandwich_matrix(g: Multivector, k: int) -> np.ndarray:
 
     ``g`` is one even element (a rotor or a multiple of one).  One matrix
     moves any number of grade-``k`` elements: ``coeffs @ sandwich_matrix(g, k).T``.
+    Its entries are :meth:`~pgakit.algebra.EvenTables.quadratic` sums.
     """
-    ge, n = _even_coeffs(g), len(g.algebra.grade_indices[k])
-    return _bilinear(ge, ge, g.algebra.even_tables.sandwich(k)).reshape(n, n)
+    tables, n = g.algebra.even_tables, len(g.algebra.grade_indices[k])
+    return tables.quadratic(tables.sandwich[k], _even_coeffs(g)).reshape(n, n)
 
 
 def translator(alg: Algebra, v) -> Multivector:
@@ -279,8 +280,8 @@ def normalize_rotor(g: Multivector) -> Multivector:
     """
     alg = _require_pga(g.algebra, "normalize_rotor")
     ge, tables = _even_coeffs(g), alg.even_tables
-    q, s = _rotor_scale(*_bilinear(ge, ge, tables.rotor_norm))
-    ge = (ge - q * (tables.times_i @ ge)) / s
+    q, s = _rotor_scale(*tables.quadratic(tables.rotor_norm, ge))
+    ge = (ge - q * _fixed_sum(tables.times_i * ge)) / s
     if not np.isfinite(ge).all():
         raise NumericError("cannot normalize: the rotor overflows")
     return even_mv(alg, ge)

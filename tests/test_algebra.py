@@ -338,9 +338,7 @@ def _sparse_operands(rng, n, count):
 def test_the_dot_kernel_rounds_as_matmul_does(sig):
     # one operand pair takes np.dot; it must give the bits of two `@` mat-vecs
     alg = algebra(*sig)
-    ev = alg.even_tables
-    tables = [alg._gp_flat, alg._op_flat, alg._ip_flat, alg._comm_flat, alg._vee_flat,
-              ev.product, ev.rotor_norm, *(ev.sandwich(k) for k in range(alg.dim + 1))]
+    tables = [alg._gp_flat, alg._op_flat, alg._ip_flat, alg._comm_flat, alg._vee_flat]
     rng = np.random.default_rng(sum(sig))
     for table in tables:
         n = table.shape[0]              # every table here pairs operands of one length
@@ -348,6 +346,23 @@ def test_the_dot_kernel_rounds_as_matmul_does(sig):
         for a, b in zip(rows_a, rows_b):
             assert (_bilinear(a, b, table).tobytes()
                     == (b @ (a @ table).reshape(n, -1)).tobytes())
+
+
+@pytest.mark.parametrize("sig", [(2, 0, 1), (3, 0, 1), (4, 0, 0), (3, 1, 0)],
+                         ids=lambda sig: "%d,%d,%d" % sig)
+def test_the_even_tables_sum_a_row_alone_as_in_a_stack(sig):
+    # EvenTables.quadratic sums each slot elementwise in one fixed order: a
+    # row of a stack has the bits of the row alone, and the sums are the
+    # dense kernel's to rounding
+    alg = algebra(*sig)
+    ev = alg.even_tables
+    rows = _sparse_operands(np.random.default_rng(sum(sig)), len(ev.even), 60)
+    for table in (ev.rotor_norm, *ev.sandwich):
+        stack = ev.quadratic(table, rows)
+        dense = table.reshape(len(ev.even), -1)
+        for g, got in zip(rows, stack):
+            assert ev.quadratic(table, g).tobytes() == got.tobytes()
+            assert np.abs(got - _bilinear(g, g, dense)).max() <= 1e-13 * np.abs(g).max() ** 2
 
 
 def _grades_oracle(x, rel_tol):

@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 from pgakit import (BODY, ForceSchedule, MomentumState, MotionState, NumericError,
                     Particle, VelocityState, algebra, force_line, inertia_assemble,
-                    normalize_rotor, pga2d, pga3d, point, point_coords, sandwich)
+                    normalize_rotor, pga2d, pga3d, point, point_coords, sandwich,
+                    sandwich_matrix)
 import pgakit.cli as cli
 import pgakit.dynamics as dynamics
 from pgakit.cli import main
 from pgakit.dynamics import integrate
+from pgakit.algebra import _fixed_sum
 from pgakit.expr import ExprError, evaluate
 from pgakit.metric import biv_coeffs, biv_mv, even_mv
 import pgakit.scene as scene_mod
@@ -846,16 +848,21 @@ def test_run_simulation_matches_reference_loop():
 def test_tracked_columns_are_the_sandwich_by_each_rows_rotor():
     # the recorder's elementwise sums move a point by its row's own rotor to
     # within a few ulps of the moved point's scale, with no integration error
-    # in between, for a turned and shifted rotor and points far apart
-    cfg = parse_scene(scene_dict(
-        rotor0=[0.9, 0.1, -0.2, 0.3, 0.2, -0.1, 0.25, 0.05],
-        outputs=[[0.1, 0.2, 0.3], [300.0, -0.5, 2.0], [-2.0, 0.0, 1e-3]]))
+    # in between, for a turned and shifted rotor, a random one, and points
+    # far apart; and its matrix is sandwich_matrix(g, 3), bit for bit
     alg = pga3d()
-    for row in _table(cfg):
-        g = even_mv(alg, row[1:9])
-        for p, got in zip(cfg.outputs, row[16:].reshape(-1, 3)):
-            want = np.array(point_coords(sandwich(g, point(alg, *p))))
-            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+    tri = alg.grade_indices[3]
+    for rotor0 in ([0.9, 0.1, -0.2, 0.3, 0.2, -0.1, 0.25, 0.05],
+                   np.random.default_rng(3).normal(size=8).tolist()):
+        cfg = parse_scene(scene_dict(rotor0=rotor0, outputs=[
+            [0.1, 0.2, 0.3], [300.0, -0.5, 2.0], [-2.0, 0.0, 1e-3]]))
+        for row in _table(cfg):
+            g = even_mv(alg, row[1:9])
+            for p, got in zip(cfg.outputs, row[16:].reshape(-1, 3)):
+                want = np.array(point_coords(sandwich(g, point(alg, *p))))
+                assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+                moved = _fixed_sum(point(alg, *p).coeffs[tri] * sandwich_matrix(g, 3))
+                assert got.tobytes() == (moved[1:] / moved[0]).tobytes()
 
 
 def _offset_bodies(offset):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,20 @@ def test_inertia_of_a_non_finite_particle_is_refused_without_warnings(space_alg,
                                                   space_alg.zero())]
     with pytest.raises(SingularInertiaError, match="inertia overflows"):
         inertia_assemble(body)
+
+
+@pytest.mark.parametrize("mass, at", [(1.0, (1e200, 0.0, 0.0)), (1e300, (1e10, 0.0, 0.0))],
+                         ids=["far", "heavy"])
+def test_inertia_that_overflows_is_refused_without_warnings(space_alg, mass, at):
+    # finite particles whose moments overflow: the named error comes first,
+    # with every warning an error
+    body = [Particle.at(space_alg, mass, at), Particle.at(space_alg, 1.0, (0.0, 1.0, 0.0)),
+            Particle.at(space_alg, 1.0, (0.0, 0.0, 1.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for assemble in (inertia_assemble, principal_decomposition):
+            with pytest.raises(SingularInertiaError, match="inertia overflows"):
+                assemble(body)
 
 
 def test_body_energy_that_overflows_is_refused_without_warnings(space_alg):
@@ -545,6 +560,39 @@ def test_integrate_space_schedule_matches_the_reference_rk4(space_alg, rng):
                            force=ForceSchedule(lines, t_start, late))
     assert np.array_equal(moved[:8], got[:8]) and not np.array_equal(moved, got)
     assert_rel_close(moved, reference(late)[1])
+
+
+def test_overlapping_windows_add_their_lines_left_to_right(space_alg, monkeypatch):
+    # integrate tabulates half the sum of the open lines once per interval
+    # between edges, adding them in the schedule's order as Python adds
+    # floats; in this body's principal frame e02 stays e02, where the sum
+    # of 1 and two halves of its ulp depends on that order
+    body = [Particle.at(space_alg, m, (s * x, s * y, s * z)) for m, (x, y, z) in
+            ((3.0, (1, 0, 0)), (2.0, (0, 1, 0)), (1.0, (0, 0, 1))) for s in (1, -1)]
+    inertia = inertia_assemble(body)
+    st = MotionState(space_alg.scalar(1.0), MomentumState(np.zeros(6), BODY))
+    lines = np.array([[0.1, 1.0, 0, 0, 0.2, 0], [0, 2.0**-53, 0.3, 0, 0, 0],
+                      [0.5, 2.0**-53, 0, -0.7, 0, 0]])
+    moved = dynamics._move(inertia._frame, lines, dynamics._PRINCIPAL)
+    assert moved[:, 1].tolist() == lines[:, 1].tolist()
+    monkeypatch.setattr(dynamics, "_blocks", lambda *args: args)
+    edges, totals = integrate(st, inertia, 1e-3, 1, force=ForceSchedule(
+        lines, [0.0, 1.0, 2.0], [3.0] * 3))[6:8]
+    assert edges == [0.0, 1.0, 2.0, 3.0]
+    want = [None, [0.5 * a for a in moved[0]],
+            [0.5 * (a + b) for a, b in zip(*moved[:2])],
+            [0.5 * ((a + b) + c) for a, b, c in zip(*moved)], None]
+    assert want[3][1] != 0.5 * (1.0 + 2.0**-52)
+    assert ([x and np.array(x).tobytes() for x in totals]
+            == [x and np.array(x).tobytes() for x in want])
+    # the empty schedule opens nothing, and steps as no force does
+    empty = ForceSchedule(np.zeros((0, 6)), [], [])
+    assert integrate(st, inertia, 1e-3, 1, force=empty)[6:8] == ([], [None])
+    monkeypatch.undo()
+    spun = MotionState(st.g, MomentumState([0.1, -0.2, 0.3, 0.4, 0.5, -0.6], BODY))
+    runs = [integrate(spun, inertia, 1e-3, 5, force=f) for f in (empty, None)]
+    for block, free in zip(*runs):
+        assert all(np.array_equal(x, y) for x, y in zip(block, free))
 
 
 def test_integrate_constant_force_is_an_always_open_window(space_alg, rng):

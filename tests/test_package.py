@@ -110,6 +110,14 @@ def _functions(module: str) -> dict:
     return {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    """The one function or method named ``name`` in ``module``, at any depth."""
+    tree = ast.parse((ROOT / "src" / "pgakit" / f"{module}.py").read_text())
+    (fn,) = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and fn.name == name]
+    return fn
+
+
 def test_the_csv_writer_calls_no_blas():
     # the writer process is forked from one whose BLAS pool may hold its
     # locks (cli._write_forked), so write_csv, _csv_text and every helper
@@ -132,13 +140,32 @@ def test_each_block_of_a_run_calls_no_blas():
     # a BLAS product may round a row alone and in a stack differently, and
     # a multi-threaded BLAS spins a worker on a second CPU: after set-up,
     # the code that makes each block of simulate's table sums elementwise
-    # in a fixed order.  Set-up in run_simulation itself is not walked
-    dynamics = _functions("dynamics")
-    (record,) = [fn for fn in ast.walk(_functions("scene")["run_simulation"])
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "record"]
-    walked = [record] + [dynamics[name] for name in ("_blocks", "_block", "_move",
-                                                     "_fixed_sum", "_momentum_energy")]
+    # in a fixed order.  Set-up in run_simulation itself is not walked.
+    # The even tables' evaluator sums in that order too, and so do the
+    # sandwich matrices, rotor normalization and frame moves that call it,
+    # so no BLAS build changes a principal frame or a normalized rotor
+    walked = [_function(module, name) for module, names in (
+        ("scene", ["record"]), ("algebra", ["quadratic", "_fixed_sum"]),
+        ("versors", ["sandwich_matrix", "normalize_rotor"]),
+        ("dynamics", ["frame_convert", "_blocks", "_block", "_move", "_momentum_energy"]),
+    ) for name in names]
     assert [use for fn in walked for use in _blas_uses(fn)] == []
+
+
+def test_only_the_multivector_products_call_the_dense_kernel():
+    # _bilinear's two BLAS mat-vecs serve the Multivector operators,
+    # duality.join and metric._scaled_join; every other product sums in a
+    # fixed order (EvenTables.quadratic, _fixed_sum) or is a closed form.
+    # A call counts for each function around it: _product makes product
+    callers = set()
+    for path in sorted((ROOT / "src" / "pgakit").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers |= {f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "_bilinear"}
+    assert callers == {"algebra._product", "algebra.product", "algebra.__mul__",
+                       "duality.join", "metric._scaled_join"}
 
 
 # the modules of the package, lowest layer first: a module imports only

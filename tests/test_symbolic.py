@@ -153,7 +153,7 @@ def test_the_emitted_slope_is_the_motion_equations():
 def _normalize_rotor(ge):
     # normalize_rotor's closed form on the even coefficients
     tables = ALG.even_tables
-    a, b = _bilinear(ge, ge, tables.rotor_norm)
+    a, b = _bilinear(ge, ge, tables.rotor_norm.reshape(NE, -1))
     return (ge - b / (2 * a) * (tables.times_i @ ge)) / sympy.sqrt(a)
 
 
@@ -181,6 +181,22 @@ def test_the_closed_form_lands_on_the_rotor_manifold(route, rng):
     want = normalize_rotor(even_mv(ALG, ge)).coeffs[EVEN]
     got = np.array([float(x.subs(dict(zip(G, ge)))) for x in r])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+
+def test_the_even_tables_evaluator_is_exact():
+    # EvenTables.quadratic's term lists, run on a symbolic g as they are,
+    # give the scalar and pseudoscalar parts of g ~g and, on grades 2 and
+    # 3, the matrix of X -> g X ~g, both from the full product table
+    tables, g = ALG.even_tables, _wrap(ALG, full(EVEN, G))
+    norm = sandwich(g, _wrap(ALG, blade("1"))).coeffs[[0, ALG.pseudoscalar_index]]
+    assert exact(tables.quadratic(tables.rotor_norm, np.array(G, dtype=object))
+                 - norm) == [0, 0]
+    for k in (2, 3):
+        blades = ALG.grade_indices[k]
+        got = tables.quadratic(tables.sandwich[k], np.array(G, dtype=object))
+        want = np.array([sandwich(g, _wrap(ALG, blade(ALG.blade_names[j]))).coeffs[blades]
+                         for j in blades]).T
+        assert exact(got - want.ravel()) == [0] * len(got)
 
 
 def _pluecker(a, b):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -515,6 +516,16 @@ def test_sandwich_matrix_matches_sandwich(sig, rng):
                               - want.coeffs[blades]).max() <= 1e-13 * scale
     with pytest.raises(ValueError, match="even"):
         sandwich_matrix(alg.blade("e1"), 1)
+
+
+def test_a_huge_pseudoscalar_part_forms_no_unread_product(space_alg):
+    # I I = 0, so no slot of the even tables reads g_I g_I: a rotor with a
+    # huge I part moves and normalizes with no overflow, and no warning
+    g = even_mv(space_alg, [1.0, 0, 0, 0, 0, 0, 0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(sandwich_matrix(g, 2)).all()
+        assert normalize_rotor(g) == space_alg.scalar(1.0)
 
 
 def test_sandwich_homomorphism(space_alg, rng):
